@@ -1,12 +1,11 @@
 """Deterministic Wi-Fi 6 TWT streaming simulator and schedule search toolkit."""
 
-from .config import ConfigError, ParsedConfig, parse, parse_config, parse_template
+from .config import ConfigError, ParsedConfig, parse
 from .macsim import (
     MacParams,
     Scenario,
     SimTrace,
     Station,
-    aggregate,
     back_solve_phy_rate,
     backoff_draw,
     run_sim,
@@ -29,12 +28,10 @@ from .search import (
 from .traffic import (
     Burst,
     VideoParams,
-    available_bandwidth,
     generate_cbr_bursts,
     generate_vbr_bursts,
     sample_frame_size,
     sample_inter_burst_time,
-    write_bursts_csv,
 )
 from .transport import Flow, offer_load, on_ack, on_idle_restart, on_loss
 
@@ -58,8 +55,6 @@ __all__ = [
     "Station",
     "TwtSchedule",
     "VideoParams",
-    "aggregate",
-    "available_bandwidth",
     "back_solve_phy_rate",
     "backoff_draw",
     "compute_qos",
@@ -73,8 +68,6 @@ __all__ = [
     "on_loss",
     "paper_setup",
     "parse",
-    "parse_config",
-    "parse_template",
     "phase1_min_duty",
     "phase2_select_mf",
     "phase3_validate",
@@ -86,5 +79,4 @@ __all__ = [
     "schedule_from",
     "single_contender_bound_mbps",
     "wake_windows",
-    "write_bursts_csv",
 ]

@@ -23,7 +23,8 @@ from .config import ConfigError, ParsedConfig, parse
 from .macsim import run_sim
 from .qos import compute_qos, qos_pass
 from .scenarios import derive_seed
-from .search import InfeasibleTargetError, phase1_min_duty, phase2_select_mf, run_full_search
+from .search import (InfeasibleTargetError, phase1_min_duty, phase2_select_mf,
+                     run_full_search, session_report)
 
 COMMANDS = ("simulate", "qos", "search", "sweep-duty", "sweep-mf", "table3", "table4", "table5")
 
@@ -245,9 +246,7 @@ def _qos_rows(cfg: ParsedConfig, model: str, seed: int, phase: int):
     duty = cfg.duty_percent if cfg.twt_enabled else None
     rows = []
     for i in range(template.seeds):
-        s = derive_seed(seed, phase, i)
-        scenario = template.session_scenario(duty, cfg.mf, model, s, loaded=True)
-        report = compute_qos(run_sim(scenario), scenario.bursts, interval_s=template.qos_interval_s)
+        report = session_report(template, duty, cfg.mf, model, derive_seed(seed, phase, i))
         rows.append((i + 1, report.avg_throughput_mbps, report.underrun_events))
     return rows
 

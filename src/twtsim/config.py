@@ -13,9 +13,9 @@ A config looks like::
     mf = 4
 
 Unknown keys, bad values, and structural problems are reported with the line
-number they came from.  ``parse_config`` materialises one runnable Scenario;
-``parse_template`` returns the ScenarioTemplate the search and table commands
-drive.
+number they came from.  ``parse`` returns a ParsedConfig: its ``template`` is
+what the search and table commands drive, and ``scenario()`` materialises the
+one runnable [sim] scenario.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ _SECTION_KEYS = {
     "sim": {"duration_s", "model", "loaded", "seed"},
     "mac": {
         "slot_us",
-        "sifs_us",
         "difs_us",
         "cw_min",
         "cw_max",
@@ -217,7 +216,7 @@ def parse(text: str) -> ParsedConfig:
     traffic_sec = sections["traffic"]
     video = VideoParams(
         bitrate_mbps=_take(traffic_sec, "bitrate_mbps", float, 15.6),
-        frame_rate=_take(traffic_sec, "frame_rate", int, 30),
+        frame_rate=_take(traffic_sec, "frame_rate", float, 30.0),
         weibull_k=_take(traffic_sec, "weibull_k", float, 0.8099),
         weibull_lambda_bytes=_take(traffic_sec, "weibull_lambda_bytes", float, None),
         ibt_mean_s=_take(traffic_sec, "ibt_mean_s", float, 6.0),
@@ -337,13 +336,3 @@ def parse(text: str) -> ParsedConfig:
     # with the config as context rather than deep inside a command.
     parsed.scenario()
     return parsed
-
-
-def parse_config(text: str) -> Scenario:
-    """Parse a config and materialise its [sim] scenario."""
-    return parse(text).scenario()
-
-
-def parse_template(text: str) -> ScenarioTemplate:
-    """Parse a config down to the search/table template."""
-    return parse(text).template

@@ -43,7 +43,6 @@ class MacParams:
     """802.11 MAC constants (microseconds unless noted)."""
 
     slot_us: int = 9
-    sifs_us: int = 16
     difs_us: int = 34
     cw_min: int = 15
     cw_max: int = 1023
@@ -187,32 +186,6 @@ def mpdu_airtime_ns(mac: MacParams, phy_rate_mbps: float) -> int:
     return math.ceil(mac.mpdu_payload_bytes * 8 * NS_PER_US / phy_rate_mbps)
 
 
-def aggregate(
-    queue_bytes: float,
-    phy_rate_mbps: float,
-    window_remaining_us: float,
-    mac: MacParams,
-) -> int:
-    """MPDUs in the next A-MPDU so the whole exchange fits its time budget.
-
-    The budget is min(txop_limit, window_remaining); the per-exchange
-    overhead is paid once.  Returns 0 when not even one MPDU fits.  (The
-    engine itself additionally caps by the number of queued segments.)
-    """
-    if phy_rate_mbps <= 0:
-        raise ValueError("phy_rate_mbps must be > 0")
-    if queue_bytes <= 0 or window_remaining_us <= 0:
-        return 0
-    budget_ns = min(mac.txop_limit_us, window_remaining_us) * NS_PER_US - \
-        mac.per_frame_overhead_us * NS_PER_US
-    if budget_ns <= 0:
-        return 0
-    t_mpdu = mpdu_airtime_ns(mac, phy_rate_mbps)
-    n_time = int(budget_ns // t_mpdu)
-    n_queue = math.ceil(queue_bytes / mac.mpdu_payload_bytes)
-    return max(0, min(mac.max_ampdu_mpdus, n_queue, n_time))
-
-
 def single_contender_bound_mbps(phy_rate_mbps: float, mac: MacParams) -> float:
     """Closed-form saturation throughput of a lone contender (upper bound)."""
     t_mpdu_us = mac.mpdu_payload_bytes * 8 / phy_rate_mbps
@@ -269,7 +242,7 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams) -> float:
 
 class _FlowState:
     __slots__ = ("flow", "released", "sent", "delivered", "in_flight",
-                 "queued_segments", "last_send_ns", "drops")
+                 "queued_segments", "last_send_ns")
 
     def __init__(self, flow: Flow, saturated: bool):
         self.flow = flow
@@ -279,7 +252,6 @@ class _FlowState:
         self.in_flight = 0
         self.queued_segments = 0
         self.last_send_ns: int | None = None
-        self.drops = 0
 
 
 class _Contender:
@@ -443,7 +415,6 @@ class _Engine:
             dbytes = sum(dropped)
             fs.in_flight -= dbytes
             fs.sent -= dbytes
-            fs.drops += 1
             self.trace.drops[fid] = self.trace.drops.get(fid, 0) + len(dropped)
             fs.flow = on_loss(fs.flow)
             self._record_cwnd(t, fs)
@@ -592,8 +563,8 @@ class _Engine:
                 self._kick(t)
                 return
             dst, n, dur, from_rr = sel
-            if dst == self.dut_id and self.gate is not None:
-                assert dur <= self._dut_remaining(t), "gated transmission would cross window end"
+            if dst == self.dut_id and self.gate is not None and dur > self._dut_remaining(t):
+                raise RuntimeError("gated transmission would cross window end")
             end = t + dur
             payload = (_DATA, (dst, n, from_rr))
         else:
@@ -702,7 +673,8 @@ class _Engine:
 
 def aggregate_ns(queue_bytes: int, t_mpdu_ns: int, budget_ns: int,
                  overhead_ns: int, max_ampdu: int, queued_segments: int) -> int:
-    """Engine-side aggregation: cap by time budget, A-MPDU limit and queued segments."""
+    """MPDUs in the next A-MPDU: as many as fit the budget after the per-exchange
+    overhead, capped by the A-MPDU limit and the queued segments; 0 if none fits."""
     if queue_bytes <= 0 or queued_segments <= 0:
         return 0
     avail = budget_ns - overhead_ns

@@ -135,14 +135,19 @@ def phase1_min_duty(
     return chosen, tuple(curve)
 
 
+def session_report(
+    template: ScenarioTemplate, duty: int | None, mf: int, model: str, seed: int
+) -> QosReport:
+    """QoS of one loaded streaming session; duty None disables TWT."""
+    scenario = template.session_scenario(duty, mf, model, seed)
+    return compute_qos(run_sim(scenario), scenario.bursts, interval_s=template.qos_interval_s)
+
+
 def _evaluate_mf(template: ScenarioTemplate, duty: int, mf: int) -> MfPoint:
     times, events, cvs = [], [], []
     for rep in range(template.seeds):
         seed = derive_seed(template.master_seed, 2, mf, rep)
-        scenario = template.session_scenario(duty, mf, "cbr", seed)
-        report = compute_qos(
-            run_sim(scenario), scenario.bursts, interval_s=template.qos_interval_s
-        )
+        report = session_report(template, duty, mf, "cbr", seed)
         times.append(report.underrun_time_s)
         events.append(float(report.underrun_events))
         cvs.append(report.throughput_variation)
@@ -172,21 +177,18 @@ def phase2_select_mf(
 
 
 def phase3_validate(
-    template: ScenarioTemplate, duty: int, mf: int, model: str
+    template: ScenarioTemplate, duty: int, mf: int
 ) -> tuple[int | None, tuple[SessionRecord, ...]]:
-    """Grow duty in 5-point steps until every seeded session passes QoS."""
+    """Grow duty in 5-point steps until every seeded CBR session passes QoS."""
     records: list[SessionRecord] = []
     d = duty
     while d <= 100:
         all_pass = True
         for rep in range(template.seeds):
-            seed = derive_seed(template.master_seed, 3 if model == "cbr" else 4, d, rep)
-            scenario = template.session_scenario(d, mf, model, seed)
-            report = compute_qos(
-                run_sim(scenario), scenario.bursts, interval_s=template.qos_interval_s
-            )
+            seed = derive_seed(template.master_seed, 3, d, rep)
+            report = session_report(template, d, mf, "cbr", seed)
             passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
-            records.append(SessionRecord(model, d, mf, seed, report, passed))
+            records.append(SessionRecord("cbr", d, mf, seed, report, passed))
             all_pass = all_pass and passed
         if all_pass:
             return d, tuple(records)
@@ -198,7 +200,7 @@ def run_full_search(template: ScenarioTemplate) -> SearchResult:
     """Full pipeline: duty sweep, MF doubling, seeded validation, VBR replay."""
     phase1_duty, phase1_curve = phase1_min_duty(template)
     mf, phase2_curve = phase2_select_mf(template, phase1_duty)
-    cbr_duty, cbr_records = phase3_validate(template, phase1_duty, mf, "cbr")
+    cbr_duty, cbr_records = phase3_validate(template, phase1_duty, mf)
     sessions = list(cbr_records)
     if cbr_duty is None:
         return SearchResult(
@@ -212,26 +214,10 @@ def run_full_search(template: ScenarioTemplate) -> SearchResult:
             sessions=tuple(sessions),
         )
     # The VBR model is replayed at the schedule the CBR search settled on.
-    # VBR sessions release fewer bytes than the nominal bitrate implies (the
-    # frame-size mean sits below nominal), so the throughput floor is judged
-    # against the session's own offered load; keep-up is the underrun budget.
     for rep in range(template.seeds):
         seed = derive_seed(template.master_seed, 4, cbr_duty, rep)
-        scenario = template.session_scenario(cbr_duty, mf, "vbr", seed)
-        report = compute_qos(
-            run_sim(scenario), scenario.bursts, interval_s=template.qos_interval_s
-        )
-        due_bytes = sum(
-            b.size_bytes
-            for b in scenario.bursts
-            if b.release_time_s + b.inter_burst_time_s <= scenario.duration_s
-        )
-        due_mbps = 8 * due_bytes / scenario.duration_s / 1e6
-        target = min(template.bitrate_mbps, due_mbps)
-        passed = (
-            report.underrun_events <= template.max_underruns
-            and report.avg_throughput_mbps >= target
-        )
+        report = session_report(template, cbr_duty, mf, "vbr", seed)
+        passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
         sessions.append(SessionRecord("vbr", cbr_duty, mf, seed, report, passed))
     return SearchResult(
         converged=True,

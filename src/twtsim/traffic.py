@@ -8,10 +8,8 @@ frames at the configured frame rate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -128,18 +126,3 @@ def generate_vbr_bursts(
         release += ibt
         i += 1
     return bursts
-
-
-def available_bandwidth(burst: Burst, serve_time_s: float) -> float:
-    """Client-side bandwidth estimate in Mbps: burst bits over its serve time."""
-    if serve_time_s <= 0:
-        raise ValueError(f"serve_time_s must be > 0, got {serve_time_s}")
-    return 8.0 * burst.size_bytes / serve_time_s / 1e6
-
-
-def write_bursts_csv(bursts: list[Burst], out: TextIO) -> None:
-    """Write bursts as CSV: index,release_time_s,size_bytes,inter_burst_time_s."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["index", "release_time_s", "size_bytes", "inter_burst_time_s"])
-    for b in bursts:
-        w.writerow([b.index, repr(b.release_time_s), b.size_bytes, repr(b.inter_burst_time_s)])

@@ -1,6 +1,6 @@
 import pytest
 
-from twtsim import ConfigError, parse, parse_config, parse_template
+from twtsim import ConfigError, parse
 from twtsim.cli import default_config_text
 
 MINIMAL = """\
@@ -36,14 +36,14 @@ def test_bundled_config_matches_default_setup():
 
 def test_twt_section_drives_schedule():
     text = MINIMAL + "\n[twt]\nduty_percent = 30\nmf = 8\n"
-    scenario = parse_config(text)
+    scenario = parse(text).scenario()
     dut = next(s for s in scenario.stations if s.twt is not None)
     assert (dut.twt.sp_us, dut.twt.wi_us) == (8191, 19114)
 
 
 def test_twt_disabled_leaves_all_stations_awake():
     text = MINIMAL + "\n[twt]\nenabled = false\nduty_percent = 30\n"
-    scenario = parse_config(text)
+    scenario = parse(text).scenario()
     assert all(s.twt is None for s in scenario.stations)
 
 
@@ -64,6 +64,20 @@ def test_unknown_key_reports_line_number():
     assert exc.value.line == text.count("\n", 0, text.index("wibble")) + 1
     assert "wibble" in str(exc.value)
     assert "duty_percent" in str(exc.value)  # suggests the known keys
+
+
+def test_sifs_is_not_a_mac_key():
+    # the engine models no SIFS; a config that sets it is told so
+    text = MINIMAL + "\n[mac]\nsifs_us = 16\n"
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("sifs_us")) + 1
+    assert "sifs_us" in str(exc.value)
+
+
+def test_fractional_frame_rate_accepted():
+    cfg = parse(MINIMAL.replace("bitrate_mbps = 10\n", "bitrate_mbps = 10\nframe_rate = 29.97\n"))
+    assert cfg.template.video.frame_rate == 29.97
 
 
 def test_unknown_section_rejected():
@@ -130,7 +144,7 @@ def test_invalid_model_rejected():
 
 
 def test_parse_template_round_trip():
-    tpl = parse_template(MINIMAL)
+    tpl = parse(MINIMAL).template
     assert tpl.dut == "c1"
     assert tpl.background == ()  # only client is the DUT
     sc = tpl.session_scenario(30, 2, "cbr", seed=3, loaded=True, duration_s=12.0)

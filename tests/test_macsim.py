@@ -8,7 +8,6 @@ from twtsim import (
     MacParams,
     Scenario,
     Station,
-    aggregate,
     back_solve_phy_rate,
     backoff_draw,
     run_sim,
@@ -16,6 +15,7 @@ from twtsim import (
     single_contender_bound_mbps,
     wake_windows,
 )
+from twtsim.macsim import aggregate_ns, mpdu_airtime_ns
 
 MAC = MacParams()
 
@@ -70,28 +70,36 @@ def test_cw_values_must_be_powers_of_two_minus_one():
 
 # -------------------------------------------------------------- aggregate ---
 
+# aggregate_ns(queue_bytes, t_mpdu_ns, budget_ns, overhead_ns, max_ampdu, queued_segments)
+TXOP_NS = MAC.txop_limit_us * 1000
+OVERHEAD_NS = MAC.per_frame_overhead_us * 1000
+
+
 def test_aggregate_caps_by_txop_budget():
     # 100 Mbit/s -> 120 us per 1500-byte MPDU; (5484 - 100) / 120 = 44.8
-    assert aggregate(10**9, 100.0, 10**9, MAC) == 44
+    t_mpdu = mpdu_airtime_ns(MAC, 100.0)
+    assert aggregate_ns(10**9, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 10**6) == 44
 
 
 def test_aggregate_caps_by_ampdu_limit():
-    big = replace(MAC, txop_limit_us=100_000)
-    assert aggregate(10**9, 100.0, 10**9, big) == 64
+    t_mpdu = mpdu_airtime_ns(MAC, 100.0)
+    assert aggregate_ns(10**9, t_mpdu, 100_000_000, OVERHEAD_NS, 64, 10**6) == 64
 
 
 def test_aggregate_caps_by_window_remaining():
     # 95 Mbit/s -> 126.31 us per MPDU; (8191 - 100) // 126.31 = 64
-    big = replace(MAC, txop_limit_us=100_000)
-    assert aggregate(10**9, 95.0, 8191, big) == 64
-    assert aggregate(10**9, 95.0, 300, big) == 1
-    assert aggregate(10**9, 95.0, 220, big) == 0
+    t_mpdu = mpdu_airtime_ns(MAC, 95.0)
+    assert aggregate_ns(10**9, t_mpdu, 8_191_000, OVERHEAD_NS, 64, 10**6) == 64
+    assert aggregate_ns(10**9, t_mpdu, 300_000, OVERHEAD_NS, 64, 10**6) == 1
+    assert aggregate_ns(10**9, t_mpdu, 220_000, OVERHEAD_NS, 64, 10**6) == 0
 
 
 def test_aggregate_caps_by_queue():
-    assert aggregate(1500, 100.0, 10**9, MAC) == 1
-    assert aggregate(1501, 100.0, 10**9, MAC) == 2
-    assert aggregate(0, 100.0, 10**9, MAC) == 0
+    # the engine queues full segments plus a tail: 1501 bytes are 2 MPDUs
+    t_mpdu = mpdu_airtime_ns(MAC, 100.0)
+    assert aggregate_ns(1500, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 1) == 1
+    assert aggregate_ns(1501, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 2) == 2
+    assert aggregate_ns(0, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 0) == 0
 
 
 # ----------------------------------------------------------- steady state ---

@@ -80,7 +80,7 @@ def test_phase2_curve_stops_after_first_degradation():
 
 def test_phase3_steps_duty_until_all_sessions_pass():
     tpl = small_template()
-    duty, records = phase3_validate(tpl, 20, 2, "cbr")
+    duty, records = phase3_validate(tpl, 20, 2)
     assert records
     assert all(r.model == "cbr" and r.mf == 2 for r in records)
     if duty is not None:

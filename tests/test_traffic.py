@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,12 +5,10 @@ import pytest
 
 from twtsim import (
     VideoParams,
-    available_bandwidth,
     generate_cbr_bursts,
     generate_vbr_bursts,
     sample_frame_size,
     sample_inter_burst_time,
-    write_bursts_csv,
 )
 
 # Frozen oracles, computed by numerical quadrature (see tests/oracles.py):
@@ -120,19 +117,3 @@ def test_vbr_reproducible_per_seed():
     assert a == b
     assert a != c
 
-
-def test_available_bandwidth():
-    p = VideoParams(bitrate_mbps=15.6)
-    burst = generate_cbr_bursts(p, 6.0)[0]
-    assert available_bandwidth(burst, 6.0) == pytest.approx(15.6)
-    assert available_bandwidth(burst, 3.0) == pytest.approx(31.2)
-
-
-def test_bursts_csv_shape():
-    p = VideoParams(bitrate_mbps=15.6)
-    out = io.StringIO()
-    write_bursts_csv(generate_cbr_bursts(p, 18.0), out)
-    lines = out.getvalue().strip().split("\n")
-    assert lines[0] == "index,release_time_s,size_bytes,inter_burst_time_s"
-    assert len(lines) == 4
-    assert lines[1].split(",")[2] == "11700000"
