@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate
 from .scenarios import LOCAL_RTT_S, REMOTE_RTT_S, ScenarioTemplate
+from .schedule import schedule_from
 from .traffic import VideoParams
 
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
@@ -52,7 +53,7 @@ _SECTION_KEYS = {
         "ibt_max_s",
         "cbr_interval_s",
     },
-    "twt": {"enabled", "duty_percent", "mf", "offset_us"},
+    "twt": {"enabled", "duty_percent", "mf"},
     "background": {"streams_per_client", "clients"},
     "transport": {"remote_rtt_s", "local_rtt_s", "queue_limit_segments"},
     "search": {
@@ -154,6 +155,18 @@ def _take(section: dict[str, _Entry], key: str, conv, default):
         raise ConfigError(f"bad value for {key!r}: {exc}", entry.line) from exc
 
 
+def _checked(section: dict[str, _Entry], build, *args, **kwargs):
+    """Call ``build``; a ValueError it raises is reported at the line of the key
+    its message starts with, else at the section's first line."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        msg = str(exc)
+        keyed = [e.line for k, e in section.items() if msg.startswith(k + " ")]
+        line = keyed[0] if keyed else min((e.line for e in section.values()), default=None)
+        raise ConfigError(msg, line) from exc
+
+
 def _to_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "1", "on"):
@@ -207,14 +220,12 @@ def parse(text: str) -> ParsedConfig:
         val = _take(mac_sec, key, int, None)
         if val is not None:
             mac_kwargs[key] = val
-    try:
-        mac = MacParams(**mac_kwargs)
-    except ValueError as exc:
-        line = min(e.line for e in mac_sec.values()) if mac_sec else None
-        raise ConfigError(str(exc), line) from exc
+    mac = _checked(mac_sec, MacParams, **mac_kwargs)
 
     traffic_sec = sections["traffic"]
-    video = VideoParams(
+    video = _checked(
+        traffic_sec,
+        VideoParams,
         bitrate_mbps=_take(traffic_sec, "bitrate_mbps", float, 15.6),
         frame_rate=_take(traffic_sec, "frame_rate", float, 30.0),
         weibull_k=_take(traffic_sec, "weibull_k", float, 0.8099),
@@ -321,6 +332,9 @@ def parse(text: str) -> ParsedConfig:
     twt_sec = sections.get("twt", {})
     duty = _take(twt_sec, "duty_percent", int, 30)
     mf = _take(twt_sec, "mf", int, 1)
+    twt_enabled = _take(twt_sec, "enabled", _to_bool, True)
+    if twt_enabled:
+        _checked(twt_sec, schedule_from, duty, mf)
 
     parsed = ParsedConfig(
         template=template,
@@ -328,7 +342,7 @@ def parse(text: str) -> ParsedConfig:
         duration_s=_take(sim_sec, "duration_s", float, template.session_duration_s),
         loaded=_take(sim_sec, "loaded", _to_bool, True),
         seed=_take(sim_sec, "seed", int, 1),
-        twt_enabled=_take(twt_sec, "enabled", _to_bool, True),
+        twt_enabled=twt_enabled,
         duty_percent=duty,
         mf=mf,
     )

@@ -241,14 +241,19 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams) -> float:
 
 
 class _FlowState:
-    __slots__ = ("flow", "released", "sent", "delivered", "in_flight",
-                 "queued_segments", "last_send_ns")
+    """The running state of one flow; its TCP window state lives here only."""
 
-    def __init__(self, flow: Flow, saturated: bool):
+    __slots__ = ("flow", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns", "released", "sent",
+                 "in_flight", "queued_segments", "last_send_ns")
+
+    def __init__(self, flow: Flow):
         self.flow = flow
-        self.released: float = math.inf if saturated else 0.0
+        self.cwnd = flow.cwnd_init_segments
+        self.ssthresh = math.inf
+        self.half_rtt_ns = round(flow.base_rtt_s * 1e9 / 2)
+        self.idle_ns = round(flow.idle_restart_s * 1e9)
+        self.released: float = math.inf if flow.kind == "saturated" else 0.0
         self.sent = 0
-        self.delivered = 0
         self.in_flight = 0
         self.queued_segments = 0
         self.last_send_ns: int | None = None
@@ -276,23 +281,12 @@ class _Gate:
         self.offset = twt.offset_us * NS_PER_US
         self.period = self.sp + self.wi
 
-    def awake(self, t: int) -> bool:
-        if t < self.offset:
-            return False
-        return (t - self.offset) % self.period < self.sp
-
     def remaining(self, t: int) -> int:
         """ns of wake window left at t (0 if asleep)."""
         if t < self.offset:
             return 0
         into = (t - self.offset) % self.period
         return self.sp - into if into < self.sp else 0
-
-    def next_wake(self, t: int) -> int:
-        if t < self.offset:
-            return self.offset
-        k = (t - self.offset) // self.period + 1
-        return self.offset + k * self.period
 
 
 class _Engine:
@@ -313,6 +307,8 @@ class _Engine:
         dut_station = self.by_id.get(self.dut_id) if self.dut_id else None
         twt = dut_station.twt if dut_station else None
         self.gate = _Gate(twt) if twt is not None and twt.wi_us > 0 else None
+        self.gated = self.dut_id if self.gate is not None else None  # the gated station
+        self.dut_flow = sc.dut_flow_id
 
         self.t_mpdu = {s.id: mpdu_airtime_ns(sc.mac, s.phy_rate_mbps) for s in self.clients}
         for s in self.clients:
@@ -332,14 +328,13 @@ class _Engine:
         }
 
         self.flows: dict[str, _FlowState] = {
-            f.id: _FlowState(f, f.kind == "saturated") for f in sc.flows
+            f.id: _FlowState(f) for f in sc.flows
         }
         self.queues: dict[str, deque] = {s.id: deque() for s in self.clients}
         self.qbytes: dict[str, int] = {s.id: 0 for s in self.clients}
         self.acks: dict[str, list] = {s.id: [] for s in self.clients}
 
-        rr_ids = [s.id for s in self.clients]
-        self.rr = rr_ids
+        self.rr = [s.id for s in self.clients]
         self.rr_ptr = 0
 
         self.heap: list = []
@@ -361,7 +356,7 @@ class _Engine:
             windows = [(a / 1e6, b / 1e6) for a, b in win_us]
         self.trace = SimTrace(
             duration_s=sc.duration_s,
-            dut_flow_id=sc.dut_flow_id,
+            dut_flow_id=self.dut_flow,
             dut_station_id=self.dut_id,
             wake_windows_s=windows,
         )
@@ -376,25 +371,24 @@ class _Engine:
     # -- transport ------------------------------------------------------
     def _record_cwnd(self, t: int, fs: _FlowState) -> None:
         if self.sc.record_cwnd:
-            self.trace.cwnd_series.append((t / 1e9, fs.flow.id, fs.flow.cwnd_segments))
+            self.trace.cwnd_series.append((t / 1e9, fs.flow.id, fs.cwnd))
 
     def _try_send(self, t: int, fid: str) -> None:
         fs = self.flows[fid]
         pending = fs.released - fs.sent
-        offer = offer_load(fs.flow, pending, fs.in_flight)
+        offer = offer_load(fs.flow, fs.cwnd, pending, fs.in_flight)
         if offer <= 0:
             return
-        idle_ns = round(fs.flow.idle_restart_s * 1e9)
-        if fs.last_send_ns is not None and t - fs.last_send_ns > idle_ns:
-            fs.flow = on_idle_restart(fs.flow)
+        if fs.last_send_ns is not None and t - fs.last_send_ns > fs.idle_ns:
+            fs.cwnd, fs.ssthresh = on_idle_restart(fs.flow, fs.cwnd, fs.ssthresh)
             self._record_cwnd(t, fs)
-            offer = offer_load(fs.flow, pending, fs.in_flight)
+            offer = offer_load(fs.flow, fs.cwnd, pending, fs.in_flight)
             if offer <= 0:
                 return
         fs.sent += offer
         fs.in_flight += offer
         fs.last_send_ns = t
-        self._push(t + round(fs.flow.base_rtt_s * 1e9 / 2), _ARRIVE, (fid, offer))
+        self._push(t + fs.half_rtt_ns, _ARRIVE, (fid, offer))
 
     def _on_arrive(self, t: int, fid: str, nbytes: int) -> None:
         fs = self.flows[fid]
@@ -416,29 +410,20 @@ class _Engine:
             fs.in_flight -= dbytes
             fs.sent -= dbytes
             self.trace.drops[fid] = self.trace.drops.get(fid, 0) + len(dropped)
-            fs.flow = on_loss(fs.flow)
+            fs.cwnd = fs.ssthresh = on_loss(fs.cwnd)
             self._record_cwnd(t, fs)
         self._kick(t)
 
     def _on_server_ack(self, t: int, fid: str, segs: int, nbytes: int) -> None:
         fs = self.flows[fid]
         fs.in_flight -= nbytes
-        fs.flow = on_ack(fs.flow, segs)
+        fs.cwnd = on_ack(fs.cwnd, fs.ssthresh, segs)
         self._record_cwnd(t, fs)
         self._try_send(t, fid)
 
     def _on_burst(self, t: int, index: int) -> None:
-        fid = self.sc.dut_flow_id
-        fs = self.flows[fid]
-        fs.released += self.burst_sizes[index]
-        self._try_send(t, fid)
-
-    # -- gating ---------------------------------------------------------
-    def _dut_remaining(self, t: int) -> int:
-        """ns the DUT may still occupy the air; unbounded without gating."""
-        if self.gate is None:
-            return 1 << 62
-        return self.gate.remaining(t)
+        self.flows[self.dut_flow].released += self.burst_sizes[index]
+        self._try_send(t, self.dut_flow)
 
     # -- contention -----------------------------------------------------
     def _ack_duration(self, sid: str) -> int:
@@ -450,16 +435,16 @@ class _Engine:
     def _client_pending(self, t: int, sid: str) -> bool:
         if not self.acks[sid]:
             return False
-        if sid == self.dut_id and self.gate is not None:
-            return self._dut_remaining(t) >= self.difs + self._ack_duration(sid)
+        if sid == self.gated:
+            return self.gate.remaining(t) >= self.difs + self._ack_duration(sid)
         return True
 
     def _ap_pending(self, t: int) -> bool:
         for dst, q in self.queues.items():
             if not q:
                 continue
-            if dst == self.dut_id and self.gate is not None:
-                rem = self._dut_remaining(t)
+            if dst == self.gated:
+                rem = self.gate.remaining(t)
                 if rem > self.difs and aggregate_ns(
                         self.qbytes[dst], self.t_mpdu[dst],
                         min(self.txop, rem - self.difs), self.overhead,
@@ -471,20 +456,17 @@ class _Engine:
 
     def _select_ap_tx(self, t: int):
         """Pick (dest, n_mpdus, duration, from_rr) or None; DUT first inside windows."""
-        if self.dut_id is not None and self.gate is not None:
-            q = self.queues.get(self.dut_id)
-            if q:
-                rem = self._dut_remaining(t)
-                n = aggregate_ns(self.qbytes[self.dut_id], self.t_mpdu[self.dut_id],
-                                 min(self.txop, rem), self.overhead,
-                                 self.mac.max_ampdu_mpdus, len(q))
-                if n >= 1:
-                    dur = self.overhead + n * self.t_mpdu[self.dut_id]
-                    return (self.dut_id, n, dur, False)
+        g = self.gated
+        if g is not None and self.queues[g]:
+            n = aggregate_ns(self.qbytes[g], self.t_mpdu[g],
+                             min(self.txop, self.gate.remaining(t)), self.overhead,
+                             self.mac.max_ampdu_mpdus, len(self.queues[g]))
+            if n >= 1:
+                return (g, n, self.overhead + n * self.t_mpdu[g], False)
         k = len(self.rr)
         for i in range(k):
             dst = self.rr[(self.rr_ptr + i) % k]
-            if dst == self.dut_id and self.gate is not None:
+            if dst == self.gated:
                 continue  # handled above (or asleep)
             q = self.queues[dst]
             if not q:
@@ -563,19 +545,16 @@ class _Engine:
                 self._kick(t)
                 return
             dst, n, dur, from_rr = sel
-            if dst == self.dut_id and self.gate is not None and dur > self._dut_remaining(t):
+            if dst == self.gated and dur > self.gate.remaining(t):
                 raise RuntimeError("gated transmission would cross window end")
             end = t + dur
             payload = (_DATA, (dst, n, from_rr))
         else:
-            if w.sid == self.dut_id and self.gate is not None:
-                dur = self._ack_duration(w.sid)
-                if dur > self._dut_remaining(t):
-                    w.bo = None
-                    self._kick(t)
-                    return
-            else:
-                dur = self._ack_duration(w.sid)
+            dur = self._ack_duration(w.sid)
+            if w.sid == self.gated and dur > self.gate.remaining(t):
+                w.bo = None
+                self._kick(t)
+                return
             end = t + dur
             payload = (_ACK, w.sid)
         w.bo = None
@@ -601,12 +580,11 @@ class _Engine:
             for fid, nbytes in per_flow_bytes.items():
                 fs = self.flows[fid]
                 fs.queued_segments -= per_flow_segs[fid]
-                fs.delivered += nbytes
                 self.trace.delivered_bytes[fid] += nbytes
                 self.trace.deliveries.append((ts, dst, fid, nbytes))
                 self.acks[dst].append((fid, per_flow_segs[fid], nbytes))
-                if fid == self.sc.dut_flow_id:
-                    self._advance_bursts(t, fs.delivered)
+                if fid == self.dut_flow:
+                    self._advance_bursts(t, self.trace.delivered_bytes[fid])
             if from_rr:
                 self.rr_ptr = (self.rr.index(dst) + 1) % len(self.rr)
         elif kind == _ACK:
@@ -614,9 +592,7 @@ class _Engine:
             records = self.acks[sid]
             self.acks[sid] = []
             for fid, segs, nbytes in records:
-                fs = self.flows[fid]
-                half_rtt = round(fs.flow.base_rtt_s * 1e9 / 2)
-                self._push(t + half_rtt, _SERVER_ACK, (fid, segs, nbytes))
+                self._push(t + self.flows[fid].half_rtt_ns, _SERVER_ACK, (fid, segs, nbytes))
         self._kick(t)
 
     def _advance_bursts(self, t: int, delivered_cum: int) -> None:
@@ -642,8 +618,7 @@ class _Engine:
                 off += b.size_bytes
                 self._push(round(b.release_time_s * 1e9), _BURST, b.index)
         if self.gate is not None:
-            first = self.gate.offset if self.gate.offset > 0 else 0
-            self._push(first, _WAKE, None)
+            self._push(self.gate.offset, _WAKE, None)
         for f in sc.flows:
             if f.kind == "saturated":
                 self._try_send(0, f.id)

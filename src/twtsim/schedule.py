@@ -49,13 +49,13 @@ def duty_cycle(schedule: TwtSchedule) -> float:
     return 100.0 * schedule.sp_us / schedule.period_us
 
 
-def schedule_from(duty_percent: float, mf: int, offset_us: int = 0) -> TwtSchedule:
+def schedule_from(duty_percent: float, mf: int) -> TwtSchedule:
     """Build the schedule for a target duty cycle and multiplication factor.
 
     The MF=1 schedule pins the service period at the 65535 us cap and sizes
     the wake interval for the requested duty; higher factors divide both
     durations (floor), trading period length for wake frequency at the same
-    duty cycle.
+    duty cycle.  The schedule starts at offset 0.
     """
     if not (0 < duty_percent <= 100):
         raise ValueError(f"duty_percent must be in (0, 100], got {duty_percent}")
@@ -63,7 +63,7 @@ def schedule_from(duty_percent: float, mf: int, offset_us: int = 0) -> TwtSchedu
         raise ValueError(f"mf must be a power of two >= 1, got {mf}")
     sp1 = SP_CAP_US
     wi1 = round(SP_CAP_US * (100.0 - duty_percent) / duty_percent)
-    return TwtSchedule(sp_us=sp1 // mf, wi_us=wi1 // mf, offset_us=offset_us)
+    return TwtSchedule(sp_us=sp1 // mf, wi_us=wi1 // mf)
 
 
 def wake_windows(schedule: TwtSchedule, horizon_us: int) -> list[tuple[int, int]]:

@@ -35,6 +35,10 @@ class VideoParams:
             raise ValueError(f"frame_rate must be > 0, got {self.frame_rate}")
         if self.weibull_k <= 0:
             raise ValueError(f"weibull_k must be > 0, got {self.weibull_k}")
+        if self.weibull_lambda_bytes is not None and self.weibull_lambda_bytes <= 0:
+            raise ValueError(f"weibull_lambda_bytes must be > 0, got {self.weibull_lambda_bytes}")
+        if self.cbr_interval_s <= 0:
+            raise ValueError(f"cbr_interval_s must be > 0, got {self.cbr_interval_s}")
         if not (self.ibt_min_s <= self.ibt_mean_s <= self.ibt_max_s):
             raise ValueError("inter-burst bounds must bracket the mean")
 

@@ -5,12 +5,15 @@ start and congestion avoidance; a queue-overflow drop halves it (instant
 recovery, no retransmission timers).  A sender that has been idle longer
 than ``idle_restart_s`` falls back to its initial window before sending
 again, as real stacks do after an application-limited pause.
+
+A ``Flow`` only describes a flow; the running window (``cwnd``) and slow-start
+threshold (``ssthresh``), both in segments, are owned by the engine and
+passed to these functions as numbers.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 FlowKind = Literal["saturated", "burst"]
@@ -23,19 +26,17 @@ class Flow:
     id: str
     dst: str
     kind: FlowKind
-    cwnd_segments: float = 10.0
-    ssthresh_segments: float = math.inf
     base_rtt_s: float = 0.030
     segment_bytes: int = 1500
     queue_limit_segments: int = 256
-    cwnd_init_segments: float = 10.0
+    cwnd_init_segments: float = 10.0  # the initial and the idle-restart window
     idle_restart_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("saturated", "burst"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if self.cwnd_segments < 1:
-            raise ValueError(f"cwnd must be >= 1, got {self.cwnd_segments}")
+        if self.cwnd_init_segments < 1:
+            raise ValueError(f"cwnd_init_segments must be >= 1, got {self.cwnd_init_segments}")
         if self.base_rtt_s <= 0:
             raise ValueError(f"base_rtt_s must be > 0, got {self.base_rtt_s}")
         if self.segment_bytes <= 0:
@@ -44,40 +45,35 @@ class Flow:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit_segments}")
 
 
-def on_ack(flow: Flow, acked_segments: int) -> Flow:
+def on_ack(cwnd: float, ssthresh: float, acked_segments: int) -> float:
     """Advance the window: slow start below ssthresh, else congestion avoidance.
 
     Clumped ACKs are processed as if each segment were acknowledged
-    individually.
+    individually.  Returns the new cwnd.
     """
     if acked_segments < 1:
         raise ValueError(f"acked_segments must be >= 1, got {acked_segments}")
-    cwnd = flow.cwnd_segments
     for _ in range(acked_segments):
-        if cwnd < flow.ssthresh_segments:
+        if cwnd < ssthresh:
             cwnd += 1.0
         else:
             cwnd += 1.0 / cwnd
-    return replace(flow, cwnd_segments=cwnd)
+    return cwnd
 
 
-def on_loss(flow: Flow) -> Flow:
-    """Multiplicative decrease on a queue drop: ssthresh = cwnd/2, floor 2."""
-    ssthresh = max(flow.cwnd_segments / 2.0, 2.0)
-    return replace(flow, cwnd_segments=ssthresh, ssthresh_segments=ssthresh)
+def on_loss(cwnd: float) -> float:
+    """Multiplicative decrease on a queue drop: cwnd/2, floor 2, is both the
+    new cwnd and the new ssthresh."""
+    return max(cwnd / 2.0, 2.0)
 
 
-def on_idle_restart(flow: Flow) -> Flow:
-    """Collapse to the initial window after a sender-idle period."""
-    ssthresh = max(flow.ssthresh_segments, 0.75 * flow.cwnd_segments)
-    return replace(
-        flow,
-        cwnd_segments=min(flow.cwnd_segments, flow.cwnd_init_segments),
-        ssthresh_segments=ssthresh,
-    )
+def on_idle_restart(flow: Flow, cwnd: float, ssthresh: float) -> tuple[float, float]:
+    """Collapse to the initial window after a sender-idle period; returns
+    (cwnd, ssthresh)."""
+    return min(cwnd, flow.cwnd_init_segments), max(ssthresh, 0.75 * cwnd)
 
 
-def offer_load(flow: Flow, pending_bytes: float, in_flight_bytes: int) -> int:
+def offer_load(flow: Flow, cwnd: float, pending_bytes: float, in_flight_bytes: int) -> int:
     """Bytes the server may push now: window headroom, clipped at the queue limit.
 
     ``pending_bytes`` is the unsent backlog (``math.inf`` for a saturated
@@ -85,7 +81,7 @@ def offer_load(flow: Flow, pending_bytes: float, in_flight_bytes: int) -> int:
     """
     if pending_bytes < 0 or in_flight_bytes < 0:
         raise ValueError("pending_bytes and in_flight_bytes must be >= 0")
-    headroom = int(flow.cwnd_segments) * flow.segment_bytes - in_flight_bytes
+    headroom = int(cwnd) * flow.segment_bytes - in_flight_bytes
     admissible = min(pending_bytes, max(0, headroom), flow.queue_limit_segments * flow.segment_bytes)
     segments = int(admissible // flow.segment_bytes)
     # a burst tail smaller than one segment still needs to travel

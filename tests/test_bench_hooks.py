@@ -1,16 +1,37 @@
 """The benchmark's layer trace patches twtsim functions by (module, name).
 
 Installing it raises when a rename or deletion drops one of those names, so
-this test fails before the benchmark does.
+this test fails before the benchmark does.  Running a short gated scenario
+under the trace proves the engine calls each patched per-event name through
+its module global: a call that bypasses it would zero a layer metric.
 """
 
 import sys
 from pathlib import Path
 
+from twtsim import Flow, Scenario, Station, VideoParams, generate_cbr_bursts, schedule_from
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_layer_trace_installs_and_restores():
+def _gated_stream_scenario() -> Scenario:
+    return Scenario(
+        stations=(
+            Station(id="ap", role="ap", phy_rate_mbps=1000.0),
+            Station(id="dut", role="client", phy_rate_mbps=100.0, twt=schedule_from(30, 4)),
+            Station(id="bg", role="client", phy_rate_mbps=100.0),
+        ),
+        flows=(
+            Flow(id="stream", dst="dut", kind="burst"),
+            Flow(id="noise", dst="bg", kind="saturated", base_rtt_s=0.002),
+        ),
+        bursts=tuple(generate_cbr_bursts(VideoParams(bitrate_mbps=15.6), 7.0)),
+        duration_s=7.0,
+        seed=3,
+    )
+
+
+def _traced(scenario=None) -> dict:
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
@@ -18,7 +39,23 @@ def test_layer_trace_installs_and_restores():
         tracer = layers.Tracer()
         try:
             tracer.install()
+            if scenario is not None:
+                import twtsim.macsim
+
+                twtsim.macsim.run_sim(scenario)
         finally:
             tracer.close()  # a partial install must not leak into later tests
+        return {name: cell[0] for name, cell in tracer.counters.items()}
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_layer_trace_installs_and_restores():
+    _traced()
+
+
+def test_layer_trace_counts_every_engine_hook():
+    calls = _traced(_gated_stream_scenario())
+    for name in ("transport.on_ack", "transport.offer_load", "transport.on_loss",
+                 "transport.on_idle_restart", "macsim.backoff_draw", "macsim.aggregate_ns"):
+        assert calls.get(name, 0) > 0, (name, calls)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from twtsim import ConfigError, parse
@@ -73,6 +75,26 @@ def test_sifs_is_not_a_mac_key():
         parse(text)
     assert exc.value.line == text.count("\n", 0, text.index("sifs_us")) + 1
     assert "sifs_us" in str(exc.value)
+
+
+def test_offset_is_not_a_twt_key():
+    # every config-built schedule starts at offset 0; a config that sets one is told so
+    text = MINIMAL + "\n[twt]\nduty_percent = 30\noffset_us = 5000\n"
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("offset_us")) + 1
+    assert "offset_us" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0"])
+def test_value_error_reports_its_line(bad):
+    key = bad.split()[0]
+    text = MINIMAL + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
+    text = re.sub(rf"^{key} = .*$", bad, text, flags=re.M)
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index(bad)) + 1
+    assert key in str(exc.value)
 
 
 def test_fractional_frame_rate_accepted():

@@ -222,6 +222,25 @@ def test_dut_airtime_inside_wake_windows():
             assert any(w0 <= a and b <= w1 + 1e-12 for w0, w1 in tr.wake_windows_s)
 
 
+def test_offset_schedule_gates_the_dut_from_the_offset():
+    sched = replace(schedule_from(20, 4), offset_us=50_000)
+    sc = gated_scenario(duty=20, mf=4, duration_s=3.0)
+    sc = replace(sc, stations=tuple(replace(s, twt=sched) if s.twt else s for s in sc.stations))
+    tr = run_sim(sc)
+    assert tr.wake_windows_s[0][0] == 0.05
+
+    def inside(a, b):
+        return any(w0 <= a and b <= w1 + 1e-12 for w0, w1 in tr.wake_windows_s)
+
+    # the AP's A-MPDU to the DUT ends at the delivery time it produced
+    ap_start = {b: a for a, b, station in tr.airtime if station == "ap"}
+    dut_rx = [(ap_start[t], t) for t, _station, flow, _nb in tr.deliveries if flow == "stream"]
+    dut_tx = [(a, b) for a, b, station in tr.airtime if station == "dut"]
+    assert dut_rx and dut_tx
+    for a, b in dut_rx + dut_tx:
+        assert a >= 0.05 and inside(a, b), (a, b)
+
+
 def test_wake_windows_match_schedule_math():
     sc = gated_scenario(duty=25, mf=4, duration_s=3.0)
     tr = run_sim(sc)

@@ -117,3 +117,11 @@ def test_vbr_reproducible_per_seed():
     assert a == b
     assert a != c
 
+
+def test_video_params_reject_nonpositive_sizes_and_intervals():
+    with pytest.raises(ValueError, match="weibull_lambda_bytes"):
+        VideoParams(bitrate_mbps=15.6, weibull_lambda_bytes=-5)
+    with pytest.raises(ValueError, match="weibull_lambda_bytes"):
+        VideoParams(bitrate_mbps=15.6, weibull_lambda_bytes=0)
+    with pytest.raises(ValueError, match="cbr_interval_s"):
+        VideoParams(bitrate_mbps=15.6, cbr_interval_s=0)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from twtsim import Flow, offer_load, on_ack, on_idle_restart, on_loss
@@ -12,68 +14,62 @@ def make_flow(**kw) -> Flow:
 
 
 def test_slow_start_grows_one_segment_per_ack():
-    f = make_flow(cwnd_segments=10.0)
-    f = on_ack(f, 4)
-    assert f.cwnd_segments == 14.0
+    assert on_ack(10.0, math.inf, 4) == 14.0
 
 
 def test_congestion_avoidance_grows_reciprocally():
-    f = make_flow(cwnd_segments=10.0, ssthresh_segments=10.0)
-    f2 = on_ack(f, 1)
-    assert f2.cwnd_segments == pytest.approx(10.0 + 1 / 10.0)
+    assert on_ack(10.0, 10.0, 1) == pytest.approx(10.0 + 1 / 10.0)
     # ten acks add roughly one segment
-    g = f
+    cwnd = 10.0
     for _ in range(10):
-        g = on_ack(g, 1)
-    assert g.cwnd_segments == pytest.approx(11.0, abs=0.05)
+        cwnd = on_ack(cwnd, 10.0, 1)
+    assert cwnd == pytest.approx(11.0, abs=0.05)
 
 
 def test_slow_start_hands_over_to_avoidance_at_threshold():
-    f = make_flow(cwnd_segments=7.0, ssthresh_segments=8.0)
-    f = on_ack(f, 4)  # 7 -> 8 exponential, then reciprocal
-    assert 8.0 < f.cwnd_segments < 9.0
+    cwnd = on_ack(7.0, 8.0, 4)  # 7 -> 8 exponential, then reciprocal
+    assert 8.0 < cwnd < 9.0
 
 
 def test_loss_halves_and_floors():
-    f = make_flow(cwnd_segments=20.0)
-    f = on_loss(f)
-    assert f.ssthresh_segments == 10.0
-    assert f.cwnd_segments == 10.0
-    g = on_loss(on_loss(on_loss(make_flow(cwnd_segments=3.0))))
-    assert g.cwnd_segments == 2.0
-    assert g.ssthresh_segments == 2.0
+    assert on_loss(20.0) == 10.0  # the new cwnd and the new ssthresh
+    assert on_loss(on_loss(on_loss(3.0))) == 2.0
 
 
 def test_idle_restart_resets_window_but_remembers_rate():
-    f = make_flow(cwnd_segments=80.0, ssthresh_segments=40.0)
-    f = on_idle_restart(f)
-    assert f.cwnd_segments == f.cwnd_init_segments
-    assert f.ssthresh_segments == 60.0  # max(old, 3/4 * cwnd)
-    g = make_flow(cwnd_segments=4.0, ssthresh_segments=100.0)
-    g = on_idle_restart(g)
-    assert g.cwnd_segments == 4.0  # never grows the window
-    assert g.ssthresh_segments == 100.0
+    f = make_flow()
+    cwnd, ssthresh = on_idle_restart(f, 80.0, 40.0)
+    assert cwnd == f.cwnd_init_segments
+    assert ssthresh == 60.0  # max(old, 3/4 * cwnd)
+    cwnd, ssthresh = on_idle_restart(f, 4.0, 100.0)
+    assert cwnd == 4.0  # never grows the window
+    assert ssthresh == 100.0
 
 
 def test_offer_load_respects_cwnd_and_in_flight():
-    f = make_flow(cwnd_segments=10.0)
-    assert offer_load(f, pending_bytes=10**9, in_flight_bytes=0) == 10 * SEG
-    assert offer_load(f, pending_bytes=10**9, in_flight_bytes=4 * SEG) == 6 * SEG
-    assert offer_load(f, pending_bytes=10**9, in_flight_bytes=10 * SEG) == 0
+    f = make_flow()
+    assert offer_load(f, 10.0, pending_bytes=10**9, in_flight_bytes=0) == 10 * SEG
+    assert offer_load(f, 10.0, pending_bytes=10**9, in_flight_bytes=4 * SEG) == 6 * SEG
+    assert offer_load(f, 10.0, pending_bytes=10**9, in_flight_bytes=10 * SEG) == 0
 
 
 def test_offer_load_respects_pending_and_queue_limit():
-    f = make_flow(cwnd_segments=1000.0, queue_limit_segments=256)
-    assert offer_load(f, pending_bytes=3 * SEG, in_flight_bytes=0) == 3 * SEG
-    assert offer_load(f, pending_bytes=10**9, in_flight_bytes=0) == 256 * SEG
+    f = make_flow(queue_limit_segments=256)
+    assert offer_load(f, 1000.0, pending_bytes=3 * SEG, in_flight_bytes=0) == 3 * SEG
+    assert offer_load(f, 1000.0, pending_bytes=10**9, in_flight_bytes=0) == 256 * SEG
 
 
 def test_offer_load_sends_partial_tail():
-    f = make_flow(cwnd_segments=10.0)
-    assert offer_load(f, pending_bytes=700, in_flight_bytes=0) == 700
-    assert offer_load(f, pending_bytes=0, in_flight_bytes=0) == 0
+    f = make_flow()
+    assert offer_load(f, 10.0, pending_bytes=700, in_flight_bytes=0) == 700
+    assert offer_load(f, 10.0, pending_bytes=0, in_flight_bytes=0) == 0
 
 
 def test_fractional_cwnd_truncates():
-    f = make_flow(cwnd_segments=5.9)
-    assert offer_load(f, pending_bytes=10**9, in_flight_bytes=0) == 5 * SEG
+    assert offer_load(make_flow(), 5.9, pending_bytes=10**9, in_flight_bytes=0) == 5 * SEG
+
+
+def test_initial_window_below_one_segment_rejected():
+    # the restart window must carry at least one full segment
+    with pytest.raises(ValueError, match="cwnd_init_segments"):
+        make_flow(cwnd_init_segments=0.5)
