@@ -22,7 +22,6 @@ from pathlib import Path
 from .config import ConfigError, ParsedConfig, parse
 from .macsim import run_sim
 from .qos import compute_qos, qos_pass
-from .scenarios import derive_seed
 from .search import (InfeasibleTargetError, phase1_min_duty, phase2_select_mf,
                      run_full_search, session_report)
 
@@ -61,8 +60,31 @@ def _bg_aggregate_mbps(trace) -> float:
     return 8 * total / trace.duration_s / 1e6
 
 
-def cmd_simulate(cfg: ParsedConfig, seed: int, out: Path) -> int:
-    scenario = cfg.scenario(seed)
+def _write_duty_curve(path: Path, curve) -> None:
+    _write_csv(
+        path,
+        ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"],
+        [(p.duty_percent, p.mean_throughput_mbps, p.std_throughput_mbps) for p in curve],
+    )
+
+
+def _write_mf_curve(path: Path, curve) -> None:
+    _write_csv(
+        path,
+        ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"],
+        [(p.mf, p.mean_underrun_time_s, p.mean_underrun_events, p.mean_cv) for p in curve],
+    )
+
+
+def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """One numbered row per iteration, then the mean of each column."""
+    means = tuple(statistics.fmean(r[j] for r in rows) for j in range(len(header)))
+    numbered = [(i + 1, *row) for i, row in enumerate(rows)]
+    _write_csv(path, ["iteration", *header], numbered + [("mean", *means)])
+
+
+def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
+    scenario = cfg.scenario()
     trace = run_sim(scenario)
     _write_csv(
         out / "deliveries.csv",
@@ -91,7 +113,7 @@ def cmd_simulate(cfg: ParsedConfig, seed: int, out: Path) -> int:
     _write_json(
         out / "summary.json",
         {
-            "seed": seed,
+            "seed": cfg.seed,
             "duration_s": scenario.duration_s,
             "model": cfg.model,
             "twt_schedule": sched,
@@ -106,12 +128,12 @@ def cmd_simulate(cfg: ParsedConfig, seed: int, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_qos(cfg: ParsedConfig, seed: int, out: Path) -> int:
-    scenario = cfg.scenario(seed)
+def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
+    scenario = cfg.scenario()
     trace = run_sim(scenario)
     report = compute_qos(trace, list(scenario.bursts), interval_s=cfg.template.qos_interval_s)
     payload = report.to_dict()
-    payload["seed"] = seed
+    payload["seed"] = cfg.seed
     payload["model"] = cfg.model
     payload["qos_pass"] = qos_pass(
         report, cfg.template.bitrate_mbps, cfg.template.max_underruns
@@ -125,22 +147,11 @@ def cmd_qos(cfg: ParsedConfig, seed: int, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_search(cfg: ParsedConfig, seed: int, out: Path) -> int:
-    result = run_full_search(replace(cfg.template, master_seed=seed))
+def cmd_search(cfg: ParsedConfig, out: Path) -> int:
+    result = run_full_search(cfg.template)
     _write_json(out / "search_result.json", result.to_dict())
-    _write_csv(
-        out / "phase1_curve.csv",
-        ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"],
-        [(p.duty_percent, p.mean_throughput_mbps, p.std_throughput_mbps) for p in result.phase1_curve],
-    )
-    _write_csv(
-        out / "phase2_curve.csv",
-        ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"],
-        [
-            (p.mf, p.mean_underrun_time_s, p.mean_underrun_events, p.mean_cv)
-            for p in result.phase2_curve
-        ],
-    )
+    _write_duty_curve(out / "phase1_curve.csv", result.phase1_curve)
+    _write_mf_curve(out / "phase2_curve.csv", result.phase2_curve)
     _write_csv(
         out / "sessions.csv",
         [
@@ -172,66 +183,38 @@ def cmd_search(cfg: ParsedConfig, seed: int, out: Path) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_sweep_duty(cfg: ParsedConfig, seed: int, out: Path) -> int:
-    template = replace(cfg.template, master_seed=seed)
+def cmd_sweep_duty(cfg: ParsedConfig, out: Path) -> int:
     try:
-        _, curve = phase1_min_duty(template)
+        _, curve = phase1_min_duty(cfg.template)
     except InfeasibleTargetError as exc:
         # The sweep itself is still useful output; surface the error code.
         _write_json(out / "error.json", {"error": "infeasible-target", "detail": str(exc)})
         return EXIT_NO_CONVERGENCE
-    _write_csv(
-        out / "duty_sweep.csv",
-        ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"],
-        [(p.duty_percent, p.mean_throughput_mbps, p.std_throughput_mbps) for p in curve],
-    )
+    _write_duty_curve(out / "duty_sweep.csv", curve)
     return EXIT_OK
 
 
-def cmd_sweep_mf(cfg: ParsedConfig, seed: int, out: Path) -> int:
-    template = replace(cfg.template, master_seed=seed)
-    _, curve = phase2_select_mf(template, cfg.duty_percent)
-    _write_csv(
-        out / "mf_sweep.csv",
-        ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"],
-        [(p.mf, p.mean_underrun_time_s, p.mean_underrun_events, p.mean_cv) for p in curve],
-    )
+def cmd_sweep_mf(cfg: ParsedConfig, out: Path) -> int:
+    _, curve = phase2_select_mf(cfg.template, cfg.duty_percent)
+    _write_mf_curve(out / "mf_sweep.csv", curve)
     return EXIT_OK
 
 
-def cmd_table3(cfg: ParsedConfig, seed: int, out: Path) -> int:
+def cmd_table3(cfg: ParsedConfig, out: Path) -> int:
     """Aggregate background throughput per iteration: no DUT, DUT without TWT,
     DUT with the configured TWT schedule."""
     template = cfg.template
     rows = []
-    cols: dict[str, list[float]] = {"no_dut": [], "twt_off": [], "twt_on": []}
-    for i in range(template.seeds):
-        s = derive_seed(seed, 30, i)
-        no_dut = _bg_aggregate_mbps(run_sim(template.background_only_scenario(s)))
-        twt_off = _bg_aggregate_mbps(
-            run_sim(template.session_scenario(None, 1, cfg.model, s, loaded=True))
+    for seed in template.rep_seeds(30):
+        scenarios = (
+            template.background_only_scenario(seed),
+            template.session_scenario(None, 1, cfg.model, seed),
+            template.session_scenario(cfg.duty_percent, cfg.mf, cfg.model, seed),
         )
-        twt_on = _bg_aggregate_mbps(
-            run_sim(
-                template.session_scenario(cfg.duty_percent, cfg.mf, cfg.model, s, loaded=True)
-            )
-        )
-        rows.append((i + 1, no_dut, twt_off, twt_on))
-        cols["no_dut"].append(no_dut)
-        cols["twt_off"].append(twt_off)
-        cols["twt_on"].append(twt_on)
-    rows.append(
-        (
-            "mean",
-            statistics.fmean(cols["no_dut"]),
-            statistics.fmean(cols["twt_off"]),
-            statistics.fmean(cols["twt_on"]),
-        )
-    )
-    _write_csv(
+        rows.append(tuple(_bg_aggregate_mbps(run_sim(sc)) for sc in scenarios))
+    _write_table(
         out / "table3.csv",
         [
-            "iteration",
             "background_mbps_no_dut",
             "background_mbps_dut_twt_off",
             "background_mbps_dut_twt_on",
@@ -241,56 +224,38 @@ def cmd_table3(cfg: ParsedConfig, seed: int, out: Path) -> int:
     return EXIT_OK
 
 
-def _qos_rows(cfg: ParsedConfig, model: str, seed: int, phase: int):
-    template = cfg.template
+def _qos_rows(cfg: ParsedConfig, model: str, phase: int) -> list[tuple]:
     duty = cfg.duty_percent if cfg.twt_enabled else None
-    rows = []
-    for i in range(template.seeds):
-        report = session_report(template, duty, cfg.mf, model, derive_seed(seed, phase, i))
-        rows.append((i + 1, report.avg_throughput_mbps, report.underrun_events))
-    return rows
+    reports = [
+        session_report(cfg.template, duty, cfg.mf, model, seed)
+        for seed in cfg.template.rep_seeds(phase)
+    ]
+    return [(r.avg_throughput_mbps, r.underrun_events) for r in reports]
 
 
-def cmd_table4(cfg: ParsedConfig, seed: int, out: Path) -> int:
+def cmd_table4(cfg: ParsedConfig, out: Path) -> int:
     """Per-iteration QoS grid for the configured model and schedule."""
-    rows = _qos_rows(cfg, cfg.model, seed, 40)
-    mean_q1 = statistics.fmean(r[1] for r in rows)
-    mean_q2 = statistics.fmean(r[2] for r in rows)
-    rows.append(("mean", mean_q1, mean_q2))
-    _write_csv(
+    _write_table(
         out / "table4.csv",
-        ["iteration", "qos1_avg_throughput_mbps", "qos2_underrun_events"],
-        rows,
+        ["qos1_avg_throughput_mbps", "qos2_underrun_events"],
+        _qos_rows(cfg, cfg.model, 40),
     )
     return EXIT_OK
 
 
-def cmd_table5(cfg: ParsedConfig, seed: int, out: Path) -> int:
+def cmd_table5(cfg: ParsedConfig, out: Path) -> int:
     """CBR-vs-VBR QoS grid at the configured schedule."""
-    cbr = _qos_rows(cfg, "cbr", seed, 50)
-    vbr = _qos_rows(cfg, "vbr", seed, 51)
-    rows = [
-        (i + 1, cbr[i][1], cbr[i][2], vbr[i][1], vbr[i][2]) for i in range(len(cbr))
-    ]
-    rows.append(
-        (
-            "mean",
-            statistics.fmean(r[1] for r in cbr),
-            statistics.fmean(r[2] for r in cbr),
-            statistics.fmean(r[1] for r in vbr),
-            statistics.fmean(r[2] for r in vbr),
-        )
-    )
-    _write_csv(
+    cbr = _qos_rows(cfg, "cbr", 50)
+    vbr = _qos_rows(cfg, "vbr", 51)
+    _write_table(
         out / "table5.csv",
         [
-            "iteration",
             "cbr_qos1_avg_throughput_mbps",
             "cbr_qos2_underrun_events",
             "vbr_qos1_avg_throughput_mbps",
             "vbr_qos2_underrun_events",
         ],
-        rows,
+        [c + v for c, v in zip(cbr, vbr)],
     )
     return EXIT_OK
 
@@ -348,10 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "out"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.seed
+    if args.seed is not None:
+        cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))
 
     try:
-        return _HANDLERS[args.command](cfg, seed, out)
+        return _HANDLERS[args.command](cfg, out)
     except InfeasibleTargetError as exc:
         print(_error_json("infeasible-target", str(exc)))
         return EXIT_NO_CONVERGENCE

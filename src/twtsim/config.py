@@ -58,7 +58,6 @@ _SECTION_KEYS = {
     "transport": {"remote_rtt_s", "local_rtt_s", "queue_limit_segments"},
     "search": {
         "seeds",
-        "master_seed",
         "phase1_duration_s",
         "session_duration_s",
         "max_underruns",
@@ -184,18 +183,22 @@ class ParsedConfig:
     model: str
     duration_s: float
     loaded: bool
-    seed: int
     twt_enabled: bool
     duty_percent: int
     mf: int
 
-    def scenario(self, seed: int | None = None) -> Scenario:
+    @property
+    def seed(self) -> int:
+        """The run's seed: the master seed of every seeded repetition."""
+        return self.template.master_seed
+
+    def scenario(self) -> Scenario:
         duty = self.duty_percent if self.twt_enabled else None
         return self.template.session_scenario(
             duty,
             self.mf,
             self.model,
-            self.seed if seed is None else seed,
+            self.seed,
             loaded=self.loaded,
             duration_s=self.duration_s,
             record_cwnd=True,
@@ -318,7 +321,7 @@ def parse(text: str) -> ParsedConfig:
         local_rtt_s=_take(tr_sec, "local_rtt_s", float, LOCAL_RTT_S),
         queue_limit_segments=_take(tr_sec, "queue_limit_segments", int, 256),
         seeds=_take(search_sec, "seeds", int, 5),
-        master_seed=_take(search_sec, "master_seed", int, 1),
+        master_seed=_take(sim_sec, "seed", int, 1),
         phase1_duration_s=_take(search_sec, "phase1_duration_s", float, 30.0),
         session_duration_s=_take(search_sec, "session_duration_s", float, 120.0),
         max_underruns=_take(search_sec, "max_underruns", int, 3),
@@ -341,7 +344,6 @@ def parse(text: str) -> ParsedConfig:
         model=model,
         duration_s=_take(sim_sec, "duration_s", float, template.session_duration_s),
         loaded=_take(sim_sec, "loaded", _to_bool, True),
-        seed=_take(sim_sec, "seed", int, 1),
         twt_enabled=twt_enabled,
         duty_percent=duty,
         mf=mf,

@@ -49,6 +49,10 @@ class ScenarioTemplate:
     def bitrate_mbps(self) -> float:
         return self.video.bitrate_mbps
 
+    def rep_seeds(self, *key: int) -> list[int]:
+        """One seed per repetition of the point named by ``key``."""
+        return [derive_seed(self.master_seed, *key, rep) for rep in range(self.seeds)]
+
     def _with_twt(self, schedule: TwtSchedule | None) -> tuple[Station, ...]:
         out = []
         for s in self.stations:
@@ -125,13 +129,12 @@ class ScenarioTemplate:
             record_cwnd=record_cwnd,
         )
 
-    def background_only_scenario(self, seed: int, duration_s: float | None = None) -> Scenario:
+    def background_only_scenario(self, seed: int) -> Scenario:
         """Peak background congestion without the DUT's stream."""
-        duration = self.session_duration_s if duration_s is None else duration_s
         return Scenario(
             stations=self.stations,
             flows=self._background_flows(),
-            duration_s=duration,
+            duration_s=self.session_duration_s,
             seed=seed,
             mac=self.mac,
             record_cwnd=False,
@@ -142,10 +145,9 @@ def paper_setup(
     bitrate_mbps: float = 15.6,
     seeds: int = 5,
     master_seed: int = 1,
-    mac: MacParams | None = None,
 ) -> ScenarioTemplate:
     """Default four-client BSS, rates back-solved from standalone figures."""
-    mac = mac or MacParams()
+    mac = MacParams()
     spec = [
         ("client1", -46.0, 63.5),
         ("client2", -45.0, 75.4),

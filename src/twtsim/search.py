@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .macsim import run_sim
 from .qos import QosReport, compute_qos, qos_pass
-from .scenarios import ScenarioTemplate, derive_seed
+from .scenarios import ScenarioTemplate
 from .schedule import TwtSchedule, schedule_from
 
 DUTY_STEP = 5
@@ -110,19 +110,16 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def phase1_min_duty(
-    template: ScenarioTemplate, target_mbps: float | None = None
-) -> tuple[int, tuple[DutyPoint, ...]]:
-    """Smallest duty whose mean saturated throughput meets the target."""
-    target = template.bitrate_mbps if target_mbps is None else target_mbps
+def phase1_min_duty(template: ScenarioTemplate) -> tuple[int, tuple[DutyPoint, ...]]:
+    """Smallest duty whose mean saturated throughput meets the bitrate."""
+    target = template.bitrate_mbps
     curve: list[DutyPoint] = []
     chosen: int | None = None
     for duty in range(DUTY_STEP, 101, DUTY_STEP):
-        samples = []
-        for rep in range(template.seeds):
-            seed = derive_seed(template.master_seed, 1, duty, rep)
-            trace = run_sim(template.phase1_scenario(duty, seed))
-            samples.append(trace.flow_throughput_mbps("dut-stream"))
+        samples = [
+            run_sim(template.phase1_scenario(duty, seed)).flow_throughput_mbps("dut-stream")
+            for seed in template.rep_seeds(1, duty)
+        ]
         mean, std = _mean_std(samples)
         curve.append(DutyPoint(duty, mean, std))
         if chosen is None and mean >= target:
@@ -144,14 +141,15 @@ def session_report(
 
 
 def _evaluate_mf(template: ScenarioTemplate, duty: int, mf: int) -> MfPoint:
-    times, events, cvs = [], [], []
-    for rep in range(template.seeds):
-        seed = derive_seed(template.master_seed, 2, mf, rep)
-        report = session_report(template, duty, mf, "cbr", seed)
-        times.append(report.underrun_time_s)
-        events.append(float(report.underrun_events))
-        cvs.append(report.throughput_variation)
-    return MfPoint(mf, statistics.fmean(times), statistics.fmean(events), statistics.fmean(cvs))
+    reports = [
+        session_report(template, duty, mf, "cbr", seed) for seed in template.rep_seeds(2, mf)
+    ]
+    return MfPoint(
+        mf,
+        statistics.fmean(r.underrun_time_s for r in reports),
+        statistics.fmean(r.underrun_events for r in reports),
+        statistics.fmean(r.throughput_variation for r in reports),
+    )
 
 
 def phase2_select_mf(
@@ -176,56 +174,47 @@ def phase2_select_mf(
     return best_mf, tuple(curve)
 
 
+def _judged_sessions(
+    template: ScenarioTemplate, duty: int, mf: int, model: str, phase: int
+) -> tuple[SessionRecord, ...]:
+    """The seeded sessions of one schedule, each judged by the pass rule."""
+    records = []
+    for seed in template.rep_seeds(phase, duty):
+        report = session_report(template, duty, mf, model, seed)
+        passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
+        records.append(SessionRecord(model, duty, mf, seed, report, passed))
+    return tuple(records)
+
+
 def phase3_validate(
     template: ScenarioTemplate, duty: int, mf: int
 ) -> tuple[int | None, tuple[SessionRecord, ...]]:
     """Grow duty in 5-point steps until every seeded CBR session passes QoS."""
-    records: list[SessionRecord] = []
-    d = duty
-    while d <= 100:
-        all_pass = True
-        for rep in range(template.seeds):
-            seed = derive_seed(template.master_seed, 3, d, rep)
-            report = session_report(template, d, mf, "cbr", seed)
-            passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
-            records.append(SessionRecord("cbr", d, mf, seed, report, passed))
-            all_pass = all_pass and passed
-        if all_pass:
-            return d, tuple(records)
-        d += DUTY_STEP
-    return None, tuple(records)
+    records: tuple[SessionRecord, ...] = ()
+    for d in range(duty, 101, DUTY_STEP):
+        batch = _judged_sessions(template, d, mf, "cbr", 3)
+        records += batch
+        if all(r.passed for r in batch):
+            return d, records
+    return None, records
 
 
 def run_full_search(template: ScenarioTemplate) -> SearchResult:
     """Full pipeline: duty sweep, MF doubling, seeded validation, VBR replay."""
     phase1_duty, phase1_curve = phase1_min_duty(template)
     mf, phase2_curve = phase2_select_mf(template, phase1_duty)
-    cbr_duty, cbr_records = phase3_validate(template, phase1_duty, mf)
-    sessions = list(cbr_records)
-    if cbr_duty is None:
-        return SearchResult(
-            converged=False,
-            duty_percent=None,
-            mf=mf,
-            schedule=None,
-            phase1_duty_percent=phase1_duty,
-            phase1_curve=phase1_curve,
-            phase2_curve=phase2_curve,
-            sessions=tuple(sessions),
-        )
-    # The VBR model is replayed at the schedule the CBR search settled on.
-    for rep in range(template.seeds):
-        seed = derive_seed(template.master_seed, 4, cbr_duty, rep)
-        report = session_report(template, cbr_duty, mf, "vbr", seed)
-        passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
-        sessions.append(SessionRecord("vbr", cbr_duty, mf, seed, report, passed))
+    cbr_duty, sessions = phase3_validate(template, phase1_duty, mf)
+    converged = cbr_duty is not None
+    if converged:
+        # The VBR model is replayed at the schedule the CBR search settled on.
+        sessions += _judged_sessions(template, cbr_duty, mf, "vbr", 4)
     return SearchResult(
-        converged=True,
+        converged=converged,
         duty_percent=cbr_duty,
         mf=mf,
-        schedule=schedule_from(cbr_duty, mf),
+        schedule=schedule_from(cbr_duty, mf) if converged else None,
         phase1_duty_percent=phase1_duty,
         phase1_curve=phase1_curve,
         phase2_curve=phase2_curve,
-        sessions=tuple(sessions),
+        sessions=sessions,
     )

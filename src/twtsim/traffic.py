@@ -41,6 +41,13 @@ class VideoParams:
             raise ValueError(f"cbr_interval_s must be > 0, got {self.cbr_interval_s}")
         if not (self.ibt_min_s <= self.ibt_mean_s <= self.ibt_max_s):
             raise ValueError("inter-burst bounds must bracket the mean")
+        if self.ibt_var_s2 < 0:
+            raise ValueError(f"ibt_var_s2 must be >= 0, got {self.ibt_var_s2}")
+        if round(self.ibt_min_s * self.frame_rate) < 1:
+            raise ValueError(
+                f"ibt_min_s must span at least one frame at {self.frame_rate} fps, "
+                f"got {self.ibt_min_s}"
+            )
 
     @property
     def lambda_bytes(self) -> float:

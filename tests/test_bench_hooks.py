@@ -3,12 +3,16 @@
 Installing it raises when a rename or deletion drops one of those names, so
 this test fails before the benchmark does.  Running a short gated scenario
 under the trace proves the engine calls each patched per-event name through
-its module global: a call that bypasses it would zero a layer metric.
+its module global: a call that bypasses it would zero a layer metric.  A small
+search under the trace pins which phase each simulation is booked to.
 """
 
 import sys
 from pathlib import Path
 
+import twtsim.macsim
+import twtsim.search
+from test_search import small_template
 from twtsim import Flow, Scenario, Station, VideoParams, generate_cbr_bursts, schedule_from
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,7 +35,9 @@ def _gated_stream_scenario() -> Scenario:
     )
 
 
-def _traced(scenario=None) -> dict:
+def _traced(work=None) -> tuple[dict, dict]:
+    """Run ``work`` under the layer trace; return the trace's layer metrics and
+    the call count of each counter."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
@@ -39,13 +45,12 @@ def _traced(scenario=None) -> dict:
         tracer = layers.Tracer()
         try:
             tracer.install()
-            if scenario is not None:
-                import twtsim.macsim
-
-                twtsim.macsim.run_sim(scenario)
+            if work is not None:
+                work()
         finally:
             tracer.close()  # a partial install must not leak into later tests
-        return {name: cell[0] for name, cell in tracer.counters.items()}
+        metrics = layers.layer_metrics(tracer.spans, tracer.counters)
+        return metrics, {name: cell[0] for name, cell in tracer.counters.items()}
     finally:
         sys.path.remove(str(PERFBENCH))
 
@@ -55,7 +60,23 @@ def test_layer_trace_installs_and_restores():
 
 
 def test_layer_trace_counts_every_engine_hook():
-    calls = _traced(_gated_stream_scenario())
+    _, calls = _traced(lambda: twtsim.macsim.run_sim(_gated_stream_scenario()))
     for name in ("transport.on_ack", "transport.offer_load", "transport.on_loss",
                  "transport.on_idle_restart", "macsim.backoff_draw", "macsim.aggregate_ns"):
         assert calls.get(name, 0) > 0, (name, calls)
+
+
+def test_layer_trace_books_each_search_run_to_its_phase():
+    template = small_template()
+    results = []
+    metrics, _ = _traced(lambda: results.append(twtsim.search.run_full_search(template)))
+    (result,) = results
+    seeds = template.seeds
+    assert result.converged
+    assert metrics["search.phase1.runs"] == 20 * seeds
+    assert metrics["search.phase2.runs"] == seeds * len(result.phase2_curve)
+    phase3 = metrics["search.phase3.runs"]
+    assert phase3 > 0 and phase3 % seeds == 0
+    assert phase3 == len(result.sessions_for("cbr"))
+    # the VBR replay runs under run_full_search itself, after phase 3
+    assert metrics["search.vbr.runs"] == seeds

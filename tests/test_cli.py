@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 
 import pytest
 
@@ -92,6 +93,22 @@ def test_qos_report(cfg_path, tmp_path):
     assert len(lines) == 17  # 16 one-second bins
 
 
+def assert_mean_row(lines):
+    """The last row is 'mean' and holds the column means of the rows above it."""
+    rows = [[float(v) for v in line.split(",")[1:]] for line in lines[1:-1]]
+    label, *means = lines[-1].split(",")
+    assert label == "mean"
+    assert [float(m) for m in means] == [statistics.fmean(col) for col in zip(*rows)]
+
+
+def test_sweep_duty_csv(cfg_path, tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("--config", cfg_path, "--command", "sweep-duty", "--out", out) == 0
+    lines = (out / "duty_sweep.csv").read_text().splitlines()
+    assert lines[0] == "duty_percent,mean_throughput_mbps,std_throughput_mbps"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(5, 101, 5))
+
+
 def test_sweep_mf_csv(cfg_path, tmp_path):
     out = tmp_path / "m"
     assert run_cli("--config", cfg_path, "--command", "sweep-mf", "--out", out) == 0
@@ -111,6 +128,16 @@ def test_table3_csv(cfg_path, tmp_path):
     )
     assert len(lines) == 4  # 2 iterations + mean
     assert lines[-1].startswith("mean,")
+    assert_mean_row(lines)
+
+
+def test_table4_csv(cfg_path, tmp_path):
+    out = tmp_path / "t"
+    assert run_cli("--config", cfg_path, "--command", "table4", "--out", out) == 0
+    lines = (out / "table4.csv").read_text().splitlines()
+    assert lines[0] == "iteration,qos1_avg_throughput_mbps,qos2_underrun_events"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "mean"]
+    assert_mean_row(lines)
 
 
 def test_table5_csv(cfg_path, tmp_path):
@@ -119,6 +146,7 @@ def test_table5_csv(cfg_path, tmp_path):
     lines = (out / "table5.csv").read_text().splitlines()
     assert lines[0].startswith("iteration,cbr_qos1")
     assert len(lines) == 4
+    assert_mean_row(lines)
 
 
 def test_out_dir_env_var(cfg_path, tmp_path, monkeypatch):

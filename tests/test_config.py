@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from twtsim import ConfigError, parse
+from twtsim import ConfigError, paper_setup, parse
 from twtsim.cli import default_config_text
 
 MINIMAL = """\
@@ -34,6 +34,8 @@ def test_bundled_config_matches_default_setup():
     assert rates["client1"] > 63.5
     assert rates["client3"] > 163.0
     assert rates["client3"] > rates["client4"] > rates["client2"] > rates["client1"]
+    # the benchmark's search and cli workloads run these two; they must be one setup
+    assert tpl == paper_setup()
 
 
 def test_twt_section_drives_schedule():
@@ -86,10 +88,28 @@ def test_offset_is_not_a_twt_key():
     assert "offset_us" in str(exc.value)
 
 
-@pytest.mark.parametrize("bad", ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0"])
+def test_master_seed_is_not_a_search_key():
+    # [sim] seed (or --seed) is the master seed of every seeded repetition
+    text = MINIMAL + "\n[search]\nseeds = 2\nmaster_seed = 99\n"
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("master_seed")) + 1
+    assert "master_seed" in str(exc.value)
+
+
+def test_sim_seed_is_the_master_seed():
+    cfg = parse(MINIMAL + "\n[sim]\nseed = 42\n")
+    assert cfg.seed == cfg.template.master_seed == 42
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01"],
+)
 def test_value_error_reports_its_line(bad):
     key = bad.split()[0]
-    text = MINIMAL + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
+    text = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
+            + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n")
     text = re.sub(rf"^{key} = .*$", bad, text, flags=re.M)
     with pytest.raises(ConfigError) as exc:
         parse(text)

@@ -125,3 +125,8 @@ def test_video_params_reject_nonpositive_sizes_and_intervals():
         VideoParams(bitrate_mbps=15.6, weibull_lambda_bytes=0)
     with pytest.raises(ValueError, match="cbr_interval_s"):
         VideoParams(bitrate_mbps=15.6, cbr_interval_s=0)
+    with pytest.raises(ValueError, match="ibt_var_s2"):
+        VideoParams(bitrate_mbps=15.6, ibt_var_s2=-1)
+    # a VBR burst of round(ibt * frame_rate) = 0 frames would be empty
+    with pytest.raises(ValueError, match="ibt_min_s"):
+        VideoParams(bitrate_mbps=15.6, ibt_mean_s=0.02, ibt_min_s=0.005, ibt_max_s=0.04)
