@@ -311,7 +311,9 @@ def parse(text: str) -> ParsedConfig:
     search_sec = sections.get("search", {})
     sim_sec = sections.get("sim", {})
 
-    template = ScenarioTemplate(
+    template = _checked(
+        search_sec,
+        ScenarioTemplate,
         stations=tuple(stations),
         dut=dut,
         video=video,

@@ -1,7 +1,9 @@
 """Discrete-event simulator of a single 20 MHz Wi-Fi 6 BSS.
 
 The AP is one CSMA/CA contender holding a FIFO downlink queue per
-destination; stations contend to return transport ACKs.  Channel access is
+destination; the queue holds run-length runs ``[flow, segments, bytes per
+segment]``, so admission and A-MPDU dequeue cost one step per run, not per
+MPDU.  Stations contend to return transport ACKs.  Channel access is
 resolved in contention cycles: after the medium goes idle every backlogged
 contender waits DIFS and counts down its binary-exponential backoff, the
 smallest counter transmits, ties collide and escalate their stage.  A
@@ -302,15 +304,16 @@ class _Engine:
 
         self.ap = next(s for s in sc.stations if s.role == "ap")
         self.clients = [s for s in sc.stations if s.role == "client"]
-        self.by_id = {s.id: s for s in sc.stations}
+        by_id = {s.id: s for s in sc.stations}
         self.dut_id = sc.dut_station_id
-        dut_station = self.by_id.get(self.dut_id) if self.dut_id else None
+        dut_station = by_id.get(self.dut_id) if self.dut_id else None
         twt = dut_station.twt if dut_station else None
         self.gate = _Gate(twt) if twt is not None and twt.wi_us > 0 else None
         self.gated = self.dut_id if self.gate is not None else None  # the gated station
         self.dut_flow = sc.dut_flow_id
 
         self.t_mpdu = {s.id: mpdu_airtime_ns(sc.mac, s.phy_rate_mbps) for s in self.clients}
+        self.phy_rate = {s.id: s.phy_rate_mbps for s in self.clients}
         for s in self.clients:
             if self.t_mpdu[s.id] > self.txop - self.overhead:
                 raise ValueError(
@@ -330,12 +333,17 @@ class _Engine:
         self.flows: dict[str, _FlowState] = {
             f.id: _FlowState(f) for f in sc.flows
         }
+        # per destination: FIFO of runs [fid, segments, bytes per segment],
+        # with the queued bytes and segments kept beside it
         self.queues: dict[str, deque] = {s.id: deque() for s in self.clients}
         self.qbytes: dict[str, int] = {s.id: 0 for s in self.clients}
-        self.acks: dict[str, list] = {s.id: [] for s in self.clients}
+        self.qsegs: dict[str, int] = {s.id: 0 for s in self.clients}
+        # ACK records of the stations that have some to return, nothing else
+        self.acks: dict[str, list] = {}
 
         self.rr = [s.id for s in self.clients]
         self.rr_ptr = 0
+        self.rr_next = {sid: (i + 1) % len(self.rr) for i, sid in enumerate(self.rr)}
 
         self.heap: list = []
         self.seq = 0
@@ -391,25 +399,30 @@ class _Engine:
         self._push(t + fs.half_rtt_ns, _ARRIVE, (fid, offer))
 
     def _on_arrive(self, t: int, fid: str, nbytes: int) -> None:
+        """Queue the full segments, then the tail, up to the flow's limit; drop the rest."""
         fs = self.flows[fid]
         seg = fs.flow.segment_bytes
         full, tail = divmod(nbytes, seg)
-        chunks = [seg] * full + ([tail] if tail else [])
-        room = fs.flow.queue_limit_segments - fs.queued_segments
-        accepted = chunks[:max(0, room)]
-        dropped = chunks[len(accepted):]
+        room = max(0, fs.flow.queue_limit_segments - fs.queued_segments)
+        took = min(full, room)
+        took_tail = 1 if tail and room > full else 0
+        accepted = took + took_tail
         if accepted:
             dst = fs.flow.dst
             q = self.queues[dst]
-            for c in accepted:
-                q.append((fid, c))
-            self.qbytes[dst] += sum(accepted)
-            fs.queued_segments += len(accepted)
+            if took:
+                q.append([fid, took, seg])
+            if took_tail:
+                q.append([fid, 1, tail])
+            self.qbytes[dst] += took * seg + took_tail * tail
+            self.qsegs[dst] += accepted
+            fs.queued_segments += accepted
+        dropped = full + (1 if tail else 0) - accepted
         if dropped:
-            dbytes = sum(dropped)
+            dbytes = nbytes - took * seg - took_tail * tail
             fs.in_flight -= dbytes
             fs.sent -= dbytes
-            self.trace.drops[fid] = self.trace.drops.get(fid, 0) + len(dropped)
+            self.trace.drops[fid] = self.trace.drops.get(fid, 0) + dropped
             fs.cwnd = fs.ssthresh = on_loss(fs.cwnd)
             self._record_cwnd(t, fs)
         self._kick(t)
@@ -427,28 +440,24 @@ class _Engine:
 
     # -- contention -----------------------------------------------------
     def _ack_duration(self, sid: str) -> int:
-        records = self.acks[sid]
-        bits = len(records) * TCP_ACK_BYTES * 8
-        rate = self.by_id[sid].phy_rate_mbps
-        return self.overhead + math.ceil(bits * NS_PER_US / rate)
+        bits = len(self.acks[sid]) * TCP_ACK_BYTES * 8
+        return self.overhead + math.ceil(bits * NS_PER_US / self.phy_rate[sid])
 
     def _client_pending(self, t: int, sid: str) -> bool:
-        if not self.acks[sid]:
-            return False
-        if sid == self.gated:
-            return self.gate.remaining(t) >= self.difs + self._ack_duration(sid)
-        return True
+        """``sid`` has ACKs to return and, if gated, time left to send them."""
+        return sid in self.acks and (
+            sid != self.gated or self.gate.remaining(t) >= self.difs + self._ack_duration(sid))
 
     def _ap_pending(self, t: int) -> bool:
-        for dst, q in self.queues.items():
-            if not q:
+        for dst, nseg in self.qsegs.items():
+            if not nseg:
                 continue
             if dst == self.gated:
                 rem = self.gate.remaining(t)
                 if rem > self.difs and aggregate_ns(
                         self.qbytes[dst], self.t_mpdu[dst],
                         min(self.txop, rem - self.difs), self.overhead,
-                        self.mac.max_ampdu_mpdus, len(q)) >= 1:
+                        self.mac.max_ampdu_mpdus, nseg) >= 1:
                     return True
             else:
                 return True
@@ -457,10 +466,10 @@ class _Engine:
     def _select_ap_tx(self, t: int):
         """Pick (dest, n_mpdus, duration, from_rr) or None; DUT first inside windows."""
         g = self.gated
-        if g is not None and self.queues[g]:
+        if g is not None and self.qsegs[g]:
             n = aggregate_ns(self.qbytes[g], self.t_mpdu[g],
                              min(self.txop, self.gate.remaining(t)), self.overhead,
-                             self.mac.max_ampdu_mpdus, len(self.queues[g]))
+                             self.mac.max_ampdu_mpdus, self.qsegs[g])
             if n >= 1:
                 return (g, n, self.overhead + n * self.t_mpdu[g], False)
         k = len(self.rr)
@@ -468,11 +477,11 @@ class _Engine:
             dst = self.rr[(self.rr_ptr + i) % k]
             if dst == self.gated:
                 continue  # handled above (or asleep)
-            q = self.queues[dst]
-            if not q:
+            nseg = self.qsegs[dst]
+            if not nseg:
                 continue
             n = aggregate_ns(self.qbytes[dst], self.t_mpdu[dst], self.txop,
-                             self.overhead, self.mac.max_ampdu_mpdus, len(q))
+                             self.overhead, self.mac.max_ampdu_mpdus, nseg)
             if n >= 1:
                 dur = self.overhead + n * self.t_mpdu[dst]
                 return (dst, n, dur, True)
@@ -485,9 +494,9 @@ class _Engine:
         racers = []
         if self._ap_pending(t):
             racers.append(self.ap_cont)
-        for sid, cont in self.client_cont.items():
+        for sid in self.acks:  # racer order does not matter: each draws from its own stream
             if self._client_pending(t, sid):
-                racers.append(cont)
+                racers.append(self.client_cont[sid])
         if not racers:
             return
         for c in racers:
@@ -566,32 +575,46 @@ class _Engine:
     def _on_tx_end(self, t: int, kind: int, info) -> None:
         if kind == _DATA:
             dst, n, from_rr = info
+            left = self.qsegs[dst] - n
+            if n < 1 or left < 0:
+                raise RuntimeError(f"A-MPDU of {n} MPDUs to station {dst!r} "
+                                   f"exceeds its {self.qsegs[dst]} queued segments")
+            self.qsegs[dst] = left
             q = self.queues[dst]
-            per_flow_bytes: dict[str, int] = {}
-            per_flow_segs: dict[str, int] = {}
+            per_flow: dict[str, list] = {}  # fid -> [segments, bytes], first-dequeued first
             total = 0
-            for _ in range(n):
-                fid, nbytes = q.popleft()
-                per_flow_bytes[fid] = per_flow_bytes.get(fid, 0) + nbytes
-                per_flow_segs[fid] = per_flow_segs.get(fid, 0) + 1
+            while n:
+                run = q[0]
+                fid, count, size = run
+                if count <= n:
+                    q.popleft()
+                else:
+                    run[1] = count - n
+                    count = n
+                n -= count
+                nbytes = count * size
                 total += nbytes
+                acc = per_flow.get(fid)
+                if acc is None:
+                    per_flow[fid] = [count, nbytes]
+                else:
+                    acc[0] += count
+                    acc[1] += nbytes
             self.qbytes[dst] -= total
             ts = t / 1e9
-            for fid, nbytes in per_flow_bytes.items():
+            records = self.acks.setdefault(dst, [])
+            for fid, (segs, nbytes) in per_flow.items():
                 fs = self.flows[fid]
-                fs.queued_segments -= per_flow_segs[fid]
+                fs.queued_segments -= segs
                 self.trace.delivered_bytes[fid] += nbytes
                 self.trace.deliveries.append((ts, dst, fid, nbytes))
-                self.acks[dst].append((fid, per_flow_segs[fid], nbytes))
+                records.append((fid, segs, nbytes))
                 if fid == self.dut_flow:
                     self._advance_bursts(t, self.trace.delivered_bytes[fid])
             if from_rr:
-                self.rr_ptr = (self.rr.index(dst) + 1) % len(self.rr)
+                self.rr_ptr = self.rr_next[dst]
         elif kind == _ACK:
-            sid = info
-            records = self.acks[sid]
-            self.acks[sid] = []
-            for fid, segs, nbytes in records:
+            for fid, segs, nbytes in self.acks.pop(info):
                 self._push(t + self.flows[fid].half_rtt_ns, _SERVER_ACK, (fid, segs, nbytes))
         self._kick(t)
 

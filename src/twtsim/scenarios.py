@@ -45,6 +45,10 @@ class ScenarioTemplate:
     max_underruns: int = 3
     qos_interval_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.seeds < 1:
+            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
+
     @property
     def bitrate_mbps(self) -> float:
         return self.video.bitrate_mbps

@@ -104,12 +104,14 @@ def test_sim_seed_is_the_master_seed():
 
 @pytest.mark.parametrize(
     "bad",
-    ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01"],
+    ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
+     "seeds = 0"],
 )
 def test_value_error_reports_its_line(bad):
     key = bad.split()[0]
     text = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
-            + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n")
+            + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
+            + "\n[search]\nseeds = 2\n")
     text = re.sub(rf"^{key} = .*$", bad, text, flags=re.M)
     with pytest.raises(ConfigError) as exc:
         parse(text)

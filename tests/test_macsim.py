@@ -1,6 +1,8 @@
+import hashlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from twtsim import (
@@ -8,14 +10,17 @@ from twtsim import (
     MacParams,
     Scenario,
     Station,
+    VideoParams,
     back_solve_phy_rate,
     backoff_draw,
+    generate_cbr_bursts,
+    generate_vbr_bursts,
     run_sim,
     schedule_from,
     single_contender_bound_mbps,
     wake_windows,
 )
-from twtsim.macsim import aggregate_ns, mpdu_airtime_ns
+from twtsim.macsim import _DATA, _Engine, aggregate_ns, mpdu_airtime_ns
 
 MAC = MacParams()
 
@@ -273,6 +278,20 @@ def test_full_duty_equals_twt_disabled():
 
 # ------------------------------------------------------------- validation ---
 
+def test_ampdu_beyond_the_queue_raises_naming_the_station():
+    engine = _Engine(two_station_scenario())
+    with pytest.raises(RuntimeError, match="'sta'"):
+        engine._on_tx_end(0, _DATA, ("sta", 1, True))  # nothing queued
+    engine._on_arrive(0, "f1", 4 * 1500 + 700)  # four segments and a tail
+    assert engine.qsegs["sta"] == 5 and engine.qbytes["sta"] == 6700
+    with pytest.raises(RuntimeError, match="'sta'.* 5 queued"):
+        engine._on_tx_end(0, _DATA, ("sta", 6, True))
+    assert engine.qsegs["sta"] == 5  # the failed dequeue took nothing
+    engine._on_tx_end(0, _DATA, ("sta", 5, True))
+    assert engine.qsegs["sta"] == engine.qbytes["sta"] == 0
+    assert engine.trace.deliveries == [(0.0, "sta", "f1", 6700)]
+
+
 def test_scenario_requires_exactly_one_ap():
     sc = Scenario(
         stations=(Station(id="x", role="client", phy_rate_mbps=10.0),),
@@ -314,3 +333,70 @@ def test_mpdu_must_fit_txop():
                 )
             )
         )
+
+
+# ---------------------------------------------------------- pinned output ---
+
+def _pinned_scenarios() -> dict[str, Scenario]:
+    ap = Station(id="ap", role="ap", phy_rate_mbps=1000.0)
+    # three small-limit flows interleave in a's queue, which one A-MPDU of
+    # eight 600 us MPDUs cannot empty, so arrivals overflow it
+    drops = Scenario(
+        stations=(ap, Station(id="a", role="client", phy_rate_mbps=20.0),
+                  Station(id="b", role="client", phy_rate_mbps=160.0)),
+        flows=(Flow(id="a1", dst="a", kind="saturated", base_rtt_s=0.002, queue_limit_segments=8),
+               Flow(id="a2", dst="a", kind="saturated", base_rtt_s=0.004, queue_limit_segments=8),
+               Flow(id="a3", dst="a", kind="saturated", base_rtt_s=0.003, queue_limit_segments=6),
+               Flow(id="b1", dst="b", kind="saturated", base_rtt_s=0.002)),
+        duration_s=3.0, seed=11)
+    # 500 kB CBR bursts (333 segments and a 500-byte tail) to a DUT whose
+    # 1023 us windows hold at most seven MPDUs, so queued runs are split
+    cbr = Scenario(
+        stations=(ap, Station(id="dut", role="client", phy_rate_mbps=95.0,
+                              twt=schedule_from(30, 64)),
+                  Station(id="bg", role="client", phy_rate_mbps=100.0)),
+        flows=(Flow(id="stream", dst="dut", kind="burst"),
+               Flow(id="bg1", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=8),
+               Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.003, queue_limit_segments=8)),
+        bursts=tuple(generate_cbr_bursts(VideoParams(bitrate_mbps=4.0, cbr_interval_s=1.0), 4.0)),
+        duration_s=4.0, seed=12)
+    video = VideoParams(bitrate_mbps=3.0, ibt_mean_s=1.5, ibt_min_s=1.0, ibt_max_s=2.0,
+                        ibt_var_s2=0.1)
+    vbr = Scenario(
+        stations=(ap, Station(id="dut", role="client", phy_rate_mbps=95.0,
+                              twt=schedule_from(30, 4)),
+                  Station(id="bg", role="client", phy_rate_mbps=70.0)),
+        flows=(Flow(id="stream", dst="dut", kind="burst", queue_limit_segments=16),
+               Flow(id="bg1", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24),
+               Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24)),
+        bursts=tuple(generate_vbr_bursts(video, 5.0, np.random.default_rng(13))),
+        duration_s=5.0, seed=13)
+    return {"drops": drops, "cbr_mf64": cbr, "vbr_mf4": vbr}
+
+
+# SHA-256 of each scenario's trace, recorded before the downlink queue held
+# run-length runs; any change to queue admission or A-MPDU dequeue moves them.
+PINNED_DIGESTS = {
+    "drops": "a2a60b2d05d05088fdd0d70e8cf1d3d3e1f1941f2076c5c500f53ec4044eb87b",
+    "cbr_mf64": "7f645896869f0323502433102cffd623b24ee31a3737cbd519fc41b0d7d4ec20",
+    "vbr_mf4": "82316ef1028b4fc03d9dc4691ae52267a6bec004a841b2e2f0b6ffd12dbaf284",
+}
+
+
+def test_engine_trace_digest_is_pinned():
+    for name, sc in _pinned_scenarios().items():
+        tr = run_sim(sc)
+        # the queue edges the scenario is there for
+        assert tr.drops, name
+        a_mpdus = {}
+        for t, dst, fid, nbytes in tr.deliveries:
+            a_mpdus.setdefault((t, dst), []).append(fid)
+        if name == "drops":
+            assert {"a1", "a2", "a3"} <= set(tr.drops)
+            assert any(len(fids) > 1 for fids in a_mpdus.values())
+        else:
+            assert tr.dut_burst_serve
+            assert any(nb % 1500 for _, _, fid, nb in tr.deliveries if fid == "stream")
+        blob = repr((tr.deliveries, tr.airtime, tr.dut_burst_serve, tr.cwnd_series,
+                     tr.delivered_bytes, tr.drops, tr.collisions))
+        assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DIGESTS[name], name

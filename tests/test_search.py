@@ -32,6 +32,12 @@ def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
     )
 
 
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_template_needs_at_least_one_seed(seeds):
+    with pytest.raises(ValueError, match="seeds must be >= 1"):
+        small_template(seeds=seeds)
+
+
 def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
