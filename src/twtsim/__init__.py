@@ -9,7 +9,6 @@ from .macsim import (
     back_solve_phy_rate,
     backoff_draw,
     run_sim,
-    single_contender_bound_mbps,
 )
 from .qos import QosReport, compute_qos, qos_pass
 from .scenarios import ScenarioTemplate, derive_seed, paper_setup
@@ -77,6 +76,5 @@ __all__ = [
     "sample_frame_size",
     "sample_inter_burst_time",
     "schedule_from",
-    "single_contender_bound_mbps",
     "wake_windows",
 ]

@@ -5,7 +5,6 @@ A config looks like::
     format = 1
 
     [station.client1]
-    rssi_dbm = -46
     standalone_mbps = 63.5
 
     [twt]
@@ -13,57 +12,23 @@ A config looks like::
     mf = 4
 
 Unknown keys, bad values, and structural problems are reported with the line
-number they came from.  ``parse`` returns a ParsedConfig: its ``template`` is
-what the search and table commands drive, and ``scenario()`` materialises the
-one runnable [sim] scenario.
+number they came from.  A key left out takes the default of the object it
+sets: ``MacParams`` ([mac]), ``VideoParams`` ([traffic]), ``ScenarioTemplate``
+([transport], [search], [sim] seed) or ``ParsedConfig`` ([sim], [twt]).
+``parse`` returns a ParsedConfig: its ``template`` is what the search and
+table commands drive, and ``scenario()`` materialises the one runnable [sim]
+scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate
-from .scenarios import LOCAL_RTT_S, REMOTE_RTT_S, ScenarioTemplate
-from .schedule import schedule_from
+from .scenarios import AP_PHY_RATE_MBPS, BACKGROUND_STREAMS, ScenarioTemplate
 from .traffic import VideoParams
 
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
-
-_SECTION_KEYS = {
-    "sim": {"duration_s", "model", "loaded", "seed"},
-    "mac": {
-        "slot_us",
-        "difs_us",
-        "cw_min",
-        "cw_max",
-        "max_ampdu_mpdus",
-        "mpdu_payload_bytes",
-        "txop_limit_us",
-        "per_frame_overhead_us",
-    },
-    "station": {"role", "phy_rate_mbps", "standalone_mbps", "rssi_dbm", "dut"},
-    "traffic": {
-        "bitrate_mbps",
-        "frame_rate",
-        "weibull_k",
-        "weibull_lambda_bytes",
-        "ibt_mean_s",
-        "ibt_var_s2",
-        "ibt_min_s",
-        "ibt_max_s",
-        "cbr_interval_s",
-    },
-    "twt": {"enabled", "duty_percent", "mf"},
-    "background": {"streams_per_client", "clients"},
-    "transport": {"remote_rtt_s", "local_rtt_s", "queue_limit_segments"},
-    "search": {
-        "seeds",
-        "phase1_duration_s",
-        "session_duration_s",
-        "max_underruns",
-        "qos_interval_s",
-    },
-}
 
 
 class ConfigError(ValueError):
@@ -75,9 +40,40 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
+def _to_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"{value!r} is not a boolean")
+
+
+_CONVERTERS = {"int": int, "float": float, "float | None": float}
+
+
+def _typed(cls, *names: str) -> dict:
+    """Key -> converter for the named fields of ``cls`` (all when none are named)."""
+    return {f.name: _CONVERTERS[f.type] for f in fields(cls) if not names or f.name in names}
+
+
+# section -> key -> converter of the key's text value
+_SECTION_KEYS = {
+    "sim": {"duration_s": float, "model": str, "loaded": _to_bool, "seed": int},
+    "mac": _typed(MacParams),
+    "station": {"role": str, "phy_rate_mbps": float, "standalone_mbps": float, "dut": _to_bool},
+    "traffic": _typed(VideoParams),
+    "twt": {"enabled": _to_bool, "duty_percent": int, "mf": int},
+    "background": {"streams_per_client": int, "clients": str},
+    "transport": _typed(ScenarioTemplate, "remote_rtt_s", "local_rtt_s", "queue_limit_segments"),
+    "search": _typed(ScenarioTemplate, "seeds", "phase1_duration_s", "session_duration_s",
+                     "max_underruns", "qos_interval_s"),
+}
+
+
 @dataclass
 class _Entry:
-    value: str
+    value: object  # the text as read; the converted value after _convert
     line: int
 
 
@@ -142,37 +138,31 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     return sections
 
 
-def _take(section: dict[str, _Entry], key: str, conv, default):
-    entry = section.get(key)
-    if entry is None:
-        return default
-    try:
-        return conv(entry.value)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}", entry.line) from exc
+def _convert(sections: dict[str, dict[str, _Entry]]) -> None:
+    """Replace every entry's text by its converted value, in place."""
+    for name, section in sections.items():
+        converters = _SECTION_KEYS[name.split(".", 1)[0]]
+        for key, entry in section.items():
+            try:
+                entry.value = converters[key](entry.value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}", entry.line) from exc
 
 
-def _checked(section: dict[str, _Entry], build, *args, **kwargs):
+def _values(entries: dict[str, _Entry]) -> dict:
+    return {key: entry.value for key, entry in entries.items()}
+
+
+def _checked(entries: dict[str, _Entry], build, *args, **kwargs):
     """Call ``build``; a ValueError it raises is reported at the line of the key
-    its message starts with, else at the section's first line."""
+    its message starts with, else at the first line of ``entries``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         msg = str(exc)
-        keyed = [e.line for k, e in section.items() if msg.startswith(k + " ")]
-        line = keyed[0] if keyed else min((e.line for e in section.values()), default=None)
+        keyed = [e.line for k, e in entries.items() if msg.startswith(k + " ")]
+        line = keyed[0] if keyed else min((e.line for e in entries.values()), default=None)
         raise ConfigError(msg, line) from exc
-
-
-def _to_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"{value!r} is not a boolean")
 
 
 @dataclass(frozen=True)
@@ -180,12 +170,16 @@ class ParsedConfig:
     """Everything a command needs: the template plus [sim]/[twt] settings."""
 
     template: ScenarioTemplate
-    model: str
-    duration_s: float
-    loaded: bool
-    twt_enabled: bool
-    duty_percent: int
-    mf: int
+    model: str = "cbr"
+    duration_s: float | None = None  # None: the template's session length
+    loaded: bool = True
+    twt_enabled: bool = True
+    duty_percent: int = 30
+    mf: int = 1
+
+    def __post_init__(self) -> None:
+        if self.duration_s is None:
+            object.__setattr__(self, "duration_s", self.template.session_duration_s)
 
     @property
     def seed(self) -> int:
@@ -205,53 +199,21 @@ class ParsedConfig:
         )
 
 
-def parse(text: str) -> ParsedConfig:
-    sections = _tokenize(text)
-
-    station_names = [n for n in sections if n.startswith("station.")]
-    missing = []
-    if not station_names:
-        missing.append(REQUIRED_SECTIONS[0])
-    if "traffic" not in sections:
-        missing.append("traffic")
-    if missing:
-        raise ConfigError("missing required sections: " + ", ".join(missing))
-
-    mac_sec = sections.get("mac", {})
-    mac_kwargs = {}
-    for key in _SECTION_KEYS["mac"]:
-        val = _take(mac_sec, key, int, None)
-        if val is not None:
-            mac_kwargs[key] = val
-    mac = _checked(mac_sec, MacParams, **mac_kwargs)
-
-    traffic_sec = sections["traffic"]
-    video = _checked(
-        traffic_sec,
-        VideoParams,
-        bitrate_mbps=_take(traffic_sec, "bitrate_mbps", float, 15.6),
-        frame_rate=_take(traffic_sec, "frame_rate", float, 30.0),
-        weibull_k=_take(traffic_sec, "weibull_k", float, 0.8099),
-        weibull_lambda_bytes=_take(traffic_sec, "weibull_lambda_bytes", float, None),
-        ibt_mean_s=_take(traffic_sec, "ibt_mean_s", float, 6.0),
-        ibt_var_s2=_take(traffic_sec, "ibt_var_s2", float, 1.8),
-        ibt_min_s=_take(traffic_sec, "ibt_min_s", float, 2.0),
-        ibt_max_s=_take(traffic_sec, "ibt_max_s", float, 10.0),
-        cbr_interval_s=_take(traffic_sec, "cbr_interval_s", float, 6.0),
-    )
-
+def _stations(sections: dict[str, dict[str, _Entry]], mac: MacParams) -> tuple[list[Station], str]:
+    """The [station.<id>] sections as stations, and the id of the DUT."""
     stations: list[Station] = []
     dut: str | None = None
-    ap_seen = False
-    for name in station_names:
-        sec = sections[name]
+    for name, sec in sections.items():
+        if not name.startswith("station."):
+            continue
         sid = name.split(".", 1)[1]
-        role = _take(sec, "role", str, "client")
+        given = _values(sec)
+        role = given.get("role", "client")
+        phy = given.get("phy_rate_mbps")
+        standalone = given.get("standalone_mbps")
         if role not in ("ap", "client"):
             raise ConfigError(f"station role must be 'ap' or 'client', got {role!r}",
                               sec["role"].line)
-        phy = _take(sec, "phy_rate_mbps", float, None)
-        standalone = _take(sec, "standalone_mbps", float, None)
         if phy is not None and standalone is not None:
             raise ConfigError(
                 f"station {sid!r}: give phy_rate_mbps or standalone_mbps, not both",
@@ -263,94 +225,90 @@ def parse(text: str) -> ParsedConfig:
                     "standalone_mbps applies to clients; give the AP phy_rate_mbps",
                     sec["standalone_mbps"].line,
                 )
-            ap_seen = True
-            rate = phy if phy is not None else 1000.0
+            if any(s.role == "ap" for s in stations):
+                raise ConfigError(f"more than one station with role = ap ({sid!r})",
+                                  sec["role"].line)
+            rate = AP_PHY_RATE_MBPS if phy is None else phy
+        elif standalone is not None:
+            rate = _checked(sec, back_solve_phy_rate, standalone, mac)
+        elif phy is not None:
+            rate = phy
         else:
-            if standalone is not None:
-                rate = back_solve_phy_rate(standalone, mac)
-            elif phy is not None:
-                rate = phy
-            else:
-                first_line = min(e.line for e in sec.values()) if sec else None
-                raise ConfigError(
-                    f"station {sid!r} needs phy_rate_mbps or standalone_mbps", first_line
-                )
-        if _take(sec, "dut", _to_bool, False):
+            first_line = min(e.line for e in sec.values()) if sec else None
+            raise ConfigError(f"station {sid!r} needs phy_rate_mbps or standalone_mbps", first_line)
+        if given.get("dut", False):
             if role == "ap":
                 raise ConfigError("the AP cannot be the DUT", sec["dut"].line)
             if dut is not None:
                 raise ConfigError(f"more than one DUT ({dut!r} and {sid!r})", sec["dut"].line)
             dut = sid
-        stations.append(
-            Station(id=sid, role=role, phy_rate_mbps=rate,
-                    rssi_dbm=_take(sec, "rssi_dbm", float, None))
-        )
-    if not ap_seen:
+        stations.append(_checked(sec, Station, id=sid, role=role, phy_rate_mbps=rate))
+    if not any(s.role == "ap" for s in stations):
         raise ConfigError("no station with role = ap")
-    clients = [s.id for s in stations if s.role == "client"]
-    if not clients:
+    if all(s.role == "ap" for s in stations):
         raise ConfigError("no client stations")
     if dut is None:
         raise ConfigError("no station marked dut = true")
+    return stations, dut
 
-    bg_sec = sections.get("background", {})
-    streams = _take(bg_sec, "streams_per_client", int, 8)
-    bg_clients_raw = _take(bg_sec, "clients", str, None)
-    if bg_clients_raw is None:
-        bg_clients = [c for c in clients if c != dut]
-    else:
-        bg_clients = [c.strip() for c in bg_clients_raw.split(",") if c.strip()]
-        for c in bg_clients:
-            if c not in clients or c == dut:
-                raise ConfigError(
-                    f"background client {c!r} is not a non-DUT client",
-                    bg_sec["clients"].line,
-                )
 
-    tr_sec = sections.get("transport", {})
-    search_sec = sections.get("search", {})
-    sim_sec = sections.get("sim", {})
+def _background(section: dict[str, _Entry], clients: list[str], dut: str) -> tuple[tuple[str, int], ...]:
+    """(client id, parallel streams) for each background client."""
+    entry = section.get("streams_per_client")
+    streams = BACKGROUND_STREAMS if entry is None else entry.value
+    if streams < 0:
+        raise ConfigError(f"streams_per_client must be >= 0, got {streams}", entry.line)
+    if "clients" not in section:
+        return tuple((c, streams) for c in clients if c != dut)
+    chosen = [c.strip() for c in section["clients"].value.split(",") if c.strip()]
+    if len(set(chosen)) != len(chosen):
+        raise ConfigError("background clients must be distinct", section["clients"].line)
+    for c in chosen:
+        if c not in clients or c == dut:
+            raise ConfigError(f"background client {c!r} is not a non-DUT client",
+                              section["clients"].line)
+    return tuple((c, streams) for c in chosen)
+
+
+def parse(text: str) -> ParsedConfig:
+    sections = _tokenize(text)
+
+    missing = []
+    if not any(n.startswith("station.") for n in sections):
+        missing.append(REQUIRED_SECTIONS[0])
+    if "traffic" not in sections:
+        missing.append("traffic")
+    if missing:
+        raise ConfigError("missing required sections: " + ", ".join(missing))
+    _convert(sections)
+
+    mac_sec = sections.get("mac", {})
+    mac = _checked(mac_sec, MacParams, **_values(mac_sec))
+    video = _checked(sections["traffic"], VideoParams, **_values(sections["traffic"]))
+    stations, dut = _stations(sections, mac)
+    clients = [s.id for s in stations if s.role == "client"]
+    background = _background(sections.get("background", {}), clients, dut)
+
+    # each remaining entry keyed by the constructor argument it sets
+    run = dict(sections.get("sim", {}))
+    for_template = {**sections.get("transport", {}), **sections.get("search", {})}
+    if "seed" in run:
+        for_template["master_seed"] = run.pop("seed")
+    twt = sections.get("twt", {})
+    run.update((("twt_enabled" if k == "enabled" else k), e) for k, e in twt.items())
 
     template = _checked(
-        search_sec,
+        for_template,
         ScenarioTemplate,
         stations=tuple(stations),
         dut=dut,
         video=video,
-        background=tuple((c, streams) for c in bg_clients),
+        background=background,
         mac=mac,
-        remote_rtt_s=_take(tr_sec, "remote_rtt_s", float, REMOTE_RTT_S),
-        local_rtt_s=_take(tr_sec, "local_rtt_s", float, LOCAL_RTT_S),
-        queue_limit_segments=_take(tr_sec, "queue_limit_segments", int, 256),
-        seeds=_take(search_sec, "seeds", int, 5),
-        master_seed=_take(sim_sec, "seed", int, 1),
-        phase1_duration_s=_take(search_sec, "phase1_duration_s", float, 30.0),
-        session_duration_s=_take(search_sec, "session_duration_s", float, 120.0),
-        max_underruns=_take(search_sec, "max_underruns", int, 3),
-        qos_interval_s=_take(search_sec, "qos_interval_s", float, 1.0),
+        **_values(for_template),
     )
-
-    model = _take(sim_sec, "model", str, "cbr")
-    if model not in ("cbr", "vbr"):
-        raise ConfigError(f"model must be 'cbr' or 'vbr', got {model!r}",
-                          sim_sec["model"].line)
-    twt_sec = sections.get("twt", {})
-    duty = _take(twt_sec, "duty_percent", int, 30)
-    mf = _take(twt_sec, "mf", int, 1)
-    twt_enabled = _take(twt_sec, "enabled", _to_bool, True)
-    if twt_enabled:
-        _checked(twt_sec, schedule_from, duty, mf)
-
-    parsed = ParsedConfig(
-        template=template,
-        model=model,
-        duration_s=_take(sim_sec, "duration_s", float, template.session_duration_s),
-        loaded=_take(sim_sec, "loaded", _to_bool, True),
-        twt_enabled=twt_enabled,
-        duty_percent=duty,
-        mf=mf,
-    )
+    parsed = ParsedConfig(template, **_values(run))
     # Materialise once so schedule/scenario invariant violations surface here
     # with the config as context rather than deep inside a command.
-    parsed.scenario()
+    _checked(run, parsed.scenario)
     return parsed

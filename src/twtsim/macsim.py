@@ -78,8 +78,7 @@ class Station:
 
     id: str
     role: str  # "ap" | "client"
-    phy_rate_mbps: float = 100.0
-    rssi_dbm: float | None = None
+    phy_rate_mbps: float
     twt: TwtSchedule | None = None
 
     def __post_init__(self) -> None:
@@ -186,16 +185,6 @@ def backoff_draw(mac: MacParams, stage: int, rng: random.Random) -> int:
 def mpdu_airtime_ns(mac: MacParams, phy_rate_mbps: float) -> int:
     """Airtime of one full MPDU in ns (ceil)."""
     return math.ceil(mac.mpdu_payload_bytes * 8 * NS_PER_US / phy_rate_mbps)
-
-
-def single_contender_bound_mbps(phy_rate_mbps: float, mac: MacParams) -> float:
-    """Closed-form saturation throughput of a lone contender (upper bound)."""
-    t_mpdu_us = mac.mpdu_payload_bytes * 8 / phy_rate_mbps
-    n = min(mac.max_ampdu_mpdus,
-            int((mac.txop_limit_us - mac.per_frame_overhead_us) // t_mpdu_us))
-    payload_us = n * t_mpdu_us
-    mean_backoff_us = mac.cw_min / 2 * mac.slot_us
-    return phy_rate_mbps * payload_us / (payload_us + mac.per_frame_overhead_us + mean_backoff_us)
 
 
 _CALIBRATION_SEED = 0xCA11B

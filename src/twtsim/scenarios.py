@@ -17,8 +17,8 @@ from .schedule import TwtSchedule, schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
 
-REMOTE_RTT_S = 0.030
-LOCAL_RTT_S = 0.002
+AP_PHY_RATE_MBPS = 1000.0
+BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 
 
 def derive_seed(*parts: int) -> int:
@@ -35,8 +35,8 @@ class ScenarioTemplate:
     video: VideoParams
     background: tuple[tuple[str, int], ...]  # (client id, parallel streams)
     mac: MacParams = MacParams()
-    remote_rtt_s: float = REMOTE_RTT_S
-    local_rtt_s: float = LOCAL_RTT_S
+    remote_rtt_s: float = 0.030
+    local_rtt_s: float = 0.002
     queue_limit_segments: int = 256
     seeds: int = 5
     master_seed: int = 1
@@ -46,8 +46,13 @@ class ScenarioTemplate:
     qos_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
+        for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s",
+                     "qos_interval_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name, least in (("seeds", 1), ("queue_limit_segments", 1), ("max_underruns", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     @property
     def bitrate_mbps(self) -> float:
@@ -145,35 +150,26 @@ class ScenarioTemplate:
         )
 
 
-def paper_setup(
-    bitrate_mbps: float = 15.6,
-    seeds: int = 5,
-    master_seed: int = 1,
-) -> ScenarioTemplate:
-    """Default four-client BSS, rates back-solved from standalone figures."""
+def paper_setup(**overrides) -> ScenarioTemplate:
+    """Default four-client BSS, rates back-solved from standalone figures.
+
+    Keyword arguments override ``ScenarioTemplate`` fields (``seeds``,
+    ``master_seed``, ...); the rest keep the template's defaults.
+    """
     mac = MacParams()
-    spec = [
-        ("client1", -46.0, 63.5),
-        ("client2", -45.0, 75.4),
-        ("client3", -37.0, 163.0),
-        ("client4", -36.0, 95.0),
-    ]
-    stations = [Station(id="ap", role="ap", phy_rate_mbps=1000.0)]
-    for sid, rssi, standalone in spec:
+    # standalone saturation figures (Mbit/s); the clients sit at RSSI -46, -45,
+    # -37 and -36 dBm, which the model does not use
+    standalone = {"client1": 63.5, "client2": 75.4, "client3": 163.0, "client4": 95.0}
+    stations = [Station(id="ap", role="ap", phy_rate_mbps=AP_PHY_RATE_MBPS)]
+    for sid, mbps in standalone.items():
         stations.append(
-            Station(
-                id=sid,
-                role="client",
-                phy_rate_mbps=back_solve_phy_rate(standalone, mac),
-                rssi_dbm=rssi,
-            )
+            Station(id=sid, role="client", phy_rate_mbps=back_solve_phy_rate(mbps, mac))
         )
     return ScenarioTemplate(
         stations=tuple(stations),
         dut="client4",
-        video=VideoParams(bitrate_mbps=bitrate_mbps),
-        background=(("client1", 8), ("client2", 8), ("client3", 8)),
+        video=VideoParams(),
+        background=tuple((c, BACKGROUND_STREAMS) for c in ("client1", "client2", "client3")),
         mac=mac,
-        seeds=seeds,
-        master_seed=master_seed,
+        **overrides,
     )

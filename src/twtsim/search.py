@@ -63,9 +63,6 @@ class SearchResult:
     phase2_curve: tuple[MfPoint, ...]
     sessions: tuple[SessionRecord, ...] = field(default=())
 
-    def sessions_for(self, model: str) -> tuple[SessionRecord, ...]:
-        return tuple(s for s in self.sessions if s.model == model)
-
     def to_dict(self) -> dict:
         return {
             "converged": self.converged,

@@ -18,7 +18,7 @@ import numpy as np
 class VideoParams:
     """Parameters of the synthetic video stream (sizes in bytes, times in s)."""
 
-    bitrate_mbps: float
+    bitrate_mbps: float = 15.6
     frame_rate: float = 30.0
     weibull_k: float = 0.8099
     weibull_lambda_bytes: float | None = None

@@ -36,7 +36,9 @@ MASTER_SEED = 1
 
 @pytest.fixture(scope="module")
 def template():
-    return paper_setup(bitrate_mbps=BITRATE, seeds=5, master_seed=MASTER_SEED)
+    tpl = paper_setup(seeds=5, master_seed=MASTER_SEED)
+    assert tpl.bitrate_mbps == BITRATE
+    return tpl
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +183,8 @@ def test_search_pipeline_end_to_end(template, search_result):
         f"{report.underrun_events} underruns"
     )
 
-    cbr = [s for s in res.sessions_for("cbr") if s.duty_percent == res.duty_percent]
-    vbr = res.sessions_for("vbr")
+    cbr = [s for s in res.sessions if s.model == "cbr" and s.duty_percent == res.duty_percent]
+    vbr = [s for s in res.sessions if s.model == "vbr"]
     assert len(cbr) == 5 and len(vbr) == 5
     cbr_mean = sum(s.report.underrun_events for s in cbr) / len(cbr)
     vbr_mean = sum(s.report.underrun_events for s in vbr) / len(vbr)

@@ -77,6 +77,6 @@ def test_layer_trace_books_each_search_run_to_its_phase():
     assert metrics["search.phase2.runs"] == seeds * len(result.phase2_curve)
     phase3 = metrics["search.phase3.runs"]
     assert phase3 > 0 and phase3 % seeds == 0
-    assert phase3 == len(result.sessions_for("cbr"))
+    assert phase3 == sum(s.model == "cbr" for s in result.sessions)
     # the VBR replay runs under run_full_search itself, after phase 3
     assert metrics["search.vbr.runs"] == seeds

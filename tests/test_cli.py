@@ -165,6 +165,22 @@ def test_config_error_exit_code_and_json(tmp_path, capsys):
     assert err["line"] == 3
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [("[transport]\nqueue_limit_segments = 0\n", "queue_limit_segments"),
+     ("[station.c5]\nphy_rate_mbps = -5\n", "phy_rate_mbps"),
+     ("[station.c5]\nrole = ap\n", "role")],
+)
+def test_config_value_error_carries_its_line(extra, key, tmp_path, capsys):
+    text = SHORT + "\n" + extra
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run_cli("--config", bad, "--command", "simulate", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "config"
+    assert err["line"] == text.count("\n", 0, text.rindex(key)) + 1
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     assert run_cli("--config", tmp_path / "nope.cfg", "--command", "qos") == 1
     err = json.loads(capsys.readouterr().out.strip())

@@ -2,7 +2,9 @@ import re
 
 import pytest
 
-from twtsim import ConfigError, paper_setup, parse
+from dataclasses import fields
+
+from twtsim import ConfigError, MacParams, ScenarioTemplate, VideoParams, paper_setup, parse
 from twtsim.cli import default_config_text
 
 MINIMAL = """\
@@ -24,8 +26,6 @@ def test_bundled_config_matches_default_setup():
     cfg = parse(default_config_text())
     tpl = cfg.template
     assert [s.id for s in tpl.stations] == ["ap", "client1", "client2", "client3", "client4"]
-    rssi = [s.rssi_dbm for s in tpl.stations if s.role == "client"]
-    assert rssi == [-46.0, -45.0, -37.0, -36.0]
     assert tpl.dut == "client4"
     assert tpl.background == (("client1", 8), ("client2", 8), ("client3", 8))
     assert tpl.video.bitrate_mbps == 15.6
@@ -59,6 +59,12 @@ def test_minimal_config_fills_defaults():
     assert cfg.template.video.ibt_mean_s == 6.0
     assert cfg.template.mac.txop_limit_us == 5484
     assert cfg.seed == 1
+    # every default comes from the object that owns the key
+    assert cfg.template.mac == MacParams()
+    assert cfg.template.video == VideoParams(bitrate_mbps=10)
+    for f in fields(ScenarioTemplate):
+        if f.name not in ("stations", "dut", "video", "background", "mac"):
+            assert getattr(cfg.template, f.name) == f.default, f.name
 
 
 def test_unknown_key_reports_line_number():
@@ -97,6 +103,15 @@ def test_master_seed_is_not_a_search_key():
     assert "master_seed" in str(exc.value)
 
 
+def test_rssi_is_not_a_station_key():
+    # the engine has no radio model; a config that sets an RSSI is told so
+    text = MINIMAL.replace("dut = true\n", "dut = true\nrssi_dbm = -46\n")
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("rssi_dbm")) + 1
+    assert "rssi_dbm" in str(exc.value)
+
+
 def test_sim_seed_is_the_master_seed():
     cfg = parse(MINIMAL + "\n[sim]\nseed = 42\n")
     assert cfg.seed == cfg.template.master_seed == 42
@@ -105,17 +120,26 @@ def test_sim_seed_is_the_master_seed():
 @pytest.mark.parametrize(
     "bad",
     ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
-     "seeds = 0"],
+     "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
+     "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
+     "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2"],
 )
 def test_value_error_reports_its_line(bad):
+    # ``bad`` replaces the last line that sets its key: for a station key, station c2's
     key = bad.split()[0]
     text = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
+            + "\n[station.c2]\nrole = client\nphy_rate_mbps = 50\n"
             + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
-            + "\n[search]\nseeds = 2\n")
-    text = re.sub(rf"^{key} = .*$", bad, text, flags=re.M)
+            + "\n[background]\nstreams_per_client = 2\n"
+            + "\n[transport]\nremote_rtt_s = 0.03\nqueue_limit_segments = 64\n"
+            + "\n[search]\nseeds = 2\nphase1_duration_s = 5\nsession_duration_s = 12\n"
+            + "max_underruns = 3\nqos_interval_s = 1\n"
+            + "\n[sim]\nduration_s = 12\n")
+    last = list(re.finditer(rf"^{key} = .*$", text, flags=re.M))[-1]
+    text = text[:last.start()] + bad + text[last.end():]
     with pytest.raises(ConfigError) as exc:
         parse(text)
-    assert exc.value.line == text.count("\n", 0, text.index(bad)) + 1
+    assert exc.value.line == text.count("\n", 0, text.rindex(bad)) + 1
     assert key in str(exc.value)
 
 
@@ -179,6 +203,11 @@ def test_background_clients_must_exist():
     text = MINIMAL + "\n[background]\nclients = ghost\n"
     with pytest.raises(ConfigError, match="ghost"):
         parse(text)
+    # a client listed twice would give two background flows the same id
+    text = MINIMAL + "\n[station.c2]\nphy_rate_mbps = 50\n\n[background]\nclients = c2, c2\n"
+    with pytest.raises(ConfigError, match="distinct") as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("clients")) + 1
 
 
 def test_invalid_model_rejected():

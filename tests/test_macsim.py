@@ -17,12 +17,21 @@ from twtsim import (
     generate_vbr_bursts,
     run_sim,
     schedule_from,
-    single_contender_bound_mbps,
     wake_windows,
 )
 from twtsim.macsim import _DATA, _Engine, aggregate_ns, mpdu_airtime_ns
 
 MAC = MacParams()
+
+
+def single_contender_bound_mbps(phy_rate_mbps: float, mac: MacParams) -> float:
+    """Closed-form saturation throughput of a lone contender (upper bound)."""
+    t_mpdu_us = mac.mpdu_payload_bytes * 8 / phy_rate_mbps
+    n = min(mac.max_ampdu_mpdus,
+            int((mac.txop_limit_us - mac.per_frame_overhead_us) // t_mpdu_us))
+    payload_us = n * t_mpdu_us
+    mean_backoff_us = mac.cw_min / 2 * mac.slot_us
+    return phy_rate_mbps * payload_us / (payload_us + mac.per_frame_overhead_us + mean_backoff_us)
 
 
 def two_station_scenario(**kw) -> Scenario:

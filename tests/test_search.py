@@ -106,8 +106,8 @@ def test_full_search_converges_and_reports_everything():
     from twtsim import duty_cycle
 
     assert abs(duty_cycle(res.schedule) - res.duty_percent) <= 0.5
-    cbr = res.sessions_for("cbr")
-    vbr = res.sessions_for("vbr")
+    cbr = [s for s in res.sessions if s.model == "cbr"]
+    vbr = [s for s in res.sessions if s.model == "vbr"]
     assert len(vbr) == 2
     assert all(s.duty_percent == res.duty_percent for s in vbr)
     final_cbr = [s for s in cbr if s.duty_percent == res.duty_percent]
