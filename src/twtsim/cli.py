@@ -25,8 +25,6 @@ from .qos import compute_qos, qos_pass
 from .search import (InfeasibleTargetError, phase1_min_duty, phase2_select_mf,
                      run_full_search, session_report)
 
-COMMANDS = ("simulate", "qos", "search", "sweep-duty", "sweep-mf", "table3", "table4", "table5")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NO_CONVERGENCE = 2
@@ -84,7 +82,7 @@ def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
-    scenario = cfg.scenario()
+    scenario = replace(cfg.scenario(), record_cwnd=True)  # cwnd.csv needs the series
     trace = run_sim(scenario)
     _write_csv(
         out / "deliveries.csv",
@@ -290,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         help=f"output directory (default: ./out, or ${OUT_DIR_ENV} when set)",
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=_HANDLERS)
     args = parser.parse_args(argv)
 
     try:

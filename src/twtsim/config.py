@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .macsim import MacParams, Scenario, Station, back_solve_phy_rate
+from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
 from .scenarios import AP_PHY_RATE_MBPS, BACKGROUND_STREAMS, ScenarioTemplate
 from .traffic import VideoParams
 
@@ -195,12 +195,12 @@ class ParsedConfig:
             self.seed,
             loaded=self.loaded,
             duration_s=self.duration_s,
-            record_cwnd=True,
         )
 
 
 def _stations(sections: dict[str, dict[str, _Entry]], mac: MacParams) -> tuple[list[Station], str]:
     """The [station.<id>] sections as stations, and the id of the DUT."""
+    mac_sec = sections.get("mac", {})
     stations: list[Station] = []
     dut: str | None = None
     for name, sec in sections.items():
@@ -243,6 +243,8 @@ def _stations(sections: dict[str, dict[str, _Entry]], mac: MacParams) -> tuple[l
                 raise ConfigError(f"more than one DUT ({dut!r} and {sid!r})", sec["dut"].line)
             dut = sid
         stations.append(_checked(sec, Station, id=sid, role=role, phy_rate_mbps=rate))
+        if role == "client":
+            _checked({**mac_sec, **sec}, check_mpdu_fits, mac, sid, rate)
     if not any(s.role == "ap" for s in stations):
         raise ConfigError("no station with role = ap")
     if all(s.role == "ap" for s in stations):

@@ -11,8 +11,10 @@ transmission is an A-MPDU bounded by the aggregation cap, the TXOP limit and
 -- for a TWT station -- the remainder of the current wake window; nothing
 addressed to or sent by a TWT station may cross a wake-window boundary.
 
-Time is tracked in integer nanoseconds; all randomness comes from streams
-derived from the scenario seed, so a scenario replays byte-identically.
+Each event on the heap carries the handler it fires, as ``(t, seq, handler,
+args)``; ``seq`` breaks time ties in push order.  Time is tracked in integer
+nanoseconds; all randomness comes from streams derived from the scenario
+seed, so a scenario replays byte-identically.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ from .transport import Flow, offer_load, on_ack, on_idle_restart, on_loss
 
 NS_PER_US = 1000
 TCP_ACK_BYTES = 64
-
-# event kinds (heap dispatch codes)
-_TX_START, _TX_END, _ARRIVE, _SERVER_ACK, _BURST, _WAKE = range(6)
-# transmission kinds
-_DATA, _ACK, _COLLISION = range(3)
 
 COLLISION_ID = "!collision"
 
@@ -114,6 +111,9 @@ class Scenario:
             raise ValueError("at most one station may carry a TWT schedule")
         if twt_holders and twt_holders[0].role != "client":
             raise ValueError("the TWT schedule must sit on a client")
+        for s in self.stations:
+            if s.role == "client":
+                check_mpdu_fits(self.mac, s.id, s.phy_rate_mbps)
         by_id = {s.id: s for s in self.stations}
         flow_ids = [f.id for f in self.flows]
         if len(set(flow_ids)) != len(flow_ids):
@@ -185,6 +185,22 @@ def backoff_draw(mac: MacParams, stage: int, rng: random.Random) -> int:
 def mpdu_airtime_ns(mac: MacParams, phy_rate_mbps: float) -> int:
     """Airtime of one full MPDU in ns (ceil)."""
     return math.ceil(mac.mpdu_payload_bytes * 8 * NS_PER_US / phy_rate_mbps)
+
+
+def check_mpdu_fits(mac: MacParams, sid: str, phy_rate_mbps: float) -> None:
+    """Raise ValueError unless one MPDU to client ``sid`` fits the TXOP limit.
+
+    The message starts with the key to change: the rate when one MPDU would not
+    fit even the default limit, else ``txop_limit_us``.
+    """
+    need_ns = mpdu_airtime_ns(mac, phy_rate_mbps) + mac.per_frame_overhead_us * NS_PER_US
+    if need_ns <= mac.txop_limit_us * NS_PER_US:
+        return
+    need = f"one MPDU to station {sid!r} at {phy_rate_mbps} Mbps needs {need_ns / NS_PER_US:g} us"
+    if need_ns > MacParams.txop_limit_us * NS_PER_US:
+        raise ValueError(f"phy_rate_mbps {phy_rate_mbps} is too low: {need}, "
+                         f"more than the {mac.txop_limit_us} us TXOP limit")
+    raise ValueError(f"txop_limit_us {mac.txop_limit_us} is too short: {need}")
 
 
 _CALIBRATION_SEED = 0xCA11B
@@ -303,12 +319,6 @@ class _Engine:
 
         self.t_mpdu = {s.id: mpdu_airtime_ns(sc.mac, s.phy_rate_mbps) for s in self.clients}
         self.phy_rate = {s.id: s.phy_rate_mbps for s in self.clients}
-        for s in self.clients:
-            if self.t_mpdu[s.id] > self.txop - self.overhead:
-                raise ValueError(
-                    f"station {s.id!r}: one MPDU at {s.phy_rate_mbps} Mbps "
-                    f"does not fit the TXOP limit"
-                )
 
         ss = np.random.SeedSequence(sc.seed)
         children = ss.spawn(1 + len(self.clients))
@@ -323,9 +333,8 @@ class _Engine:
             f.id: _FlowState(f) for f in sc.flows
         }
         # per destination: FIFO of runs [fid, segments, bytes per segment],
-        # with the queued bytes and segments kept beside it
+        # with the queued segments counted beside it
         self.queues: dict[str, deque] = {s.id: deque() for s in self.clients}
-        self.qbytes: dict[str, int] = {s.id: 0 for s in self.clients}
         self.qsegs: dict[str, int] = {s.id: 0 for s in self.clients}
         # ACK records of the stations that have some to return, nothing else
         self.acks: dict[str, list] = {}
@@ -337,8 +346,7 @@ class _Engine:
         self.heap: list = []
         self.seq = 0
         self.busy_until = 0
-        self.tx_scheduled = False
-        self.race: tuple | None = None  # (contender list, min_bo)
+        self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
 
         # burst bookkeeping
         self.burst_offsets: list[int] = []
@@ -361,8 +369,8 @@ class _Engine:
             self.trace.delivered_bytes[f.id] = 0
 
     # -- heap helpers ---------------------------------------------------
-    def _push(self, t: int, kind: int, payload=None) -> None:
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
+    def _push(self, t: int, handler, *args) -> None:
+        heapq.heappush(self.heap, (t, self.seq, handler, args))
         self.seq += 1
 
     # -- transport ------------------------------------------------------
@@ -385,7 +393,7 @@ class _Engine:
         fs.sent += offer
         fs.in_flight += offer
         fs.last_send_ns = t
-        self._push(t + fs.half_rtt_ns, _ARRIVE, (fid, offer))
+        self._push(t + fs.half_rtt_ns, self._on_arrive, fid, offer)
 
     def _on_arrive(self, t: int, fid: str, nbytes: int) -> None:
         """Queue the full segments, then the tail, up to the flow's limit; drop the rest."""
@@ -403,7 +411,6 @@ class _Engine:
                 q.append([fid, took, seg])
             if took_tail:
                 q.append([fid, 1, tail])
-            self.qbytes[dst] += took * seg + took_tail * tail
             self.qsegs[dst] += accepted
             fs.queued_segments += accepted
         dropped = full + (1 if tail else 0) - accepted
@@ -444,8 +451,7 @@ class _Engine:
             if dst == self.gated:
                 rem = self.gate.remaining(t)
                 if rem > self.difs and aggregate_ns(
-                        self.qbytes[dst], self.t_mpdu[dst],
-                        min(self.txop, rem - self.difs), self.overhead,
+                        self.t_mpdu[dst], min(self.txop, rem - self.difs), self.overhead,
                         self.mac.max_ampdu_mpdus, nseg) >= 1:
                     return True
             else:
@@ -453,12 +459,13 @@ class _Engine:
         return False
 
     def _select_ap_tx(self, t: int):
-        """Pick (dest, n_mpdus, duration, from_rr) or None; DUT first inside windows."""
+        """Pick (dest, n_mpdus, duration, from_rr) or None; DUT first inside windows.
+
+        Returns a selection whenever ``_ap_pending(t)`` holds."""
         g = self.gated
         if g is not None and self.qsegs[g]:
-            n = aggregate_ns(self.qbytes[g], self.t_mpdu[g],
-                             min(self.txop, self.gate.remaining(t)), self.overhead,
-                             self.mac.max_ampdu_mpdus, self.qsegs[g])
+            n = aggregate_ns(self.t_mpdu[g], min(self.txop, self.gate.remaining(t)),
+                             self.overhead, self.mac.max_ampdu_mpdus, self.qsegs[g])
             if n >= 1:
                 return (g, n, self.overhead + n * self.t_mpdu[g], False)
         k = len(self.rr)
@@ -469,8 +476,8 @@ class _Engine:
             nseg = self.qsegs[dst]
             if not nseg:
                 continue
-            n = aggregate_ns(self.qbytes[dst], self.t_mpdu[dst], self.txop,
-                             self.overhead, self.mac.max_ampdu_mpdus, nseg)
+            n = aggregate_ns(self.t_mpdu[dst], self.txop, self.overhead,
+                             self.mac.max_ampdu_mpdus, nseg)
             if n >= 1:
                 dur = self.overhead + n * self.t_mpdu[dst]
                 return (dst, n, dur, True)
@@ -478,7 +485,7 @@ class _Engine:
 
     def _kick(self, t: int) -> None:
         """Resolve the next contention cycle if the channel is idle."""
-        if self.tx_scheduled or t < self.busy_until:
+        if self.race is not None or t < self.busy_until:
             return
         racers = []
         if self._ap_pending(t):
@@ -494,17 +501,9 @@ class _Engine:
         min_bo = min(c.bo for c in racers)
         start = t + self.difs + min_bo * self.slot
         self.race = (racers, min_bo)
-        self.tx_scheduled = True
-        self._push(start, _TX_START, None)
-
-    def _tentative_duration(self, t: int, cont: _Contender) -> int:
-        if cont.is_ap:
-            sel = self._select_ap_tx(t)
-            return sel[2] if sel else 0
-        return self._ack_duration(cont.sid)
+        self._push(start, self._on_tx_start)
 
     def _on_tx_start(self, t: int) -> None:
-        self.tx_scheduled = False
         racers, min_bo = self.race
         self.race = None
         for c in racers:
@@ -521,90 +520,80 @@ class _Engine:
             self._kick(t)
             return
         if len(winners) > 1:
+            # every winner is pending, so each duration is at least the overhead
             dur = 0
             for w in winners:
-                dur = max(dur, self._tentative_duration(t, w))
+                dur = max(dur, self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w.sid))
                 w.stage = min(w.stage + 1, self.mac.max_stage)
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
-            if dur == 0:  # defensive: all winners stale simultaneously
-                self._kick(t)
-                return
             end = t + dur
             self.busy_until = end
             self.trace.collisions += 1
             self.trace.airtime.append((t / 1e9, end / 1e9, COLLISION_ID))
-            self._push(end, _TX_END, (_COLLISION, None))
+            self._push(end, self._kick)
             return
         w = winners[0]
         if w.is_ap:
-            sel = self._select_ap_tx(t)
-            if sel is None:
-                w.bo = None
-                self._kick(t)
-                return
-            dst, n, dur, from_rr = sel
-            if dst == self.gated and dur > self.gate.remaining(t):
-                raise RuntimeError("gated transmission would cross window end")
-            end = t + dur
-            payload = (_DATA, (dst, n, from_rr))
+            dst, n, dur, from_rr = self._select_ap_tx(t)
+            event = (self._on_ampdu_end, dst, n, from_rr)
         else:
-            dur = self._ack_duration(w.sid)
-            if w.sid == self.gated and dur > self.gate.remaining(t):
-                w.bo = None
-                self._kick(t)
-                return
-            end = t + dur
-            payload = (_ACK, w.sid)
+            dst = w.sid
+            dur = self._ack_duration(dst)
+            event = (self._on_ack_end, dst)
+        if dst == self.gated and dur > self.gate.remaining(t):
+            raise RuntimeError("gated transmission would cross window end")
         w.bo = None
         w.stage = 0
+        end = t + dur
         self.busy_until = end
         self.trace.airtime.append((t / 1e9, end / 1e9, w.sid))
-        self._push(end, _TX_END, payload)
+        self._push(end, *event)
 
-    def _on_tx_end(self, t: int, kind: int, info) -> None:
-        if kind == _DATA:
-            dst, n, from_rr = info
-            left = self.qsegs[dst] - n
-            if n < 1 or left < 0:
-                raise RuntimeError(f"A-MPDU of {n} MPDUs to station {dst!r} "
-                                   f"exceeds its {self.qsegs[dst]} queued segments")
-            self.qsegs[dst] = left
-            q = self.queues[dst]
-            per_flow: dict[str, list] = {}  # fid -> [segments, bytes], first-dequeued first
-            total = 0
-            while n:
-                run = q[0]
-                fid, count, size = run
-                if count <= n:
-                    q.popleft()
-                else:
-                    run[1] = count - n
-                    count = n
-                n -= count
-                nbytes = count * size
-                total += nbytes
-                acc = per_flow.get(fid)
-                if acc is None:
-                    per_flow[fid] = [count, nbytes]
-                else:
-                    acc[0] += count
-                    acc[1] += nbytes
-            self.qbytes[dst] -= total
-            ts = t / 1e9
-            records = self.acks.setdefault(dst, [])
-            for fid, (segs, nbytes) in per_flow.items():
-                fs = self.flows[fid]
-                fs.queued_segments -= segs
-                self.trace.delivered_bytes[fid] += nbytes
-                self.trace.deliveries.append((ts, dst, fid, nbytes))
-                records.append((fid, segs, nbytes))
-                if fid == self.dut_flow:
-                    self._advance_bursts(t, self.trace.delivered_bytes[fid])
-            if from_rr:
-                self.rr_ptr = self.rr_next[dst]
-        elif kind == _ACK:
-            for fid, segs, nbytes in self.acks.pop(info):
-                self._push(t + self.flows[fid].half_rtt_ns, _SERVER_ACK, (fid, segs, nbytes))
+    def _on_ampdu_end(self, t: int, dst: str, n: int, from_rr: bool) -> None:
+        left = self.qsegs[dst] - n
+        if n < 1 or left < 0:
+            raise RuntimeError(f"A-MPDU of {n} MPDUs to station {dst!r} "
+                               f"exceeds its {self.qsegs[dst]} queued segments")
+        self.qsegs[dst] = left
+        q = self.queues[dst]
+        per_flow: dict[str, list] = {}  # fid -> [segments, bytes], first-dequeued first
+        while n:
+            run = q[0]
+            fid, count, size = run
+            if count <= n:
+                q.popleft()
+            else:
+                run[1] = count - n
+                count = n
+            n -= count
+            nbytes = count * size
+            acc = per_flow.get(fid)
+            if acc is None:
+                per_flow[fid] = [count, nbytes]
+            else:
+                acc[0] += count
+                acc[1] += nbytes
+        ts = t / 1e9
+        records = self.acks.setdefault(dst, [])
+        for fid, (segs, nbytes) in per_flow.items():
+            fs = self.flows[fid]
+            fs.queued_segments -= segs
+            self.trace.delivered_bytes[fid] += nbytes
+            self.trace.deliveries.append((ts, dst, fid, nbytes))
+            records.append((fid, segs, nbytes))
+            if fid == self.dut_flow:
+                self._advance_bursts(t, self.trace.delivered_bytes[fid])
+        if from_rr:
+            self.rr_ptr = self.rr_next[dst]
+        self._kick(t)
+
+    def _on_ack_end(self, t: int, sid: str) -> None:
+        for fid, segs, nbytes in self.acks.pop(sid):
+            self._push(t + self.flows[fid].half_rtt_ns, self._on_server_ack, fid, segs, nbytes)
+        self._kick(t)
+
+    def _on_wake(self, t: int) -> None:
+        self._push(t + self.gate.period, self._on_wake)
         self._kick(t)
 
     def _advance_bursts(self, t: int, delivered_cum: int) -> None:
@@ -628,9 +617,9 @@ class _Engine:
                 self.burst_offsets.append(off)
                 self.burst_sizes.append(b.size_bytes)
                 off += b.size_bytes
-                self._push(round(b.release_time_s * 1e9), _BURST, b.index)
+                self._push(round(b.release_time_s * 1e9), self._on_burst, b.index)
         if self.gate is not None:
-            self._push(self.gate.offset, _WAKE, None)
+            self._push(self.gate.offset, self._on_wake)
         for f in sc.flows:
             if f.kind == "saturated":
                 self._try_send(0, f.id)
@@ -638,31 +627,24 @@ class _Engine:
 
         heap = self.heap
         horizon = self.horizon
-        while heap:
-            t, _, kind, payload = heapq.heappop(heap)
-            if t >= horizon:
-                break
-            if kind == _TX_START:
-                self._on_tx_start(t)
-            elif kind == _TX_END:
-                self._on_tx_end(t, payload[0], payload[1])
-            elif kind == _ARRIVE:
-                self._on_arrive(t, payload[0], payload[1])
-            elif kind == _SERVER_ACK:
-                self._on_server_ack(t, payload[0], payload[1], payload[2])
-            elif kind == _BURST:
-                self._on_burst(t, payload)
-            else:  # _WAKE
-                self._push(t + self.gate.period, _WAKE, None)
-                self._kick(t)
+        try:
+            while heap:
+                t, _, handler, args = heapq.heappop(heap)
+                if t >= horizon:
+                    break
+                handler(t, *args)
+        finally:
+            # the pending events hold bound methods of this engine: drop them
+            # so a finished engine is freed without the cyclic collector
+            heap.clear()
         return self.trace
 
 
-def aggregate_ns(queue_bytes: int, t_mpdu_ns: int, budget_ns: int,
-                 overhead_ns: int, max_ampdu: int, queued_segments: int) -> int:
+def aggregate_ns(t_mpdu_ns: int, budget_ns: int, overhead_ns: int, max_ampdu: int,
+                 queued_segments: int) -> int:
     """MPDUs in the next A-MPDU: as many as fit the budget after the per-exchange
     overhead, capped by the A-MPDU limit and the queued segments; 0 if none fits."""
-    if queue_bytes <= 0 or queued_segments <= 0:
+    if queued_segments <= 0:
         return 0
     avail = budget_ns - overhead_ns
     if avail < t_mpdu_ns:

@@ -35,9 +35,9 @@ class ScenarioTemplate:
     video: VideoParams
     background: tuple[tuple[str, int], ...]  # (client id, parallel streams)
     mac: MacParams = MacParams()
-    remote_rtt_s: float = 0.030
+    remote_rtt_s: float = Flow.base_rtt_s
     local_rtt_s: float = 0.002
-    queue_limit_segments: int = 256
+    queue_limit_segments: int = Flow.queue_limit_segments
     seeds: int = 5
     master_seed: int = 1
     phase1_duration_s: float = 30.0
@@ -115,7 +115,6 @@ class ScenarioTemplate:
         seed: int,
         loaded: bool = True,
         duration_s: float | None = None,
-        record_cwnd: bool = False,
     ) -> Scenario:
         """A streaming session; duty None disables TWT (always-awake baseline)."""
         if model not in ("cbr", "vbr"):
@@ -135,7 +134,7 @@ class ScenarioTemplate:
             duration_s=duration,
             seed=seed,
             mac=self.mac,
-            record_cwnd=record_cwnd,
+            record_cwnd=False,
         )
 
     def background_only_scenario(self, seed: int) -> Scenario:

@@ -12,7 +12,7 @@ widens the duty in 5-point steps until every session passes QoS.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .macsim import run_sim
 from .qos import QosReport, compute_qos, qos_pass
@@ -70,23 +70,8 @@ class SearchResult:
             "mf": self.mf,
             "schedule": self.schedule.to_dict() if self.schedule else None,
             "phase1_duty_percent": self.phase1_duty_percent,
-            "phase1_curve": [
-                {
-                    "duty_percent": p.duty_percent,
-                    "mean_throughput_mbps": p.mean_throughput_mbps,
-                    "std_throughput_mbps": p.std_throughput_mbps,
-                }
-                for p in self.phase1_curve
-            ],
-            "phase2_curve": [
-                {
-                    "mf": p.mf,
-                    "mean_underrun_time_s": p.mean_underrun_time_s,
-                    "mean_underrun_events": p.mean_underrun_events,
-                    "mean_cv": p.mean_cv,
-                }
-                for p in self.phase2_curve
-            ],
+            "phase1_curve": [asdict(p) for p in self.phase1_curve],
+            "phase2_curve": [asdict(p) for p in self.phase2_curve],
             "sessions": [
                 {
                     "model": s.model,

@@ -169,7 +169,10 @@ def test_config_error_exit_code_and_json(tmp_path, capsys):
     "extra, key",
     [("[transport]\nqueue_limit_segments = 0\n", "queue_limit_segments"),
      ("[station.c5]\nphy_rate_mbps = -5\n", "phy_rate_mbps"),
-     ("[station.c5]\nrole = ap\n", "role")],
+     ("[station.c5]\nrole = ap\n", "role"),
+     # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short for c4
+     ("[station.c5]\nphy_rate_mbps = 2\n", "phy_rate_mbps"),
+     ("[mac]\ntxop_limit_us = 200\n", "txop_limit_us")],
 )
 def test_config_value_error_carries_its_line(extra, key, tmp_path, capsys):
     text = SHORT + "\n" + extra

@@ -122,13 +122,16 @@ def test_sim_seed_is_the_master_seed():
     ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
      "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
      "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
-     "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2"],
+     "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2",
+     # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
+     "phy_rate_mbps = 2", "txop_limit_us = 200"],
 )
 def test_value_error_reports_its_line(bad):
     # ``bad`` replaces the last line that sets its key: for a station key, station c2's
     key = bad.split()[0]
     text = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
             + "\n[station.c2]\nrole = client\nphy_rate_mbps = 50\n"
+            + "\n[mac]\ntxop_limit_us = 5484\n"
             + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
             + "\n[background]\nstreams_per_client = 2\n"
             + "\n[transport]\nremote_rtt_s = 0.03\nqueue_limit_segments = 64\n"

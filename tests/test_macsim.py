@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from twtsim import (
     schedule_from,
     wake_windows,
 )
-from twtsim.macsim import _DATA, _Engine, aggregate_ns, mpdu_airtime_ns
+from twtsim.macsim import _Engine, aggregate_ns, mpdu_airtime_ns
 
 MAC = MacParams()
 
@@ -84,7 +86,7 @@ def test_cw_values_must_be_powers_of_two_minus_one():
 
 # -------------------------------------------------------------- aggregate ---
 
-# aggregate_ns(queue_bytes, t_mpdu_ns, budget_ns, overhead_ns, max_ampdu, queued_segments)
+# aggregate_ns(t_mpdu_ns, budget_ns, overhead_ns, max_ampdu, queued_segments)
 TXOP_NS = MAC.txop_limit_us * 1000
 OVERHEAD_NS = MAC.per_frame_overhead_us * 1000
 
@@ -92,28 +94,28 @@ OVERHEAD_NS = MAC.per_frame_overhead_us * 1000
 def test_aggregate_caps_by_txop_budget():
     # 100 Mbit/s -> 120 us per 1500-byte MPDU; (5484 - 100) / 120 = 44.8
     t_mpdu = mpdu_airtime_ns(MAC, 100.0)
-    assert aggregate_ns(10**9, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 10**6) == 44
+    assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 10**6) == 44
 
 
 def test_aggregate_caps_by_ampdu_limit():
     t_mpdu = mpdu_airtime_ns(MAC, 100.0)
-    assert aggregate_ns(10**9, t_mpdu, 100_000_000, OVERHEAD_NS, 64, 10**6) == 64
+    assert aggregate_ns(t_mpdu, 100_000_000, OVERHEAD_NS, 64, 10**6) == 64
 
 
 def test_aggregate_caps_by_window_remaining():
     # 95 Mbit/s -> 126.31 us per MPDU; (8191 - 100) // 126.31 = 64
     t_mpdu = mpdu_airtime_ns(MAC, 95.0)
-    assert aggregate_ns(10**9, t_mpdu, 8_191_000, OVERHEAD_NS, 64, 10**6) == 64
-    assert aggregate_ns(10**9, t_mpdu, 300_000, OVERHEAD_NS, 64, 10**6) == 1
-    assert aggregate_ns(10**9, t_mpdu, 220_000, OVERHEAD_NS, 64, 10**6) == 0
+    assert aggregate_ns(t_mpdu, 8_191_000, OVERHEAD_NS, 64, 10**6) == 64
+    assert aggregate_ns(t_mpdu, 300_000, OVERHEAD_NS, 64, 10**6) == 1
+    assert aggregate_ns(t_mpdu, 220_000, OVERHEAD_NS, 64, 10**6) == 0
 
 
 def test_aggregate_caps_by_queue():
     # the engine queues full segments plus a tail: 1501 bytes are 2 MPDUs
     t_mpdu = mpdu_airtime_ns(MAC, 100.0)
-    assert aggregate_ns(1500, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 1) == 1
-    assert aggregate_ns(1501, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 2) == 2
-    assert aggregate_ns(0, t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 0) == 0
+    assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 1) == 1
+    assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 2) == 2
+    assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 0) == 0
 
 
 # ----------------------------------------------------------- steady state ---
@@ -290,14 +292,14 @@ def test_full_duty_equals_twt_disabled():
 def test_ampdu_beyond_the_queue_raises_naming_the_station():
     engine = _Engine(two_station_scenario())
     with pytest.raises(RuntimeError, match="'sta'"):
-        engine._on_tx_end(0, _DATA, ("sta", 1, True))  # nothing queued
+        engine._on_ampdu_end(0, "sta", 1, True)  # nothing queued
     engine._on_arrive(0, "f1", 4 * 1500 + 700)  # four segments and a tail
-    assert engine.qsegs["sta"] == 5 and engine.qbytes["sta"] == 6700
+    assert engine.qsegs["sta"] == 5
     with pytest.raises(RuntimeError, match="'sta'.* 5 queued"):
-        engine._on_tx_end(0, _DATA, ("sta", 6, True))
+        engine._on_ampdu_end(0, "sta", 6, True)
     assert engine.qsegs["sta"] == 5  # the failed dequeue took nothing
-    engine._on_tx_end(0, _DATA, ("sta", 5, True))
-    assert engine.qsegs["sta"] == engine.qbytes["sta"] == 0
+    engine._on_ampdu_end(0, "sta", 5, True)
+    assert engine.qsegs["sta"] == 0
     assert engine.trace.deliveries == [(0.0, "sta", "f1", 6700)]
 
 
@@ -333,15 +335,20 @@ def test_scenario_rejects_flow_to_unknown_station():
 
 
 def test_mpdu_must_fit_txop():
-    with pytest.raises(ValueError):
-        run_sim(
-            two_station_scenario(
-                stations=(
-                    Station(id="ap", role="ap", phy_rate_mbps=1000.0),
-                    Station(id="sta", role="client", phy_rate_mbps=2.0),
-                )
-            )
+    slow = two_station_scenario(
+        stations=(
+            Station(id="ap", role="ap", phy_rate_mbps=1000.0),
+            Station(id="sta", role="client", phy_rate_mbps=2.0),
         )
+    )
+    with pytest.raises(ValueError, match="^phy_rate_mbps .*'sta'"):
+        slow.validate()
+    with pytest.raises(ValueError, match="^phy_rate_mbps"):
+        run_sim(slow)
+    # 100 Mbit/s fits the default limit, so a short one is what to change
+    short = two_station_scenario(mac=MacParams(txop_limit_us=200))
+    with pytest.raises(ValueError, match="^txop_limit_us 200 .*'sta'"):
+        short.validate()
 
 
 # ---------------------------------------------------------- pinned output ---
@@ -409,3 +416,17 @@ def test_engine_trace_digest_is_pinned():
         blob = repr((tr.deliveries, tr.airtime, tr.dut_burst_serve, tr.cwnd_series,
                      tr.delivered_bytes, tr.drops, tr.collisions))
         assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DIGESTS[name], name
+
+
+def test_finished_engine_is_freed_without_the_cyclic_collector():
+    # pending events hold bound methods of the engine; run() must drop them
+    gc.disable()
+    try:
+        for name, sc in _pinned_scenarios().items():
+            engine = _Engine(sc)
+            ref = weakref.ref(engine)
+            engine.run()
+            del engine
+            assert ref() is None, name
+    finally:
+        gc.enable()
