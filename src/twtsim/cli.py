@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import ConfigError, ParsedConfig, parse
 from .macsim import run_sim
-from .qos import compute_qos, qos_pass
+from .qos import burst_service, compute_qos, qos_pass
 from .search import (InfeasibleTargetError, phase1_min_duty, phase2_select_mf,
                      run_full_search, session_report)
 
@@ -97,7 +97,7 @@ def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
     _write_csv(
         out / "burst_serve.csv",
         ["burst_index", "serve_start_s", "serve_end_s"],
-        [(i, a, b) for (i, a, b) in trace.dut_burst_serve],
+        burst_service(trace, scenario.bursts),
     )
     _write_csv(
         out / "cwnd.csv",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
-from .scenarios import AP_PHY_RATE_MBPS, BACKGROUND_STREAMS, ScenarioTemplate
+from .scenarios import BACKGROUND_STREAMS, ScenarioTemplate
 from .traffic import VideoParams
 
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
@@ -221,16 +221,14 @@ def _stations(sections: dict[str, dict[str, _Entry]], mac: MacParams) -> tuple[l
             )
         if role == "ap":
             if standalone is not None:
-                raise ConfigError(
-                    "standalone_mbps applies to clients; give the AP phy_rate_mbps",
-                    sec["standalone_mbps"].line,
-                )
+                raise ConfigError("standalone_mbps applies to clients; the AP takes no rate",
+                                  sec["standalone_mbps"].line)
             if any(s.role == "ap" for s in stations):
                 raise ConfigError(f"more than one station with role = ap ({sid!r})",
                                   sec["role"].line)
-            rate = AP_PHY_RATE_MBPS if phy is None else phy
+            rate = phy  # None, or rejected by Station at its line
         elif standalone is not None:
-            rate = _checked(sec, back_solve_phy_rate, standalone, mac)
+            rate = _checked({**mac_sec, **sec}, back_solve_phy_rate, standalone, mac, sid)
         elif phy is not None:
             rate = phy
         else:

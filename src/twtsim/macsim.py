@@ -10,6 +10,9 @@ smallest counter transmits, ties collide and escalate their stage.  A
 transmission is an A-MPDU bounded by the aggregation cap, the TXOP limit and
 -- for a TWT station -- the remainder of the current wake window; nothing
 addressed to or sent by a TWT station may cross a wake-window boundary.
+The engine only moves bytes and gates the TWT station: when each video burst
+was served is worked out afterwards from the deliveries
+(``qos.burst_service``).
 
 Each event on the heap carries the handler it fires, as ``(t, seq, handler,
 args)``; ``seq`` breaks time ties in push order.  Time is tracked in integer
@@ -71,23 +74,31 @@ class MacParams:
 
 @dataclass(frozen=True)
 class Station:
-    """One node of the BSS; the DUT is the station carrying a TWT schedule."""
+    """One node of the BSS; the DUT is the station carrying a TWT schedule.
+
+    A client's PHY rate sets its MPDU and ACK airtime; the AP takes none, as
+    nothing the engine times depends on it."""
 
     id: str
     role: str  # "ap" | "client"
-    phy_rate_mbps: float
+    phy_rate_mbps: float | None = None
     twt: TwtSchedule | None = None
 
     def __post_init__(self) -> None:
         if self.role not in ("ap", "client"):
             raise ValueError(f"station role must be 'ap' or 'client', got {self.role!r}")
-        if self.phy_rate_mbps <= 0:
+        if self.role == "ap":
+            if self.phy_rate_mbps is not None:
+                raise ValueError("phy_rate_mbps applies to clients; the AP takes no rate")
+        elif self.phy_rate_mbps is None or self.phy_rate_mbps <= 0:
             raise ValueError(f"phy_rate_mbps must be > 0, got {self.phy_rate_mbps}")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete simulation input: stations, flows, DUT traffic, duration, seed."""
+    """A complete simulation input: stations, flows, DUT traffic, duration, seed.
+
+    It checks itself when it is built."""
 
     stations: tuple[Station, ...]
     flows: tuple[Flow, ...]
@@ -95,9 +106,9 @@ class Scenario:
     duration_s: float = 120.0
     seed: int = 1
     mac: MacParams = MacParams()
-    record_cwnd: bool = True
+    record_cwnd: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
         aps = [s for s in self.stations if s.role == "ap"]
@@ -143,16 +154,6 @@ class Scenario:
                 return f.id
         return None
 
-    @property
-    def dut_station_id(self) -> str | None:
-        for s in self.stations:
-            if s.twt is not None:
-                return s.id
-        f = self.dut_flow_id
-        if f is not None:
-            return next(fl.dst for fl in self.flows if fl.id == f)
-        return None
-
 
 @dataclass
 class SimTrace:
@@ -160,11 +161,9 @@ class SimTrace:
 
     duration_s: float
     dut_flow_id: str | None
-    dut_station_id: str | None
     wake_windows_s: list[tuple[float, float]] | None
     deliveries: list[tuple[float, str, str, int]] = field(default_factory=list)
     airtime: list[tuple[float, float, str]] = field(default_factory=list)
-    dut_burst_serve: list[tuple[int, float, float]] = field(default_factory=list)
     cwnd_series: list[tuple[float, str, float]] = field(default_factory=list)
     delivered_bytes: dict[str, int] = field(default_factory=dict)
     drops: dict[str, int] = field(default_factory=dict)
@@ -207,40 +206,40 @@ _CALIBRATION_SEED = 0xCA11B
 _CALIBRATION_DURATION_S = 4.0
 
 
-def _calibration_throughput_mbps(phy_rate_mbps: float, mac: MacParams) -> float:
-    """Simulated saturation throughput of a lone client at a given PHY rate."""
+def _calibration_throughput_mbps(phy_rate_mbps: float, mac: MacParams, sid: str) -> float:
+    """Simulated saturation throughput of a lone client ``sid`` at a given PHY rate."""
     scenario = Scenario(
         stations=(
-            Station(id="ap", role="ap", phy_rate_mbps=max(1000.0, 4 * phy_rate_mbps)),
-            Station(id="sta", role="client", phy_rate_mbps=phy_rate_mbps),
+            Station(id="ap", role="ap"),
+            Station(id=sid, role="client", phy_rate_mbps=phy_rate_mbps),
         ),
-        flows=(Flow(id="cal", dst="sta", kind="saturated", base_rtt_s=0.002),),
+        flows=(Flow(id="cal", dst=sid, kind="saturated", base_rtt_s=0.002),),
         duration_s=_CALIBRATION_DURATION_S,
         seed=_CALIBRATION_SEED,
         mac=mac,
-        record_cwnd=False,
     )
     return run_sim(scenario).flow_throughput_mbps("cal")
 
 
-def back_solve_phy_rate(standalone_mbps: float, mac: MacParams) -> float:
+def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, sid: str) -> float:
     """PHY rate whose simulated single-client saturation matches a measured figure.
 
     Bisects on short fixed-seed calibration runs, so the returned rate is
     consistent with the engine's own contention/aggregation behaviour rather
-    than an analytic approximation of it.
+    than an analytic approximation of it.  ``sid`` names the calibration
+    client in errors; it does not change the result.
     """
     if standalone_mbps <= 0:
         raise ValueError("standalone_mbps must be > 0")
     lo, hi = standalone_mbps, standalone_mbps * 4
-    if _calibration_throughput_mbps(hi, mac) < standalone_mbps:
+    if _calibration_throughput_mbps(hi, mac, sid) < standalone_mbps:
         raise ValueError(
-            f"standalone figure {standalone_mbps} Mbit/s is not reachable "
-            "under the configured MAC parameters"
+            f"standalone_mbps {standalone_mbps} is not reachable "
+            f"by station {sid!r} under the configured MAC parameters"
         )
     for _ in range(24):
         mid = (lo + hi) / 2
-        if _calibration_throughput_mbps(mid, mac) < standalone_mbps:
+        if _calibration_throughput_mbps(mid, mac, sid) < standalone_mbps:
             lo = mid
         else:
             hi = mid
@@ -278,27 +277,22 @@ class _Contender:
 
 
 class _Gate:
-    """Wake-window arithmetic for the DUT (integer ns); inactive when wi == 0."""
+    """Wake-window arithmetic for the DUT (integer ns); windows start at 0."""
 
-    __slots__ = ("sp", "wi", "offset", "period")
+    __slots__ = ("sp", "period")
 
     def __init__(self, twt: TwtSchedule):
         self.sp = twt.sp_us * NS_PER_US
-        self.wi = twt.wi_us * NS_PER_US
-        self.offset = twt.offset_us * NS_PER_US
-        self.period = self.sp + self.wi
+        self.period = twt.period_us * NS_PER_US
 
     def remaining(self, t: int) -> int:
         """ns of wake window left at t (0 if asleep)."""
-        if t < self.offset:
-            return 0
-        into = (t - self.offset) % self.period
+        into = t % self.period
         return self.sp - into if into < self.sp else 0
 
 
 class _Engine:
     def __init__(self, sc: Scenario):
-        sc.validate()
         self.sc = sc
         self.mac = sc.mac
         self.horizon = round(sc.duration_s * 1e9 / NS_PER_US) * NS_PER_US  # exact us grid
@@ -309,13 +303,10 @@ class _Engine:
 
         self.ap = next(s for s in sc.stations if s.role == "ap")
         self.clients = [s for s in sc.stations if s.role == "client"]
-        by_id = {s.id: s for s in sc.stations}
-        self.dut_id = sc.dut_station_id
-        dut_station = by_id.get(self.dut_id) if self.dut_id else None
-        twt = dut_station.twt if dut_station else None
-        self.gate = _Gate(twt) if twt is not None and twt.wi_us > 0 else None
-        self.gated = self.dut_id if self.gate is not None else None  # the gated station
-        self.dut_flow = sc.dut_flow_id
+        # the gated station: the TWT holder, unless its schedule never sleeps
+        holder = next((s for s in sc.stations if s.twt is not None and s.twt.wi_us > 0), None)
+        self.gate = _Gate(holder.twt) if holder is not None else None
+        self.gated = holder.id if holder is not None else None
 
         self.t_mpdu = {s.id: mpdu_airtime_ns(sc.mac, s.phy_rate_mbps) for s in self.clients}
         self.phy_rate = {s.id: s.phy_rate_mbps for s in self.clients}
@@ -348,21 +339,13 @@ class _Engine:
         self.busy_until = 0
         self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
 
-        # burst bookkeeping
-        self.burst_offsets: list[int] = []
-        self.burst_sizes: list[int] = []
-        self.burst_serve_start: dict[int, int] = {}
-        self.ptr_start = 0
-        self.ptr_end = 0
-
         windows = None
-        if self.gate is not None:
-            win_us = wake_windows(twt, round(sc.duration_s * 1e6))
+        if holder is not None:
+            win_us = wake_windows(holder.twt, round(sc.duration_s * 1e6))
             windows = [(a / 1e6, b / 1e6) for a, b in win_us]
         self.trace = SimTrace(
             duration_s=sc.duration_s,
-            dut_flow_id=self.dut_flow,
-            dut_station_id=self.dut_id,
+            dut_flow_id=sc.dut_flow_id,
             wake_windows_s=windows,
         )
         for f in sc.flows:
@@ -430,9 +413,9 @@ class _Engine:
         self._record_cwnd(t, fs)
         self._try_send(t, fid)
 
-    def _on_burst(self, t: int, index: int) -> None:
-        self.flows[self.dut_flow].released += self.burst_sizes[index]
-        self._try_send(t, self.dut_flow)
+    def _on_burst(self, t: int, fid: str, size: int) -> None:
+        self.flows[fid].released += size
+        self._try_send(t, fid)
 
     # -- contention -----------------------------------------------------
     def _ack_duration(self, sid: str) -> int:
@@ -581,8 +564,6 @@ class _Engine:
             self.trace.delivered_bytes[fid] += nbytes
             self.trace.deliveries.append((ts, dst, fid, nbytes))
             records.append((fid, segs, nbytes))
-            if fid == self.dut_flow:
-                self._advance_bursts(t, self.trace.delivered_bytes[fid])
         if from_rr:
             self.rr_ptr = self.rr_next[dst]
         self._kick(t)
@@ -596,30 +577,13 @@ class _Engine:
         self._push(t + self.gate.period, self._on_wake)
         self._kick(t)
 
-    def _advance_bursts(self, t: int, delivered_cum: int) -> None:
-        ts = t / 1e9
-        n = len(self.burst_offsets)
-        while self.ptr_start < n and self.burst_offsets[self.ptr_start] < delivered_cum:
-            self.burst_serve_start[self.ptr_start] = t
-            self.ptr_start += 1
-        while (self.ptr_end < n and
-               self.burst_offsets[self.ptr_end] + self.burst_sizes[self.ptr_end] <= delivered_cum):
-            start_ns = self.burst_serve_start[self.ptr_end]
-            self.trace.dut_burst_serve.append((self.ptr_end, start_ns / 1e9, ts))
-            self.ptr_end += 1
-
     # -- main loop ------------------------------------------------------
     def run(self) -> SimTrace:
         sc = self.sc
-        if sc.bursts:
-            off = 0
-            for b in sc.bursts:
-                self.burst_offsets.append(off)
-                self.burst_sizes.append(b.size_bytes)
-                off += b.size_bytes
-                self._push(round(b.release_time_s * 1e9), self._on_burst, b.index)
+        for b in sc.bursts:
+            self._push(round(b.release_time_s * 1e9), self._on_burst, sc.dut_flow_id, b.size_bytes)
         if self.gate is not None:
-            self._push(self.gate.offset, self._on_wake)
+            self._push(0, self._on_wake)
         for f in sc.flows:
             if f.kind == "saturated":
                 self._try_send(0, f.id)

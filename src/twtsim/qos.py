@@ -2,17 +2,20 @@
 
 A burst left unserved when its successor is released stalls the client's
 playout buffer: burst i underruns iff its last byte lands after
-release_i + inter_burst_time_i.  Underrun time is how far past that deadline
-service finished (truncated at the simulation horizon for bursts that never
-finished).  A session passes when its average throughput reaches the lower of
-the bitrate and the load due within it, with at most ``max_underruns``
-underruns.
+release_i + inter_burst_time_i.  When each burst was served is derived from
+the DUT flow's deliveries (``burst_service``).  Underrun time is how far past
+that deadline service finished (truncated at the simulation horizon for
+bursts that never finished).  A session passes when its average throughput
+reaches the lower of the bitrate and the load due within it, with at most
+``max_underruns`` underruns.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .macsim import SimTrace
 from .traffic import Burst
@@ -44,15 +47,34 @@ class QosReport:
         }
 
 
-def compute_qos(trace: SimTrace, bursts: list[Burst], interval_s: float = 1.0) -> QosReport:
+def burst_service(trace: SimTrace, bursts: Sequence[Burst]) -> list[tuple[int, float, float]]:
+    """(index, serve start, serve end) of each burst the DUT flow finished, in order.
+
+    The bursts lie end to end in the flow's byte stream.  A burst starts at the
+    first DUT delivery that takes the cumulative bytes past its offset and ends
+    at the first that reaches its offset + size.
+    """
+    edges = [0, *accumulate(b.size_bytes for b in bursts)]  # burst i spans edges[i:i + 2]
+    starts: list[float] = []
+    served: list[tuple[int, float, float]] = []
+    delivered = 0
+    for t, _, flow, nbytes in trace.deliveries:
+        if flow != trace.dut_flow_id:
+            continue
+        delivered += nbytes
+        while len(starts) < len(bursts) and edges[len(starts)] < delivered:
+            starts.append(t)
+        while len(served) < len(starts) and edges[len(served) + 1] <= delivered:
+            served.append((bursts[len(served)].index, starts[len(served)], t))
+    return served
+
+
+def compute_qos(trace: SimTrace, bursts: Sequence[Burst], interval_s: float = 1.0) -> QosReport:
     """Derive the DUT stream's QoS from a trace and its generated burst list."""
     if trace.dut_flow_id is None:
         raise ValueError("trace has no DUT stream to score")
     if interval_s <= 0:
         raise ValueError(f"interval_s must be > 0, got {interval_s}")
-    for index, _, _ in trace.dut_burst_serve:
-        if index >= len(bursts):
-            raise ValueError(f"trace serves burst {index} missing from the burst list")
 
     duration = trace.duration_s
     total = trace.delivered_bytes.get(trace.dut_flow_id, 0)
@@ -69,7 +91,7 @@ def compute_qos(trace: SimTrace, bursts: list[Burst], interval_s: float = 1.0) -
     due_bytes = sum(b.size_bytes for b in bursts
                     if b.release_time_s + b.inter_burst_time_s <= duration)
 
-    serve_end = {index: end for index, _, end in trace.dut_burst_serve}
+    serve_end = {index: end for index, _, end in burst_service(trace, bursts)}
     events = 0
     late_time = 0.0
     late: list[tuple[int, float]] = []

@@ -17,7 +17,6 @@ from .schedule import TwtSchedule, schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
 
-AP_PHY_RATE_MBPS = 1000.0
 BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 
 
@@ -104,7 +103,6 @@ class ScenarioTemplate:
             duration_s=self.phase1_duration_s,
             seed=seed,
             mac=self.mac,
-            record_cwnd=False,
         )
 
     def session_scenario(
@@ -134,7 +132,6 @@ class ScenarioTemplate:
             duration_s=duration,
             seed=seed,
             mac=self.mac,
-            record_cwnd=False,
         )
 
     def background_only_scenario(self, seed: int) -> Scenario:
@@ -145,7 +142,6 @@ class ScenarioTemplate:
             duration_s=self.session_duration_s,
             seed=seed,
             mac=self.mac,
-            record_cwnd=False,
         )
 
 
@@ -159,10 +155,10 @@ def paper_setup(**overrides) -> ScenarioTemplate:
     # standalone saturation figures (Mbit/s); the clients sit at RSSI -46, -45,
     # -37 and -36 dBm, which the model does not use
     standalone = {"client1": 63.5, "client2": 75.4, "client3": 163.0, "client4": 95.0}
-    stations = [Station(id="ap", role="ap", phy_rate_mbps=AP_PHY_RATE_MBPS)]
+    stations = [Station(id="ap", role="ap")]
     for sid, mbps in standalone.items():
         stations.append(
-            Station(id=sid, role="client", phy_rate_mbps=back_solve_phy_rate(mbps, mac))
+            Station(id=sid, role="client", phy_rate_mbps=back_solve_phy_rate(mbps, mac, sid))
         )
     return ScenarioTemplate(
         stations=tuple(stations),

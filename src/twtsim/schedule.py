@@ -2,7 +2,7 @@
 
 A schedule is the usual individual TWT agreement: the station wakes for
 ``sp_us`` microseconds (the service period) every ``sp_us + wi_us``
-microseconds, starting at ``offset_us``.  Service periods are capped at
+microseconds, starting at time 0.  Service periods are capped at
 65535 us, so shorter periods at the same duty cycle are expressed through a
 power-of-two multiplication factor that divides both the service period and
 the wake interval.
@@ -21,15 +21,12 @@ class TwtSchedule:
 
     sp_us: int
     wi_us: int
-    offset_us: int = 0
 
     def __post_init__(self) -> None:
         if not (0 < self.sp_us <= SP_CAP_US):
             raise ValueError(f"sp_us must be in (0, {SP_CAP_US}], got {self.sp_us}")
         if self.wi_us < 0:
             raise ValueError(f"wi_us must be >= 0, got {self.wi_us}")
-        if self.offset_us < 0:
-            raise ValueError(f"offset_us must be >= 0, got {self.offset_us}")
 
     @property
     def period_us(self) -> int:
@@ -39,7 +36,7 @@ class TwtSchedule:
         return {
             "sp_us": self.sp_us,
             "wi_us": self.wi_us,
-            "offset_us": self.offset_us,
+            "offset_us": 0,  # every schedule starts at 0; the artifacts keep the key
             "duty_pct": duty_cycle(self),
         }
 
@@ -55,7 +52,7 @@ def schedule_from(duty_percent: float, mf: int) -> TwtSchedule:
     The MF=1 schedule pins the service period at the 65535 us cap and sizes
     the wake interval for the requested duty; higher factors divide both
     durations (floor), trading period length for wake frequency at the same
-    duty cycle.  The schedule starts at offset 0.
+    duty cycle.
     """
     if not (0 < duty_percent <= 100):
         raise ValueError(f"duty_percent must be in (0, 100], got {duty_percent}")
@@ -71,18 +68,11 @@ def wake_windows(schedule: TwtSchedule, horizon_us: int) -> list[tuple[int, int]
 
     Windows are clipped to the horizon; a window starting at or beyond the
     horizon is not emitted.  A zero wake interval collapses to a single
-    always-awake window from the offset.
+    always-awake window.
     """
     if horizon_us <= 0:
         return []
     if schedule.wi_us == 0:
-        if schedule.offset_us >= horizon_us:
-            return []
-        return [(schedule.offset_us, horizon_us)]
-    windows = []
-    start = schedule.offset_us
-    period = schedule.period_us
-    while start < horizon_us:
-        windows.append((start, min(start + schedule.sp_us, horizon_us)))
-        start += period
-    return windows
+        return [(0, horizon_us)]
+    return [(start, min(start + schedule.sp_us, horizon_us))
+            for start in range(0, horizon_us, schedule.period_us)]

@@ -25,6 +25,7 @@ from twtsim import (
     schedule_from,
 )
 from twtsim.cli import main as cli_main
+from twtsim.qos import burst_service
 
 # Frozen quadrature oracles (tests/oracles.py regenerates them).
 WEIBULL_UNIT_MEAN_K08099 = 1.1232077315775444
@@ -105,7 +106,7 @@ def test_gating_soundness(template):
     ta, tb = run_sim(full), run_sim(off)
     assert ta.deliveries == tb.deliveries
     assert ta.airtime == tb.airtime
-    assert ta.dut_burst_serve == tb.dut_burst_serve
+    assert burst_service(ta, full.bursts) == burst_service(tb, off.bursts)
     print(
         f"PASS gating soundness: {checked} gated deliveries all inside wake windows; "
         "100%-duty trace identical to TWT-disabled trace"

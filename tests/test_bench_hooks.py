@@ -21,7 +21,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def _gated_stream_scenario() -> Scenario:
     return Scenario(
         stations=(
-            Station(id="ap", role="ap", phy_rate_mbps=1000.0),
+            Station(id="ap", role="ap"),
             Station(id="dut", role="client", phy_rate_mbps=100.0, twt=schedule_from(30, 4)),
             Station(id="bg", role="client", phy_rate_mbps=100.0),
         ),

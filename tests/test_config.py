@@ -112,38 +112,71 @@ def test_rssi_is_not_a_station_key():
     assert "rssi_dbm" in str(exc.value)
 
 
+def test_ap_takes_no_rate():
+    # the engine times nothing by the AP's rate; a config that gives one is told so
+    text = MINIMAL.replace("role = ap\n", "role = ap\nphy_rate_mbps = 1000\n")
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("phy_rate_mbps")) + 1
+    assert "phy_rate_mbps" in str(exc.value)
+
+
 def test_sim_seed_is_the_master_seed():
     cfg = parse(MINIMAL + "\n[sim]\nseed = 42\n")
     assert cfg.seed == cfg.template.master_seed == 42
 
 
+EVERY_SECTION = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
+                 + "\n[station.c2]\nrole = client\nphy_rate_mbps = 50\n"
+                 + "\n[mac]\ntxop_limit_us = 5484\n"
+                 + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
+                 + "\n[background]\nstreams_per_client = 2\n"
+                 + "\n[transport]\nremote_rtt_s = 0.03\nqueue_limit_segments = 64\n"
+                 + "\n[search]\nseeds = 2\nphase1_duration_s = 5\nsession_duration_s = 12\n"
+                 + "max_underruns = 3\nqos_interval_s = 1\n"
+                 + "\n[sim]\nduration_s = 12\n")
+# a back-solved client: its calibration run meets a short TXOP limit first
+BACK_SOLVED = """\
+format = 1
+
+[station.ap]
+role = ap
+
+[station.c]
+standalone_mbps = 20
+dut = true
+
+[traffic]
+bitrate_mbps = 5
+
+[mac]
+txop_limit_us = 5484
+"""
+
+
 @pytest.mark.parametrize(
-    "bad",
-    ["bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
-     "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
-     "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
-     "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2",
-     # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
-     "phy_rate_mbps = 2", "txop_limit_us = 200"],
+    "bad, text",
+    [pytest.param(bad, EVERY_SECTION, id=bad) for bad in (
+        "bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
+        "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
+        "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
+        "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2",
+        # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
+        "phy_rate_mbps = 2", "txop_limit_us = 200")]
+    + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")],
 )
-def test_value_error_reports_its_line(bad):
+def test_value_error_reports_its_line(bad, text):
     # ``bad`` replaces the last line that sets its key: for a station key, station c2's
     key = bad.split()[0]
-    text = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
-            + "\n[station.c2]\nrole = client\nphy_rate_mbps = 50\n"
-            + "\n[mac]\ntxop_limit_us = 5484\n"
-            + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
-            + "\n[background]\nstreams_per_client = 2\n"
-            + "\n[transport]\nremote_rtt_s = 0.03\nqueue_limit_segments = 64\n"
-            + "\n[search]\nseeds = 2\nphase1_duration_s = 5\nsession_duration_s = 12\n"
-            + "max_underruns = 3\nqos_interval_s = 1\n"
-            + "\n[sim]\nduration_s = 12\n")
     last = list(re.finditer(rf"^{key} = .*$", text, flags=re.M))[-1]
     text = text[:last.start()] + bad + text[last.end():]
     with pytest.raises(ConfigError) as exc:
         parse(text)
     assert exc.value.line == text.count("\n", 0, text.rindex(bad)) + 1
     assert key in str(exc.value)
+    # a station the message names is one of the config's
+    for sid in re.findall(r"station '([^']*)'", str(exc.value)):
+        assert f"[station.{sid}]" in text
 
 
 def test_fractional_frame_rate_accepted():

@@ -2,16 +2,15 @@ import pytest
 
 from twtsim import Burst, QosReport, VideoParams, compute_qos, generate_cbr_bursts, qos_pass
 from twtsim.macsim import SimTrace
+from twtsim.qos import burst_service
 
 
-def make_trace(deliveries, serve, duration=12.0):
+def make_trace(deliveries, duration=12.0):
     return SimTrace(
         duration_s=duration,
         dut_flow_id="stream",
-        dut_station_id="dut",
         wake_windows_s=None,
         deliveries=[(t, "dut", "stream", nb) for t, nb in deliveries],
-        dut_burst_serve=serve,
         delivered_bytes={"stream": sum(nb for _, nb in deliveries)},
     )
 
@@ -21,8 +20,20 @@ def cbr_bursts(n, size=1_000_000, ibt=6.0):
             for i in range(n)]
 
 
+def test_burst_service_follows_the_cumulative_bytes():
+    bursts = [Burst(index=i, release_time_s=0.0, size_bytes=size, inter_burst_time_s=1.0)
+              for i, size in enumerate((1000, 2000, 500, 700))]
+    tr = make_trace([(0.1, 600), (0.2, 1400), (0.3, 1000), (0.4, 100), (0.5, 400), (0.6, 300)])
+    tr.deliveries.insert(1, (0.15, "bg", "noise", 5000))  # other flows do not count
+    assert burst_service(tr, bursts) == [
+        (0, 0.1, 0.2),  # 0.2 ends burst 0 and starts burst 1
+        (1, 0.2, 0.3),  # 0.3 lands exactly on burst 1's end: burst 2 has not started
+        (2, 0.4, 0.5),
+    ]  # burst 3 started at 0.6 but is unfinished
+
+
 def test_average_and_instantaneous_series():
-    tr = make_trace([(0.5, 3_000_000), (1.5, 3_000_000)], [(0, 0.0, 1.6)], duration=4.0)
+    tr = make_trace([(0.5, 3_000_000), (1.5, 3_000_000)], duration=4.0)
     rep = compute_qos(tr, cbr_bursts(1, size=6_000_000))
     assert rep.avg_throughput_mbps == pytest.approx(8 * 6_000_000 / 4.0 / 1e6)
     assert rep.instantaneous_mbps == [
@@ -34,7 +45,7 @@ def test_average_and_instantaneous_series():
 
 
 def test_throughput_variation_is_population_cv():
-    tr = make_trace([(0.5, 1_000_000), (1.5, 3_000_000)], [(0, 0.0, 1.6)], duration=2.0)
+    tr = make_trace([(0.5, 1_000_000), (1.5, 3_000_000)], duration=2.0)
     rep = compute_qos(tr, cbr_bursts(1, size=4_000_000))
     series = [v for _, v in rep.instantaneous_mbps]
     mean = sum(series) / len(series)
@@ -43,15 +54,14 @@ def test_throughput_variation_is_population_cv():
 
 
 def test_zero_delivery_gives_zero_cv():
-    tr = make_trace([], [], duration=2.0)
+    tr = make_trace([], duration=2.0)
     rep = compute_qos(tr, cbr_bursts(1))
     assert rep.avg_throughput_mbps == 0.0
     assert rep.throughput_variation == 0.0
 
 
 def test_on_time_bursts_are_not_underruns():
-    serve = [(0, 0.0, 5.0), (1, 6.0, 11.9)]
-    tr = make_trace([(5.0, 2_000_000)], serve, duration=12.0)
+    tr = make_trace([(5.0, 1_000_000), (11.9, 1_000_000)], duration=12.0)  # deadlines 6 and 12
     rep = compute_qos(tr, cbr_bursts(2))
     assert rep.underrun_events == 0
     assert rep.underrun_time_s == 0.0
@@ -59,8 +69,8 @@ def test_on_time_bursts_are_not_underruns():
 
 
 def test_late_burst_counts_and_accumulates_lateness():
-    serve = [(0, 0.0, 7.5), (1, 7.5, 13.0)]  # deadlines 6.0 and 12.0
-    tr = make_trace([(5.0, 2_000_000)], serve, duration=20.0)
+    # deadlines 6.0 and 12.0
+    tr = make_trace([(5.0, 500_000), (7.5, 1_000_000), (13.0, 500_000)], duration=20.0)
     rep = compute_qos(tr, cbr_bursts(2))
     assert rep.underrun_events == 2
     assert rep.underrun_time_s == pytest.approx(1.5 + 1.0)
@@ -69,7 +79,7 @@ def test_late_burst_counts_and_accumulates_lateness():
 
 def test_unserved_burst_truncated_at_horizon():
     # deadline 6.0, never finished; horizon 9 -> lateness 3
-    tr = make_trace([(1.0, 500)], [], duration=9.0)
+    tr = make_trace([(1.0, 500)], duration=9.0)
     rep = compute_qos(tr, cbr_bursts(1))
     assert rep.underrun_events == 1
     assert rep.underrun_time_s == pytest.approx(3.0)
@@ -77,7 +87,7 @@ def test_unserved_burst_truncated_at_horizon():
 
 def test_unserved_burst_with_deadline_beyond_horizon_is_ignored():
     # deadline 6.0 > duration 5: cannot be judged late yet
-    tr = make_trace([(1.0, 500)], [], duration=5.0)
+    tr = make_trace([(1.0, 500)], duration=5.0)
     rep = compute_qos(tr, cbr_bursts(1))
     assert rep.underrun_events == 0
 
@@ -111,10 +121,10 @@ def test_qos_pass_floor_is_the_load_due_when_below_bitrate():
 
 def test_due_load_counts_bursts_whose_deadline_is_within_the_horizon():
     video = VideoParams(bitrate_mbps=15.6)  # one burst every 6 s
-    aligned = compute_qos(make_trace([], [], duration=24.0), generate_cbr_bursts(video, 24.0))
+    aligned = compute_qos(make_trace([], duration=24.0), generate_cbr_bursts(video, 24.0))
     assert aligned.due_mbps == 15.6
     # released at 0, 6 and 12 s; the deadline of the last one (18 s) is past 16 s
-    cut = compute_qos(make_trace([], [], duration=16.0), generate_cbr_bursts(video, 16.0))
+    cut = compute_qos(make_trace([], duration=16.0), generate_cbr_bursts(video, 16.0))
     assert cut.due_mbps == 8 * 2 * video.cbr_burst_bytes / 16.0 / 1e6 < 15.6
 
 
@@ -122,7 +132,6 @@ def test_requires_dut_flow():
     tr = SimTrace(
         duration_s=1.0,
         dut_flow_id=None,
-        dut_station_id=None,
         wake_windows_s=None,
     )
     with pytest.raises(ValueError):

@@ -65,12 +65,14 @@ def test_wake_windows_tile_the_horizon():
     assert abs(100 * awake / horizon - 25.0) < 2.0
 
 
-def test_wake_windows_clip_and_offset():
-    s = TwtSchedule(sp_us=100, wi_us=900, offset_us=50)
+def test_wake_windows_clip_at_the_horizon():
+    s = TwtSchedule(sp_us=100, wi_us=900)
     ws = wake_windows(s, 1200)
-    assert ws == [(50, 150), (1050, 1150)]
-    ws = wake_windows(s, 120)
-    assert ws == [(50, 120)]
+    assert ws == [(0, 100), (1000, 1100)]
+    ws = wake_windows(s, 1050)
+    assert ws == [(0, 100), (1000, 1050)]
+    ws = wake_windows(s, 70)
+    assert ws == [(0, 70)]
 
 
 def test_schedule_dict_round_trips_duty():

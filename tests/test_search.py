@@ -17,7 +17,7 @@ from twtsim import (
 def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
     return ScenarioTemplate(
         stations=(
-            Station(id="ap", role="ap", phy_rate_mbps=1000.0),
+            Station(id="ap", role="ap"),
             Station(id="bg1", role="client", phy_rate_mbps=120.0),
             Station(id="dut", role="client", phy_rate_mbps=100.0),
         ),
