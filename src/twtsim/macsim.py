@@ -14,19 +14,25 @@ The engine only moves bytes and gates the TWT station: when each video burst
 was served is worked out afterwards from the deliveries
 (``qos.burst_service``).
 
-Each event on the heap carries the handler it fires, as ``(t, seq, handler,
-args)``; ``seq`` breaks time ties in push order.  Time is tracked in integer
+Each client's state -- its queue, its ACK records, its contender -- is one
+object that events and queue runs carry, as they carry each flow's state; a
+count of the ungated clients with a backlog tells whether the AP contends.
+Each event carries the handler it fires, as ``(t, seq, handler, args)``;
+``seq`` breaks time ties in push order.  A contention cycle that no pending
+event precedes starts at once, off the heap.  Time is tracked in integer
 nanoseconds; all randomness comes from streams derived from the scenario
 seed, so a scenario replays byte-identically.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -67,7 +73,7 @@ class MacParams:
         if self.txop_limit_us <= self.per_frame_overhead_us:
             raise ValueError("txop_limit_us must exceed per_frame_overhead_us")
 
-    @property
+    @cached_property
     def max_stage(self) -> int:
         return ((self.cw_max + 1) // (self.cw_min + 1)).bit_length() - 1
 
@@ -165,6 +171,8 @@ class SimTrace:
     deliveries: list[tuple[float, str, str, int]] = field(default_factory=list)
     airtime: list[tuple[float, float, str]] = field(default_factory=list)
     cwnd_series: list[tuple[float, str, float]] = field(default_factory=list)
+    # per client, the airtime of returning n ACK records for each n the run timed
+    ack_airtime_ns: dict[str, dict[int, int]] = field(default_factory=dict)
     delivered_bytes: dict[str, int] = field(default_factory=dict)
     drops: dict[str, int] = field(default_factory=dict)
     collisions: int = 0
@@ -178,12 +186,23 @@ def backoff_draw(mac: MacParams, stage: int, rng: random.Random) -> int:
     if not (0 <= stage <= mac.max_stage):
         raise ValueError(f"stage must be in [0, {mac.max_stage}], got {stage}")
     cw = min(mac.cw_max, ((mac.cw_min + 1) << stage) - 1)
-    return rng.randint(0, cw)
+    # rejection sampling on getrandbits, bit for bit what rng.randint(0, cw) does
+    k = (cw + 1).bit_length()
+    r = rng.getrandbits(k)
+    while r > cw:
+        r = rng.getrandbits(k)
+    return r
 
 
 def mpdu_airtime_ns(mac: MacParams, phy_rate_mbps: float) -> int:
     """Airtime of one full MPDU in ns (ceil)."""
     return math.ceil(mac.mpdu_payload_bytes * 8 * NS_PER_US / phy_rate_mbps)
+
+
+def ack_airtime_ns(mac: MacParams, records: int, phy_rate_mbps: float) -> int:
+    """Airtime in ns of one station's return of ``records`` transport ACK records."""
+    bits = records * TCP_ACK_BYTES * 8
+    return mac.per_frame_overhead_us * NS_PER_US + math.ceil(bits * NS_PER_US / phy_rate_mbps)
 
 
 def check_mpdu_fits(mac: MacParams, sid: str, phy_rate_mbps: float) -> None:
@@ -206,21 +225,6 @@ _CALIBRATION_SEED = 0xCA11B
 _CALIBRATION_DURATION_S = 4.0
 
 
-def _calibration_throughput_mbps(phy_rate_mbps: float, mac: MacParams, sid: str) -> float:
-    """Simulated saturation throughput of a lone client ``sid`` at a given PHY rate."""
-    scenario = Scenario(
-        stations=(
-            Station(id="ap", role="ap"),
-            Station(id=sid, role="client", phy_rate_mbps=phy_rate_mbps),
-        ),
-        flows=(Flow(id="cal", dst=sid, kind="saturated", base_rtt_s=0.002),),
-        duration_s=_CALIBRATION_DURATION_S,
-        seed=_CALIBRATION_SEED,
-        mac=mac,
-    )
-    return run_sim(scenario).flow_throughput_mbps("cal")
-
-
 def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, sid: str) -> float:
     """PHY rate whose simulated single-client saturation matches a measured figure.
 
@@ -228,41 +232,44 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, sid: str) -> flo
     consistent with the engine's own contention/aggregation behaviour rather
     than an analytic approximation of it.  ``sid`` names the calibration
     client in errors; it does not change the result.
+
+    A run sees the rate only through the airtimes it times: an MPDU's and
+    those of the ACK-record counts it returned.  A rate that gives all of
+    them as an earlier run did replays that run, so its result is reused.
     """
     if standalone_mbps <= 0:
         raise ValueError("standalone_mbps must be > 0")
+    runs: list[tuple[int, dict[int, int], float]] = []  # (MPDU airtime, ACK airtimes, Mbit/s)
+
+    def throughput_mbps(rate: float) -> float:
+        t_mpdu = mpdu_airtime_ns(mac, rate)
+        for mpdu, acks, mbps in runs:
+            if mpdu == t_mpdu and all(ack_airtime_ns(mac, n, rate) == d for n, d in acks.items()):
+                return mbps
+        trace = run_sim(Scenario(
+            stations=(Station(id="ap", role="ap"),
+                      Station(id=sid, role="client", phy_rate_mbps=rate)),
+            flows=(Flow(id="cal", dst=sid, kind="saturated", base_rtt_s=0.002),),
+            duration_s=_CALIBRATION_DURATION_S,
+            seed=_CALIBRATION_SEED,
+            mac=mac,
+        ))
+        runs.append((t_mpdu, trace.ack_airtime_ns[sid], trace.flow_throughput_mbps("cal")))
+        return runs[-1][2]
+
     lo, hi = standalone_mbps, standalone_mbps * 4
-    if _calibration_throughput_mbps(hi, mac, sid) < standalone_mbps:
+    if throughput_mbps(hi) < standalone_mbps:
         raise ValueError(
             f"standalone_mbps {standalone_mbps} is not reachable "
             f"by station {sid!r} under the configured MAC parameters"
         )
     for _ in range(24):
         mid = (lo + hi) / 2
-        if _calibration_throughput_mbps(mid, mac, sid) < standalone_mbps:
+        if throughput_mbps(mid) < standalone_mbps:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-class _FlowState:
-    """The running state of one flow; its TCP window state lives here only."""
-
-    __slots__ = ("flow", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns", "released", "sent",
-                 "in_flight", "queued_segments", "last_send_ns")
-
-    def __init__(self, flow: Flow):
-        self.flow = flow
-        self.cwnd = flow.cwnd_init_segments
-        self.ssthresh = math.inf
-        self.half_rtt_ns = round(flow.base_rtt_s * 1e9 / 2)
-        self.idle_ns = round(flow.idle_restart_s * 1e9)
-        self.released: float = math.inf if flow.kind == "saturated" else 0.0
-        self.sent = 0
-        self.in_flight = 0
-        self.queued_segments = 0
-        self.last_send_ns: int | None = None
 
 
 class _Contender:
@@ -276,19 +283,44 @@ class _Contender:
         self.rng = rng
 
 
-class _Gate:
-    """Wake-window arithmetic for the DUT (integer ns); windows start at 0."""
+class _Client(_Contender):
+    """One client's engine state, itself the contender that returns its ACKs:
+    the downlink FIFO of runs ``[flow state, segments, bytes per segment]``
+    holding ``qsegs`` segments, the ACK records ``(flow state, segments,
+    bytes)`` yet to return, and the airtime of n records for each n timed."""
 
-    __slots__ = ("sp", "period")
+    __slots__ = ("rate", "t_mpdu", "queue", "qsegs", "acks", "ack_ns", "lane", "rr_next")
 
-    def __init__(self, twt: TwtSchedule):
-        self.sp = twt.sp_us * NS_PER_US
-        self.period = twt.period_us * NS_PER_US
+    def __init__(self, st: Station, mac: MacParams, rng: random.Random):
+        super().__init__(st.id, False, rng)
+        self.rate = st.phy_rate_mbps
+        self.t_mpdu = mpdu_airtime_ns(mac, st.phy_rate_mbps)
+        self.queue: deque = deque()
+        self.qsegs = 0
+        self.acks: list = []
+        self.ack_ns: dict[int, int] = {}
+        self.lane: int | None = None  # see _Engine.backlog; None for the gated client
+        self.rr_next = 0  # the _Engine.rr order that starts after it
 
-    def remaining(self, t: int) -> int:
-        """ns of wake window left at t (0 if asleep)."""
-        into = t % self.period
-        return self.sp - into if into < self.sp else 0
+
+class _FlowState:
+    """The running state of one flow; its TCP window state lives here only."""
+
+    __slots__ = ("flow", "dst", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns", "released", "sent",
+                 "in_flight", "queued_segments", "last_send_ns")
+
+    def __init__(self, flow: Flow, dst: _Client):
+        self.flow = flow
+        self.dst = dst
+        self.cwnd = flow.cwnd_init_segments
+        self.ssthresh = math.inf
+        self.half_rtt_ns = round(flow.base_rtt_s * 1e9 / 2)
+        self.idle_ns = round(flow.idle_restart_s * 1e9)
+        self.released: float = math.inf if flow.kind == "saturated" else 0.0
+        self.sent = 0
+        self.in_flight = 0
+        self.queued_segments = 0
+        self.last_send_ns: int | None = None
 
 
 class _Engine:
@@ -301,68 +333,55 @@ class _Engine:
         self.overhead = sc.mac.per_frame_overhead_us * NS_PER_US
         self.txop = sc.mac.txop_limit_us * NS_PER_US
 
-        self.ap = next(s for s in sc.stations if s.role == "ap")
-        self.clients = [s for s in sc.stations if s.role == "client"]
-        # the gated station: the TWT holder, unless its schedule never sleeps
+        ap = next(s for s in sc.stations if s.role == "ap")
+        stations = [s for s in sc.stations if s.role == "client"]
+        children = np.random.SeedSequence(sc.seed).spawn(1 + len(stations))
+        self.ap_cont = _Contender(ap.id, True, random.Random(int(children[0].generate_state(1)[0])))
+        self.clients = [_Client(s, sc.mac, random.Random(int(c.generate_state(1)[0])))
+                        for s, c in zip(stations, children[1:])]
+        by_id = {c.sid: c for c in self.clients}
+        # the gated client: the TWT holder, unless its schedule never sleeps;
+        # its wake windows (integer ns) start at 0
         holder = next((s for s in sc.stations if s.twt is not None and s.twt.wi_us > 0), None)
-        self.gate = _Gate(holder.twt) if holder is not None else None
-        self.gated = holder.id if holder is not None else None
-
-        self.t_mpdu = {s.id: mpdu_airtime_ns(sc.mac, s.phy_rate_mbps) for s in self.clients}
-        self.phy_rate = {s.id: s.phy_rate_mbps for s in self.clients}
-
-        ss = np.random.SeedSequence(sc.seed)
-        children = ss.spawn(1 + len(self.clients))
-        self.ap_cont = _Contender(self.ap.id, True,
-                                  random.Random(int(children[0].generate_state(1)[0])))
-        self.client_cont = {
-            s.id: _Contender(s.id, False, random.Random(int(c.generate_state(1)[0])))
-            for s, c in zip(self.clients, children[1:])
-        }
-
-        self.flows: dict[str, _FlowState] = {
-            f.id: _FlowState(f) for f in sc.flows
-        }
-        # per destination: FIFO of runs [fid, segments, bytes per segment],
-        # with the queued segments counted beside it
-        self.queues: dict[str, deque] = {s.id: deque() for s in self.clients}
-        self.qsegs: dict[str, int] = {s.id: 0 for s in self.clients}
-        # ACK records of the stations that have some to return, nothing else
-        self.acks: dict[str, list] = {}
-
-        self.rr = [s.id for s in self.clients]
+        self.gated = by_id[holder.id] if holder is not None else None
+        # ungated clients with queued segments, by lane: 1 before the gated
+        # client in station order, 0 after it.  _ap_pending asks aggregate_ns
+        # about the gated client only when no client before it has a backlog.
+        self.backlog = [0, 0]
+        gated_at = self.clients.index(self.gated) if holder is not None else len(self.clients)
+        for i, c in enumerate(self.clients):
+            c.lane = None if c is self.gated else int(i < gated_at)
+            c.rr_next = (i + 1) % len(self.clients)
+        self.rr = [self.clients[i:] + self.clients[:i] for i in range(len(self.clients))]
         self.rr_ptr = 0
-        self.rr_next = {sid: (i + 1) % len(self.rr) for i, sid in enumerate(self.rr)}
+        self.flows: dict[str, _FlowState] = {f.id: _FlowState(f, by_id[f.dst]) for f in sc.flows}
 
         self.heap: list = []
-        self.seq = 0
+        self.next_seq = itertools.count().__next__
         self.busy_until = 0
         self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
 
         windows = None
         if holder is not None:
+            self.sp = holder.twt.sp_us * NS_PER_US
+            self.period = holder.twt.period_us * NS_PER_US
             win_us = wake_windows(holder.twt, round(sc.duration_s * 1e6))
             windows = [(a / 1e6, b / 1e6) for a, b in win_us]
         self.trace = SimTrace(
             duration_s=sc.duration_s,
             dut_flow_id=sc.dut_flow_id,
             wake_windows_s=windows,
+            ack_airtime_ns={c.sid: c.ack_ns for c in self.clients},
         )
         for f in sc.flows:
             self.trace.delivered_bytes[f.id] = 0
-
-    # -- heap helpers ---------------------------------------------------
-    def _push(self, t: int, handler, *args) -> None:
-        heapq.heappush(self.heap, (t, self.seq, handler, args))
-        self.seq += 1
 
     # -- transport ------------------------------------------------------
     def _record_cwnd(self, t: int, fs: _FlowState) -> None:
         if self.sc.record_cwnd:
             self.trace.cwnd_series.append((t / 1e9, fs.flow.id, fs.cwnd))
 
-    def _try_send(self, t: int, fid: str) -> None:
-        fs = self.flows[fid]
+    def _try_send(self, t: int, fs: _FlowState) -> None:
         pending = fs.released - fs.sent
         offer = offer_load(fs.flow, fs.cwnd, pending, fs.in_flight)
         if offer <= 0:
@@ -376,11 +395,10 @@ class _Engine:
         fs.sent += offer
         fs.in_flight += offer
         fs.last_send_ns = t
-        self._push(t + fs.half_rtt_ns, self._on_arrive, fid, offer)
+        heappush(self.heap, (t + fs.half_rtt_ns, self.next_seq(), self._on_arrive, (fs, offer)))
 
-    def _on_arrive(self, t: int, fid: str, nbytes: int) -> None:
+    def _on_arrive(self, t: int, fs: _FlowState, nbytes: int) -> None:
         """Queue the full segments, then the tail, up to the flow's limit; drop the rest."""
-        fs = self.flows[fid]
         seg = fs.flow.segment_bytes
         full, tail = divmod(nbytes, seg)
         room = max(0, fs.flow.queue_limit_segments - fs.queued_segments)
@@ -388,16 +406,18 @@ class _Engine:
         took_tail = 1 if tail and room > full else 0
         accepted = took + took_tail
         if accepted:
-            dst = fs.flow.dst
-            q = self.queues[dst]
+            c = fs.dst
             if took:
-                q.append([fid, took, seg])
+                c.queue.append([fs, took, seg])
             if took_tail:
-                q.append([fid, 1, tail])
-            self.qsegs[dst] += accepted
+                c.queue.append([fs, 1, tail])
+            if not c.qsegs and c.lane is not None:
+                self.backlog[c.lane] += 1
+            c.qsegs += accepted
             fs.queued_segments += accepted
         dropped = full + (1 if tail else 0) - accepted
         if dropped:
+            fid = fs.flow.id
             dbytes = nbytes - took * seg - took_tail * tail
             fs.in_flight -= dbytes
             fs.sent -= dbytes
@@ -406,201 +426,213 @@ class _Engine:
             self._record_cwnd(t, fs)
         self._kick(t)
 
-    def _on_server_ack(self, t: int, fid: str, segs: int, nbytes: int) -> None:
-        fs = self.flows[fid]
+    def _on_server_ack(self, t: int, fs: _FlowState, segs: int, nbytes: int) -> None:
         fs.in_flight -= nbytes
         fs.cwnd = on_ack(fs.cwnd, fs.ssthresh, segs)
         self._record_cwnd(t, fs)
-        self._try_send(t, fid)
+        self._try_send(t, fs)
 
-    def _on_burst(self, t: int, fid: str, size: int) -> None:
-        self.flows[fid].released += size
-        self._try_send(t, fid)
+    def _on_burst(self, t: int, fs: _FlowState, size: int) -> None:
+        fs.released += size
+        self._try_send(t, fs)
 
     # -- contention -----------------------------------------------------
-    def _ack_duration(self, sid: str) -> int:
-        bits = len(self.acks[sid]) * TCP_ACK_BYTES * 8
-        return self.overhead + math.ceil(bits * NS_PER_US / self.phy_rate[sid])
+    def _window_left(self, t: int) -> int:
+        """ns of the gated client's wake window left at t (0 if asleep)."""
+        into = t % self.period
+        return self.sp - into if into < self.sp else 0
 
-    def _client_pending(self, t: int, sid: str) -> bool:
-        """``sid`` has ACKs to return and, if gated, time left to send them."""
-        return sid in self.acks and (
-            sid != self.gated or self.gate.remaining(t) >= self.difs + self._ack_duration(sid))
+    def _ack_duration(self, c: _Client) -> int:
+        n = len(c.acks)
+        dur = c.ack_ns.get(n)
+        if dur is None:
+            dur = c.ack_ns[n] = ack_airtime_ns(self.mac, n, c.rate)
+        return dur
+
+    def _gated_acks_fit(self, t: int) -> bool:
+        """The gated client's ACK records fit what is left of its wake window."""
+        left = self._window_left(t)
+        return left > self.difs and left >= self.difs + self._ack_duration(self.gated)
 
     def _ap_pending(self, t: int) -> bool:
-        for dst, nseg in self.qsegs.items():
-            if not nseg:
-                continue
-            if dst == self.gated:
-                rem = self.gate.remaining(t)
-                if rem > self.difs and aggregate_ns(
-                        self.t_mpdu[dst], min(self.txop, rem - self.difs), self.overhead,
-                        self.mac.max_ampdu_mpdus, nseg) >= 1:
-                    return True
-            else:
+        if self.backlog[1]:
+            return True
+        g = self.gated
+        if g is not None and g.qsegs:
+            budget = min(self.txop, self._window_left(t) - self.difs)
+            if budget > 0 and aggregate_ns(g.t_mpdu, budget, self.overhead,
+                                           self.mac.max_ampdu_mpdus, g.qsegs) >= 1:
                 return True
-        return False
+        return self.backlog[0] > 0
 
     def _select_ap_tx(self, t: int):
-        """Pick (dest, n_mpdus, duration, from_rr) or None; DUT first inside windows.
+        """Pick (client, n_mpdus, duration, from_rr) or None; DUT first inside windows.
 
         Returns a selection whenever ``_ap_pending(t)`` holds."""
         g = self.gated
-        if g is not None and self.qsegs[g]:
-            n = aggregate_ns(self.t_mpdu[g], min(self.txop, self.gate.remaining(t)),
-                             self.overhead, self.mac.max_ampdu_mpdus, self.qsegs[g])
+        if g is not None and g.qsegs:
+            n = aggregate_ns(g.t_mpdu, min(self.txop, self._window_left(t)),
+                             self.overhead, self.mac.max_ampdu_mpdus, g.qsegs)
             if n >= 1:
-                return (g, n, self.overhead + n * self.t_mpdu[g], False)
-        k = len(self.rr)
-        for i in range(k):
-            dst = self.rr[(self.rr_ptr + i) % k]
-            if dst == self.gated:
-                continue  # handled above (or asleep)
-            nseg = self.qsegs[dst]
-            if not nseg:
-                continue
-            n = aggregate_ns(self.t_mpdu[dst], self.txop, self.overhead,
-                             self.mac.max_ampdu_mpdus, nseg)
+                return (g, n, self.overhead + n * g.t_mpdu, False)
+        for c in self.rr[self.rr_ptr]:
+            if c is g or not c.qsegs:
+                continue  # the gated client is handled above (or asleep)
+            n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.mac.max_ampdu_mpdus, c.qsegs)
             if n >= 1:
-                dur = self.overhead + n * self.t_mpdu[dst]
-                return (dst, n, dur, True)
+                return (c, n, self.overhead + n * c.t_mpdu, True)
         return None
 
     def _kick(self, t: int) -> None:
         """Resolve the next contention cycle if the channel is idle."""
-        if self.race is not None or t < self.busy_until:
-            return
-        racers = []
-        if self._ap_pending(t):
-            racers.append(self.ap_cont)
-        for sid in self.acks:  # racer order does not matter: each draws from its own stream
-            if self._client_pending(t, sid):
-                racers.append(self.client_cont[sid])
+        if self.race is None and t >= self.busy_until:
+            self._contend(t)
+
+    def _contend(self, t: int) -> None:
+        """Resolve the next contention cycle; the channel is idle and no cycle is scheduled."""
+        racers = [self.ap_cont] if self._ap_pending(t) else []
+        g = self.gated
+        for c in self.clients:  # racer order does not matter: each draws from its own stream
+            if c.acks and (c is not g or self._gated_acks_fit(t)):
+                racers.append(c)
         if not racers:
             return
+        min_bo = self.mac.cw_max  # no counter exceeds it
         for c in racers:
-            if c.bo is None:
-                c.bo = backoff_draw(self.mac, c.stage, c.rng)
-        min_bo = min(c.bo for c in racers)
-        start = t + self.difs + min_bo * self.slot
+            bo = c.bo
+            if bo is None:
+                bo = c.bo = backoff_draw(self.mac, c.stage, c.rng)
+            if bo < min_bo:
+                min_bo = bo
         self.race = (racers, min_bo)
-        self._push(start, self._on_tx_start)
+        start = t + self.difs + min_bo * self.slot
+        # every caller ends with this call, so when no pending event is due by
+        # the start, the start is the next event: run it now, off the heap
+        if start < self.horizon and (not self.heap or self.heap[0][0] > start):
+            self._on_tx_start(start)
+        else:
+            heappush(self.heap, (start, self.next_seq(), self._on_tx_start, ()))
 
     def _on_tx_start(self, t: int) -> None:
         racers, min_bo = self.race
         self.race = None
-        for c in racers:
-            c.bo = max(0, c.bo - min_bo)
+        g = self.gated
         winners = []
         for c in racers:
-            if c.bo == 0:
-                ok = self._ap_pending(t) if c.is_ap else self._client_pending(t, c.sid)
-                if ok:
+            c.bo -= min_bo
+            if not c.bo:
+                if self._ap_pending(t) if c.is_ap else (c is not g or self._gated_acks_fit(t)):
                     winners.append(c)
                 else:
                     c.bo = None  # stale claim; redraw when pending again
         if not winners:
-            self._kick(t)
+            self._contend(t)
             return
         if len(winners) > 1:
             # every winner is pending, so each duration is at least the overhead
             dur = 0
             for w in winners:
-                dur = max(dur, self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w.sid))
+                dur = max(dur, self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w))
                 w.stage = min(w.stage + 1, self.mac.max_stage)
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
             end = t + dur
             self.busy_until = end
             self.trace.collisions += 1
             self.trace.airtime.append((t / 1e9, end / 1e9, COLLISION_ID))
-            self._push(end, self._kick)
+            heappush(self.heap, (end, self.next_seq(), self._kick, ()))
             return
         w = winners[0]
         if w.is_ap:
-            dst, n, dur, from_rr = self._select_ap_tx(t)
-            event = (self._on_ampdu_end, dst, n, from_rr)
+            c, n, dur, from_rr = self._select_ap_tx(t)
+            handler, args = self._on_ampdu_end, (c, n, from_rr)
         else:
-            dst = w.sid
-            dur = self._ack_duration(dst)
-            event = (self._on_ack_end, dst)
-        if dst == self.gated and dur > self.gate.remaining(t):
+            c = w
+            dur = self._ack_duration(c)
+            handler, args = self._on_ack_end, (c,)
+        if c is g and dur > self._window_left(t):
             raise RuntimeError("gated transmission would cross window end")
         w.bo = None
         w.stage = 0
         end = t + dur
         self.busy_until = end
         self.trace.airtime.append((t / 1e9, end / 1e9, w.sid))
-        self._push(end, *event)
+        heappush(self.heap, (end, self.next_seq(), handler, args))
 
-    def _on_ampdu_end(self, t: int, dst: str, n: int, from_rr: bool) -> None:
-        left = self.qsegs[dst] - n
+    # the channel is idle when a transmission ends: only a cycle scheduled by
+    # an event of the same instant can stand in the way of the next one
+    def _on_ampdu_end(self, t: int, c: _Client, n: int, from_rr: bool) -> None:
+        left = c.qsegs - n
         if n < 1 or left < 0:
-            raise RuntimeError(f"A-MPDU of {n} MPDUs to station {dst!r} "
-                               f"exceeds its {self.qsegs[dst]} queued segments")
-        self.qsegs[dst] = left
-        q = self.queues[dst]
-        per_flow: dict[str, list] = {}  # fid -> [segments, bytes], first-dequeued first
+            raise RuntimeError(f"A-MPDU of {n} MPDUs to station {c.sid!r} "
+                               f"exceeds its {c.qsegs} queued segments")
+        c.qsegs = left
+        if not left and c.lane is not None:
+            self.backlog[c.lane] -= 1
+        q = c.queue
+        per_flow: dict[_FlowState, list] = {}  # [segments, bytes], first-dequeued first
         while n:
             run = q[0]
-            fid, count, size = run
+            fs, count, size = run
             if count <= n:
                 q.popleft()
             else:
                 run[1] = count - n
                 count = n
             n -= count
-            nbytes = count * size
-            acc = per_flow.get(fid)
-            if acc is None:
-                per_flow[fid] = [count, nbytes]
-            else:
-                acc[0] += count
-                acc[1] += nbytes
+            acc = per_flow.setdefault(fs, [0, 0])
+            acc[0] += count
+            acc[1] += count * size
         ts = t / 1e9
-        records = self.acks.setdefault(dst, [])
-        for fid, (segs, nbytes) in per_flow.items():
-            fs = self.flows[fid]
+        for fs, (segs, nbytes) in per_flow.items():
             fs.queued_segments -= segs
-            self.trace.delivered_bytes[fid] += nbytes
-            self.trace.deliveries.append((ts, dst, fid, nbytes))
-            records.append((fid, segs, nbytes))
+            self.trace.delivered_bytes[fs.flow.id] += nbytes
+            self.trace.deliveries.append((ts, c.sid, fs.flow.id, nbytes))
+            c.acks.append((fs, segs, nbytes))
         if from_rr:
-            self.rr_ptr = self.rr_next[dst]
-        self._kick(t)
+            self.rr_ptr = c.rr_next
+        if self.race is None:
+            self._contend(t)
 
-    def _on_ack_end(self, t: int, sid: str) -> None:
-        for fid, segs, nbytes in self.acks.pop(sid):
-            self._push(t + self.flows[fid].half_rtt_ns, self._on_server_ack, fid, segs, nbytes)
-        self._kick(t)
+    def _on_ack_end(self, t: int, c: _Client) -> None:
+        records, c.acks = c.acks, []
+        for fs, segs, nbytes in records:
+            heappush(self.heap, (t + fs.half_rtt_ns, self.next_seq(), self._on_server_ack,
+                                 (fs, segs, nbytes)))
+        if self.race is None:
+            self._contend(t)
 
     def _on_wake(self, t: int) -> None:
-        self._push(t + self.gate.period, self._on_wake)
+        heappush(self.heap, (t + self.period, self.next_seq(), self._on_wake, ()))
         self._kick(t)
 
     # -- main loop ------------------------------------------------------
     def run(self) -> SimTrace:
         sc = self.sc
-        for b in sc.bursts:
-            self._push(round(b.release_time_s * 1e9), self._on_burst, sc.dut_flow_id, b.size_bytes)
-        if self.gate is not None:
-            self._push(0, self._on_wake)
-        for f in sc.flows:
-            if f.kind == "saturated":
-                self._try_send(0, f.id)
-        self._kick(0)
-
         heap = self.heap
         horizon = self.horizon
         try:
+            for b in sc.bursts:
+                heappush(heap, (round(b.release_time_s * 1e9), self.next_seq(), self._on_burst,
+                                (self.flows[sc.dut_flow_id], b.size_bytes)))
+            if self.gated is not None:
+                heappush(heap, (0, self.next_seq(), self._on_wake, ()))
+            for fs in self.flows.values():
+                if fs.flow.kind == "saturated":
+                    self._try_send(0, fs)
+            self._kick(0)
             while heap:
-                t, _, handler, args = heapq.heappop(heap)
+                t, _, handler, args = heappop(heap)
                 if t >= horizon:
                     break
                 handler(t, *args)
         finally:
-            # the pending events hold bound methods of this engine: drop them
-            # so a finished engine is freed without the cyclic collector
+            # pending events hold bound methods of this engine, queued runs and
+            # ACK records hold flow states that point at their client: drop
+            # them so a finished engine is freed without the cyclic collector
             heap.clear()
+            for c in self.clients:
+                c.queue.clear()
+                c.acks.clear()
         return self.trace
 
 

@@ -3,7 +3,8 @@
 Installing it raises when a rename or deletion drops one of those names, so
 this test fails before the benchmark does.  Running a short gated scenario
 under the trace proves the engine calls each patched per-event name through
-its module global: a call that bypasses it would zero a layer metric.  A small
+its module global: a call that bypasses it would zero a layer metric, and the
+call counts on the pinned engine scenarios must stay as recorded.  A small
 search under the trace pins which phase each simulation is booked to.
 """
 
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import twtsim.macsim
 import twtsim.search
+from test_macsim import _pinned_scenarios
 from test_search import small_template
 from twtsim import Flow, Scenario, Station, VideoParams, generate_cbr_bursts, schedule_from
 
@@ -57,6 +59,39 @@ def _traced(work=None) -> tuple[dict, dict]:
 
 def test_layer_trace_installs_and_restores():
     _traced()
+
+
+# calls of each name the layer trace counts in twtsim.macsim, per pinned
+# scenario, recorded before the engine kept per-client state
+PINNED_CALLS = {
+    "drops": {"aggregate_ns": 606, "backoff_draw": 1100, "offer_load": 907, "on_ack": 903,
+              "on_idle_restart": 0, "on_loss": 79, "wake_windows": 0},
+    "cbr_mf64": {"aggregate_ns": 4194, "backoff_draw": 3834, "offer_load": 2115, "on_ack": 2109,
+                 "on_idle_restart": 0, "on_loss": 1, "wake_windows": 1},
+    "vbr_mf4": {"aggregate_ns": 1669, "backoff_draw": 2064, "offer_load": 1843, "on_ack": 1837,
+                "on_idle_restart": 0, "on_loss": 91, "wake_windows": 1},
+    "gated_mid": {"aggregate_ns": 2274, "backoff_draw": 2700, "offer_load": 1577, "on_ack": 1564,
+                  "on_idle_restart": 2, "on_loss": 5, "wake_windows": 1},
+}
+
+
+def test_engine_calls_each_traced_name_as_recorded(monkeypatch):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    names = sorted(attr for mod, attr in layers.COUNTER_SITES if mod == "twtsim.macsim")
+    calls: dict[str, int] = {}
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(twtsim.macsim, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(twtsim.macsim, name, counted)
+    for scenario, sc in _pinned_scenarios().items():
+        calls.update(dict.fromkeys(names, 0))
+        twtsim.macsim.run_sim(sc)
+        assert calls == PINNED_CALLS[scenario], scenario
 
 
 def test_layer_trace_counts_every_engine_hook():

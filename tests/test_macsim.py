@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import twtsim.macsim
 from twtsim import (
     Flow,
     MacParams,
@@ -17,11 +18,21 @@ from twtsim import (
     backoff_draw,
     generate_cbr_bursts,
     generate_vbr_bursts,
+    paper_setup,
     run_sim,
     schedule_from,
     wake_windows,
 )
-from twtsim.macsim import _Engine, aggregate_ns, mpdu_airtime_ns
+from twtsim.macsim import (
+    COLLISION_ID,
+    SimTrace,
+    _Client,
+    _Engine,
+    _FlowState,
+    ack_airtime_ns,
+    aggregate_ns,
+    mpdu_airtime_ns,
+)
 from twtsim.qos import burst_service
 
 MAC = MacParams()
@@ -66,6 +77,15 @@ def test_backoff_uniform_mean():
     n = 200_000
     mean = sum(backoff_draw(MAC, 0, rng) for _ in range(n)) / n
     assert mean == pytest.approx(7.5, abs=0.1)
+
+
+def test_backoff_draws_what_randint_draws():
+    # the pinned digests were recorded with rng.randint(0, cw)
+    for stage in range(MAC.max_stage + 1):
+        cw = min(MAC.cw_max, ((MAC.cw_min + 1) << stage) - 1)
+        ours, ref = random.Random(stage), random.Random(stage)
+        assert ([backoff_draw(MAC, stage, ours) for _ in range(500)]
+                == [ref.randint(0, cw) for _ in range(500)])
 
 
 def test_backoff_stage_bounds_checked():
@@ -142,6 +162,41 @@ def test_back_solve_reproduces_standalone_figure():
         )
         got = run_sim(sc).flow_throughput_mbps("f1")
         assert got == pytest.approx(target, rel=0.03)
+
+
+def test_bundled_rates_are_pinned():
+    # recorded before back-solving reused the runs of equal airtimes
+    rates = {s.id: s.phy_rate_mbps for s in paper_setup().stations if s.role == "client"}
+    assert rates == {"client1": 71.7596078068018, "client2": 85.37158116698265,
+                     "client3": 194.12763938307762, "client4": 107.01004639267921}
+
+
+def test_back_solve_runs_each_distinct_calibration_once(monkeypatch):
+    runs = []
+    real = twtsim.macsim.run_sim
+    monkeypatch.setattr(twtsim.macsim, "run_sim", lambda sc: runs.append(sc) or real(sc))
+    assert back_solve_phy_rate(63.5, MacParams(), "c") == 71.7596078068018
+    # the probe of the upper bound and 24 bisection steps are 25 rates
+    assert len(runs) < 25
+
+
+def test_back_solve_reuses_a_run_only_if_each_timed_ack_airtime_matches(monkeypatch):
+    # a stand-in engine that times returns of a million ACK records: their
+    # airtime tells apart rates that share an MPDU airtime
+    runs = []
+
+    def fake_run_sim(sc):
+        rate = sc.stations[1].phy_rate_mbps
+        runs.append(rate)
+        tr = SimTrace(duration_s=1.0, dut_flow_id=None, wake_windows_s=None,
+                      ack_airtime_ns={"c": {10**6: ack_airtime_ns(MAC, 10**6, rate)}})
+        tr.delivered_bytes["cal"] = round(rate * 1e5)  # 0.8 of the rate
+        return tr
+
+    monkeypatch.setattr(twtsim.macsim, "run_sim", fake_run_sim)
+    back_solve_phy_rate(63.5, MAC, "c")
+    # some rates share an MPDU airtime, yet each of the 25 ran
+    assert len({mpdu_airtime_ns(MAC, r) for r in runs}) < len(runs) == 25
 
 
 def test_throughput_splits_between_clients():
@@ -281,15 +336,16 @@ def test_full_duty_equals_twt_disabled():
 
 def test_ampdu_beyond_the_queue_raises_naming_the_station():
     engine = _Engine(two_station_scenario())
+    (sta,) = engine.clients
     with pytest.raises(RuntimeError, match="'sta'"):
-        engine._on_ampdu_end(0, "sta", 1, True)  # nothing queued
-    engine._on_arrive(0, "f1", 4 * 1500 + 700)  # four segments and a tail
-    assert engine.qsegs["sta"] == 5
+        engine._on_ampdu_end(0, sta, 1, True)  # nothing queued
+    engine._on_arrive(0, engine.flows["f1"], 4 * 1500 + 700)  # four segments and a tail
+    assert sta.qsegs == 5
     with pytest.raises(RuntimeError, match="'sta'.* 5 queued"):
-        engine._on_ampdu_end(0, "sta", 6, True)
-    assert engine.qsegs["sta"] == 5  # the failed dequeue took nothing
-    engine._on_ampdu_end(0, "sta", 5, True)
-    assert engine.qsegs["sta"] == 0
+        engine._on_ampdu_end(0, sta, 6, True)
+    assert sta.qsegs == 5  # the failed dequeue took nothing
+    engine._on_ampdu_end(0, sta, 5, True)
+    assert sta.qsegs == 0
     assert engine.trace.deliveries == [(0.0, "sta", "f1", 6700)]
 
 
@@ -370,16 +426,58 @@ def _pinned_scenarios() -> dict[str, Scenario]:
                Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24)),
         bursts=tuple(generate_vbr_bursts(video, 5.0, np.random.default_rng(13))),
         duration_s=5.0, seed=13, record_cwnd=True)
-    return {"drops": drops, "cbr_mf64": cbr, "vbr_mf4": vbr}
+    # a DUT with 2047 us windows between two background clients: the AP
+    # collides with clients holding ACK records, and a's long-RTT flow lets
+    # its queue run dry and refill; the stream's sender restarts when idle
+    gated_mid = Scenario(
+        stations=(Station(id="a", role="client", phy_rate_mbps=40.0), ap,
+                  Station(id="dut", role="client", phy_rate_mbps=95.0,
+                          twt=schedule_from(20, 32)),
+                  Station(id="b", role="client", phy_rate_mbps=120.0)),
+        flows=(Flow(id="stream", dst="dut", kind="burst", queue_limit_segments=32,
+                    idle_restart_s=0.25),
+               Flow(id="a1", dst="a", kind="saturated", base_rtt_s=0.04, queue_limit_segments=64),
+               Flow(id="b1", dst="b", kind="saturated", base_rtt_s=0.002, queue_limit_segments=12),
+               Flow(id="b2", dst="b", kind="saturated", base_rtt_s=0.003, queue_limit_segments=12)),
+        bursts=tuple(generate_cbr_bursts(VideoParams(bitrate_mbps=3.1, cbr_interval_s=0.5), 4.0)),
+        duration_s=4.0, seed=14, record_cwnd=True)
+    return {"drops": drops, "cbr_mf64": cbr, "vbr_mf4": vbr, "gated_mid": gated_mid}
 
 
 # SHA-256 of each scenario's trace, recorded before the downlink queue held
-# run-length runs; any change to queue admission or A-MPDU dequeue moves them.
+# run-length runs ("gated_mid": before the engine kept per-client state);
+# any change to queue admission, A-MPDU dequeue or contention moves them.
 PINNED_DIGESTS = {
     "drops": "a2a60b2d05d05088fdd0d70e8cf1d3d3e1f1941f2076c5c500f53ec4044eb87b",
     "cbr_mf64": "7f645896869f0323502433102cffd623b24ee31a3737cbd519fc41b0d7d4ec20",
     "vbr_mf4": "82316ef1028b4fc03d9dc4691ae52267a6bec004a841b2e2f0b6ffd12dbaf284",
+    "gated_mid": "54313bff4b9e68d99792578c0520a6a5f50f555f7e5274cd093448e9836e42ae",
 }
+
+
+def _assert_gated_mid_edges(tr) -> None:
+    """The per-client edges that the "gated_mid" scenario is there for."""
+    ampdus: dict[tuple[float, str], int] = {}  # (end, client) -> MPDUs
+    for t, dst, _, nbytes in tr.deliveries:
+        ampdus[t, dst] = ampdus.get((t, dst), 0) + -(-nbytes // 1500)
+    acks = [(start, end, sid) for start, end, sid in tr.airtime if sid not in ("ap", COLLISION_ID)]
+    # a client holds ACK records from an A-MPDU's end to the end of its next return
+    holding, most = set(), 0
+    for _, got, sid in sorted([(t, 1, dst) for t, dst in ampdus] + [(e, 0, s) for _, e, s in acks]):
+        (holding.add if got else holding.discard)(sid)
+        most = max(most, len(holding))
+    assert most >= 2
+    # a collision longer than twice any ACK return has the AP in it
+    longest_ack = max(end - start for start, end, _ in acks)
+    assert any(end - start > 2 * longest_ack
+               for start, end, sid in tr.airtime if sid == COLLISION_ID)
+    # an A-MPDU to a below its TXOP cap took the whole queue, and more followed
+    cap = aggregate_ns(mpdu_airtime_ns(MAC, 40.0), TXOP_NS, OVERHEAD_NS, 64, 10**6)
+    to_a = [n for (_, dst), n in sorted(ampdus.items()) if dst == "a"]
+    assert any(n < cap for n in to_a[:-1])
+    # the DUT's A-MPDUs fill, and never exceed, what one short window holds
+    window_cap = aggregate_ns(mpdu_airtime_ns(MAC, 95.0), 2047 * 1000, OVERHEAD_NS, 64, 10**6)
+    assert max(n for (_, dst), n in ampdus.items() if dst == "dut") == window_cap
 
 
 def test_engine_trace_digest_is_pinned():
@@ -396,20 +494,28 @@ def test_engine_trace_digest_is_pinned():
         else:
             assert burst_service(tr, sc.bursts)
             assert any(nb % 1500 for _, _, fid, nb in tr.deliveries if fid == "stream")
+        if name == "gated_mid":
+            _assert_gated_mid_edges(tr)
         blob = repr((tr.deliveries, tr.airtime, burst_service(tr, sc.bursts), tr.cwnd_series,
                      tr.delivered_bytes, tr.drops, tr.collisions))
         assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DIGESTS[name], name
 
 
 def test_finished_engine_is_freed_without_the_cyclic_collector():
-    # pending events hold bound methods of the engine; run() must drop them
+    # pending events hold bound methods of the engine, and queued runs and ACK
+    # records hold flow states that point at their client; run() must drop them
+    def alive() -> int:
+        return sum(isinstance(o, (_Client, _FlowState)) for o in gc.get_objects())
+
     gc.disable()
     try:
+        before = alive()
         for name, sc in _pinned_scenarios().items():
             engine = _Engine(sc)
             ref = weakref.ref(engine)
             engine.run()
             del engine
             assert ref() is None, name
+            assert alive() == before, name
     finally:
         gc.enable()
