@@ -15,6 +15,7 @@ import json
 import os
 import statistics
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -43,10 +44,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
+    """Write the header, then one line per row as it is read."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -84,26 +86,14 @@ def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
 def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
     scenario = replace(cfg.scenario(), record_cwnd=True)  # cwnd.csv needs the series
     trace = run_sim(scenario)
-    _write_csv(
-        out / "deliveries.csv",
-        ["time_s", "station", "flow", "bytes"],
-        [(t, st, fl, nb) for (t, st, fl, nb) in trace.deliveries],
-    )
-    _write_csv(
-        out / "airtime.csv",
-        ["start_s", "end_s", "station"],
-        [(a, b, st) for (a, b, st) in trace.airtime],
-    )
+    _write_csv(out / "deliveries.csv", ["time_s", "station", "flow", "bytes"], trace.deliveries)
+    _write_csv(out / "airtime.csv", ["start_s", "end_s", "station"], trace.airtime)
     _write_csv(
         out / "burst_serve.csv",
         ["burst_index", "serve_start_s", "serve_end_s"],
         burst_service(trace, scenario.bursts),
     )
-    _write_csv(
-        out / "cwnd.csv",
-        ["time_s", "flow", "cwnd_segments"],
-        [(t, fl, w) for (t, fl, w) in trace.cwnd_series],
-    )
+    _write_csv(out / "cwnd.csv", ["time_s", "flow", "cwnd_segments"], trace.cwnd_series)
     sched = None
     for st in scenario.stations:
         if st.twt is not None:
@@ -301,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_VALIDATION
             text = path.read_text()
         cfg = parse(text)
+        if args.seed is not None:
+            cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))
     except ConfigError as exc:
         print(_error_json("config", str(exc), exc.line))
         return EXIT_VALIDATION
@@ -311,8 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "out"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.seed is not None:
-        cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))
 
     try:
         return _HANDLERS[args.command](cfg, out)

@@ -21,20 +21,22 @@ Each event carries the handler it fires, as ``(t, seq, handler, args)``;
 ``seq`` breaks time ties in push order.  A contention cycle that no pending
 event precedes starts at once, off the heap.  Time is tracked in integer
 nanoseconds; all randomness comes from streams derived from the scenario
-seed, so a scenario replays byte-identically.
+seed, so a scenario replays byte-identically.  Contender i -- the AP as 0,
+then the clients in station order -- draws its backoffs from a
+``random.Random`` seeded with ``seed_state(seed, (i,))``: the first word of
+the i-th child of numpy's ``SeedSequence(seed)``, hashed without numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-
-import numpy as np
 
 from .schedule import TwtSchedule, wake_windows
 from .traffic import Burst
@@ -117,6 +119,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         aps = [s for s in self.stations if s.role == "ap"]
         if len(aps) != 1:
             raise ValueError(f"scenario needs exactly one AP, got {len(aps)}")
@@ -192,6 +196,66 @@ def backoff_draw(mac: MacParams, stage: int, rng: random.Random) -> int:
     while r > cw:
         r = rng.getrandbits(k)
     return r
+
+
+# numpy's SeedSequence constants: pool size (32-bit words) and hash multipliers
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(x) -> list[int]:
+    """The 32-bit words of an int, least significant first (0 is one word), or
+    of each item of a sequence in turn."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        return [w for item in x for w in _words(item)]
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def seed_state(entropy, spawn_key: tuple[int, ...] = ()) -> int:
+    """``numpy.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(1)[0]``
+    word for word, in pure Python.
+
+    ``entropy`` is a non-negative int or a sequence of them.  As numpy does,
+    a spawn key follows the entropy words padded with zeros to the pool size.
+    """
+    data = _words(entropy)
+    spawn = _words(spawn_key)
+    if spawn and len(data) < _POOL:
+        data += [0] * (_POOL - len(data))
+    data += spawn
+    mult = _INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal mult
+        v ^= mult
+        mult = mult * _MULT_A & _MASK32
+        v = v * mult & _MASK32
+        return v ^ (v >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(data[i] if i < len(data) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in data[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    v = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
+    return v ^ (v >> 16)
 
 
 def mpdu_airtime_ns(mac: MacParams, phy_rate_mbps: float) -> int:
@@ -335,10 +399,9 @@ class _Engine:
 
         ap = next(s for s in sc.stations if s.role == "ap")
         stations = [s for s in sc.stations if s.role == "client"]
-        children = np.random.SeedSequence(sc.seed).spawn(1 + len(stations))
-        self.ap_cont = _Contender(ap.id, True, random.Random(int(children[0].generate_state(1)[0])))
-        self.clients = [_Client(s, sc.mac, random.Random(int(c.generate_state(1)[0])))
-                        for s, c in zip(stations, children[1:])]
+        self.ap_cont = _Contender(ap.id, True, random.Random(seed_state(sc.seed, (0,))))
+        self.clients = [_Client(s, sc.mac, random.Random(seed_state(sc.seed, (i,))))
+                        for i, s in enumerate(stations, 1)]
         by_id = {c.sid: c for c in self.clients}
         # the gated client: the TWT holder, unless its schedule never sleeps;
         # its wake windows (integer ns) start at 0

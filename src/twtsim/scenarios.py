@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .macsim import MacParams, Scenario, Station, back_solve_phy_rate
+from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, seed_state
 from .schedule import TwtSchedule, schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
@@ -22,7 +20,7 @@ BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 
 def derive_seed(*parts: int) -> int:
     """Stable scalar seed from a tuple of integers."""
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+    return seed_state(parts)
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,8 @@ class ScenarioTemplate:
                      "qos_interval_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name, least in (("seeds", 1), ("queue_limit_segments", 1), ("max_underruns", 0)):
+        for name, least in (("seeds", 1), ("queue_limit_segments", 1), ("max_underruns", 0),
+                            ("master_seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -121,6 +120,8 @@ class ScenarioTemplate:
         if model == "cbr":
             bursts = generate_cbr_bursts(self.video, duration)
         else:
+            import numpy as np  # only VBR draws need numpy
+
             rng = np.random.default_rng(derive_seed(seed, 0x7BA))
             bursts = generate_vbr_bursts(self.video, duration, rng)
         sched = schedule_from(duty, mf) if duty is not None else None

@@ -53,11 +53,14 @@ def on_ack(cwnd: float, ssthresh: float, acked_segments: int) -> float:
     """
     if acked_segments < 1:
         raise ValueError(f"acked_segments must be >= 1, got {acked_segments}")
-    for _ in range(acked_segments):
-        if cwnd < ssthresh:
-            cwnd += 1.0
-        else:
-            cwnd += 1.0 / cwnd
+    # slow start until cwnd reaches ssthresh; as cwnd only grows, the rest
+    # of the segments are all congestion avoidance
+    left = acked_segments
+    while left and cwnd < ssthresh:
+        cwnd += 1.0
+        left -= 1
+    for _ in range(left):
+        cwnd += 1.0 / cwnd
     return cwnd
 
 

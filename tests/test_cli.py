@@ -1,9 +1,13 @@
 import json
 import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twtsim
 from twtsim.cli import main
 
 SHORT = """\
@@ -79,6 +83,36 @@ def test_seed_flag_changes_output(cfg_path, tmp_path):
     assert run_cli("--config", cfg_path, "--command", "simulate", "--out", a) == 0
     assert run_cli("--config", cfg_path, "--command", "simulate", "--out", b, "--seed", 6) == 0
     assert (a / "deliveries.csv").read_bytes() != (b / "deliveries.csv").read_bytes()
+
+
+def test_negative_seed_flag_is_a_validation_error(cfg_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg_path, "--command", "simulate", "--out", out, "--seed", -3) == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err == {"error": "validation", "detail": "master_seed must be >= 0, got -3"}
+    assert not out.exists()
+
+
+# in a fresh interpreter: the CBR commands, then a VBR session, which needs numpy
+NUMPY_FREE = """\
+import sys
+import twtsim
+from twtsim.cli import main
+for command in ("simulate", "qos"):
+    assert main(["--config", sys.argv[1], "--command", command, "--out", sys.argv[2]]) == 0
+assert "numpy" not in sys.modules, "the CBR path imported numpy"
+cfg = twtsim.parse(open(sys.argv[1]).read())
+cfg.template.session_scenario(40, 4, "vbr", 5, duration_s=16)
+assert "numpy" in sys.modules, "a VBR session was built without numpy"
+"""
+
+
+def test_cbr_commands_never_import_numpy(cfg_path, tmp_path):
+    path = [str(Path(twtsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(cfg_path), str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_qos_report(cfg_path, tmp_path):

@@ -134,7 +134,7 @@ EVERY_SECTION = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
                  + "\n[transport]\nremote_rtt_s = 0.03\nqueue_limit_segments = 64\n"
                  + "\n[search]\nseeds = 2\nphase1_duration_s = 5\nsession_duration_s = 12\n"
                  + "max_underruns = 3\nqos_interval_s = 1\n"
-                 + "\n[sim]\nduration_s = 12\n")
+                 + "\n[sim]\nduration_s = 12\nseed = 1\n")
 # a back-solved client: its calibration run meets a short TXOP limit first
 BACK_SOLVED = """\
 format = 1
@@ -160,7 +160,7 @@ txop_limit_us = 5484
         "bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
         "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
         "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
-        "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2",
+        "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2", "seed = -1",
         # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
         "phy_rate_mbps = 2", "txop_limit_us = 200")]
     + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")],

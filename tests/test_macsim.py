@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twtsim.macsim
 from twtsim import (
@@ -32,6 +34,7 @@ from twtsim.macsim import (
     ack_airtime_ns,
     aggregate_ns,
     mpdu_airtime_ns,
+    seed_state,
 )
 from twtsim.qos import burst_service
 
@@ -94,6 +97,38 @@ def test_backoff_stage_bounds_checked():
         backoff_draw(MAC, -1, rng)
     with pytest.raises(ValueError):
         backoff_draw(MAC, MAC.max_stage + 1, rng)
+
+
+# ---------------------------------------------------------------- seeding ---
+
+WORD = st.integers(0, 2**32 - 1)
+BIG = st.integers(0, 2**128)  # up to five 32-bit words
+
+
+def numpy_state(entropy, spawn_key=()) -> int:
+    return int(np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(1)[0])
+
+
+@settings(deadline=None)
+@given(entropy=st.one_of(BIG, st.lists(BIG, max_size=6)),
+       spawn_key=st.lists(BIG, max_size=3).map(tuple))
+def test_seed_state_is_numpys_first_state_word(entropy, spawn_key):
+    assert seed_state(entropy, spawn_key) == numpy_state(entropy, spawn_key)
+
+
+@settings(deadline=None)
+@given(entropy=st.lists(WORD, max_size=3), spawn_key=st.lists(WORD, min_size=1, max_size=3))
+def test_seed_state_pads_short_entropy_before_a_spawn_key(entropy, spawn_key):
+    # fewer than four entropy words: numpy pads them with zeros to the pool size
+    assert seed_state(entropy, tuple(spawn_key)) == numpy_state(entropy, tuple(spawn_key))
+
+
+@pytest.mark.parametrize("entropy, spawn_key", [(-1, ()), ([3, -2], ()), (7, (0, -1))])
+def test_seed_state_rejects_negative_words_as_numpy_does(entropy, spawn_key):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        numpy_state(entropy, spawn_key)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        seed_state(entropy, spawn_key)
 
 
 def test_cw_values_must_be_powers_of_two_minus_one():
@@ -357,6 +392,11 @@ def test_scenario_requires_exactly_one_ap():
             duration_s=1.0,
             seed=1,
         )
+
+
+def test_scenario_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -5"):
+        two_station_scenario(seed=-5)
 
 
 def test_scenario_rejects_duplicate_ids():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from twtsim import (
@@ -36,6 +38,11 @@ def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
 def test_template_needs_at_least_one_seed(seeds):
     with pytest.raises(ValueError, match="seeds must be >= 1"):
         small_template(seeds=seeds)
+
+
+def test_template_rejects_a_negative_master_seed():
+    with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1"):
+        replace(small_template(), master_seed=-1)
 
 
 def test_derive_seed_is_stable_and_sensitive():

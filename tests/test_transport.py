@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twtsim import Flow, offer_load, on_ack, on_idle_restart, on_loss
 
@@ -29,6 +31,22 @@ def test_congestion_avoidance_grows_reciprocally():
 def test_slow_start_hands_over_to_avoidance_at_threshold():
     cwnd = on_ack(7.0, 8.0, 4)  # 7 -> 8 exponential, then reciprocal
     assert 8.0 < cwnd < 9.0
+
+
+def per_segment_on_ack(cwnd: float, ssthresh: float, acked_segments: int) -> float:
+    """The window rule applied one segment at a time."""
+    for _ in range(acked_segments):
+        cwnd += 1.0 if cwnd < ssthresh else 1.0 / cwnd
+    return cwnd
+
+
+WINDOW = st.floats(1.0, 1e4, allow_nan=False)
+
+
+@given(cwnd=WINDOW, ssthresh=st.one_of(WINDOW, st.just(math.inf)),
+       acked=st.integers(1, 300))
+def test_on_ack_is_the_per_segment_rule_bit_for_bit(cwnd, ssthresh, acked):
+    assert on_ack(cwnd, ssthresh, acked).hex() == per_segment_on_ack(cwnd, ssthresh, acked).hex()
 
 
 def test_loss_halves_and_floors():
