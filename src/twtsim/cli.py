@@ -2,8 +2,9 @@
 
 Every command reads a scenario config, runs deterministically from (config,
 seed), and writes plot-ready CSV/JSON artifacts into the output directory.
-Floats are serialised with ``repr`` and JSON keys are sorted, so re-running a
-command with the same inputs yields byte-identical files.
+Floats are written as their shortest round-trip text (``str`` is ``repr`` for a
+float) and JSON keys are sorted, so re-running a command with the same inputs
+yields byte-identical files.
 
 Exit codes: 0 success, 1 validation error, 2 non-convergence.
 """
@@ -17,10 +18,9 @@ import statistics
 import sys
 from collections.abc import Iterable
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
-from .config import ConfigError, ParsedConfig, parse
+from .config import ConfigError, ParsedConfig, default_config_text, parse
 from .macsim import run_sim
 from .qos import burst_service, compute_qos, qos_pass
 from .search import (InfeasibleTargetError, phase1_min_duty, phase2_select_mf,
@@ -33,22 +33,11 @@ EXIT_NO_CONVERGENCE = 2
 OUT_DIR_ENV = "TWTSIM_OUT"
 
 
-def default_config_text() -> str:
-    """The bundled four-client setup."""
-    return resources.files("twtsim.configs").joinpath("paper_setup.cfg").read_text()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     """Write the header, then one line per row as it is read."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -119,7 +108,7 @@ def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
 def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
     scenario = cfg.scenario()
     trace = run_sim(scenario)
-    report = compute_qos(trace, list(scenario.bursts), interval_s=cfg.template.qos_interval_s)
+    report = compute_qos(trace, scenario.bursts, interval_s=cfg.template.qos_interval_s)
     payload = report.to_dict()
     payload["seed"] = cfg.seed
     payload["model"] = cfg.model
@@ -130,7 +119,7 @@ def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
     _write_csv(
         out / "instantaneous.csv",
         ["interval_start_s", "throughput_mbps"],
-        list(report.instantaneous_mbps),
+        report.instantaneous_mbps,
     )
     return EXIT_OK
 

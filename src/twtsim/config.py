@@ -4,8 +4,8 @@ A config looks like::
 
     format = 1
 
-    [station.client1]
-    standalone_mbps = 63.5
+    [station.laptop]
+    standalone_mbps = 95
 
     [twt]
     duty_percent = 30
@@ -23,12 +23,19 @@ scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from importlib import resources
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
-from .scenarios import BACKGROUND_STREAMS, ScenarioTemplate
+from .scenarios import ScenarioTemplate
 from .traffic import VideoParams
 
+BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
+
+
+def default_config_text() -> str:
+    """The bundled four-client setup: the one statement of the paper's BSS."""
+    return resources.files("twtsim.configs").joinpath("paper_setup.cfg").read_text()
 
 
 class ConfigError(ValueError):
@@ -75,6 +82,7 @@ _SECTION_KEYS = {
 class _Entry:
     value: object  # the text as read; the converted value after _convert
     line: int
+    key: str  # the key as the config names it
 
 
 def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
@@ -127,7 +135,7 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
             )
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = _Entry(value, lineno)
+        sections[current][key] = _Entry(value, lineno, key)
     if not sections:
         raise ConfigError(
             "empty config; required: a 'format = 1' header and sections "
@@ -154,15 +162,17 @@ def _values(entries: dict[str, _Entry]) -> dict:
 
 
 def _checked(entries: dict[str, _Entry], build, *args, **kwargs):
-    """Call ``build``; a ValueError it raises is reported at the line of the key
-    its message starts with, else at the first line of ``entries``."""
+    """Call ``build``; a ValueError it raises is reported at the line of the
+    argument its message starts with, under that entry's config key, else at
+    the first line of ``entries``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         msg = str(exc)
-        keyed = [e.line for k, e in entries.items() if msg.startswith(k + " ")]
-        line = keyed[0] if keyed else min((e.line for e in entries.values()), default=None)
-        raise ConfigError(msg, line) from exc
+        for arg, entry in entries.items():
+            if msg.startswith(arg + " "):
+                raise ConfigError(entry.key + msg[len(arg):], entry.line) from exc
+        raise ConfigError(msg, min((e.line for e in entries.values()), default=None)) from exc
 
 
 @dataclass(frozen=True)

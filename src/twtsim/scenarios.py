@@ -1,21 +1,19 @@
-"""Scenario construction: the default four-client BSS and the search phases.
+"""Scenario construction: the template the search phases instantiate.
 
-The default setup mirrors a small office BSS: three backlogged clients and a
-device under test streaming synthetic video from a remote server.  Peak
-background congestion is eight parallel saturated TCP streams to each of the
-three non-TWT clients, served locally by the AP.
+The paper's setup is stated once, in the bundled ``configs/paper_setup.cfg``;
+``paper_setup()`` returns that config's template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, seed_state
+from .macsim import MacParams, Scenario, Station, seed_state
+# perfbench's layer trace and set-up laps wrap this name here; only config calls it
+from .macsim import back_solve_phy_rate  # noqa: F401
 from .schedule import TwtSchedule, schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
-
-BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 
 
 def derive_seed(*parts: int) -> int:
@@ -147,25 +145,11 @@ class ScenarioTemplate:
 
 
 def paper_setup(**overrides) -> ScenarioTemplate:
-    """Default four-client BSS, rates back-solved from standalone figures.
+    """The bundled config's template: the paper's four-client BSS.
 
     Keyword arguments override ``ScenarioTemplate`` fields (``seeds``,
-    ``master_seed``, ...); the rest keep the template's defaults.
+    ``master_seed``, ...) after the config is parsed.
     """
-    mac = MacParams()
-    # standalone saturation figures (Mbit/s); the clients sit at RSSI -46, -45,
-    # -37 and -36 dBm, which the model does not use
-    standalone = {"client1": 63.5, "client2": 75.4, "client3": 163.0, "client4": 95.0}
-    stations = [Station(id="ap", role="ap")]
-    for sid, mbps in standalone.items():
-        stations.append(
-            Station(id=sid, role="client", phy_rate_mbps=back_solve_phy_rate(mbps, mac, sid))
-        )
-    return ScenarioTemplate(
-        stations=tuple(stations),
-        dut="client4",
-        video=VideoParams(),
-        background=tuple((c, BACKGROUND_STREAMS) for c in ("client1", "client2", "client3")),
-        mac=mac,
-        **overrides,
-    )
+    from .config import default_config_text, parse  # config imports this module
+
+    return replace(parse(default_config_text()).template, **overrides)

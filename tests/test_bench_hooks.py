@@ -9,6 +9,7 @@ search under the trace pins which phase each simulation is booked to.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import twtsim.macsim
@@ -39,7 +40,7 @@ def _gated_stream_scenario() -> Scenario:
 
 def _traced(work=None) -> tuple[dict, dict]:
     """Run ``work`` under the layer trace; return the trace's layer metrics and
-    the call count of each counter."""
+    the call count of each counter and span name."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
@@ -52,7 +53,9 @@ def _traced(work=None) -> tuple[dict, dict]:
         finally:
             tracer.close()  # a partial install must not leak into later tests
         metrics = layers.layer_metrics(tracer.spans, tracer.counters)
-        return metrics, {name: cell[0] for name, cell in tracer.counters.items()}
+        calls = Counter(span["name"] for span in tracer.spans)
+        calls.update({name: cell[0] for name, cell in tracer.counters.items()})
+        return metrics, calls
     finally:
         sys.path.remove(str(PERFBENCH))
 

@@ -4,8 +4,9 @@ import pytest
 
 from dataclasses import fields
 
-from twtsim import ConfigError, MacParams, ScenarioTemplate, VideoParams, paper_setup, parse
-from twtsim.cli import default_config_text
+import twtsim.scenarios
+from test_bench_hooks import _traced
+from twtsim import ConfigError, MacParams, ScenarioTemplate, VideoParams, parse
 
 MINIMAL = """\
 format = 1
@@ -22,20 +23,21 @@ bitrate_mbps = 10
 """
 
 
-def test_bundled_config_matches_default_setup():
-    cfg = parse(default_config_text())
-    tpl = cfg.template
+def test_paper_setup_is_the_bundled_template():
+    # one cold call under the layer trace: the overrides land after parsing,
+    # and each client is back-solved once, through config
+    setups = []
+    metrics, calls = _traced(
+        lambda: setups.append(twtsim.scenarios.paper_setup(seeds=2, master_seed=7)))
+    (tpl,) = setups
     assert [s.id for s in tpl.stations] == ["ap", "client1", "client2", "client3", "client4"]
     assert tpl.dut == "client4"
     assert tpl.background == (("client1", 8), ("client2", 8), ("client3", 8))
     assert tpl.video.bitrate_mbps == 15.6
-    # standalone figures are translated into higher PHY rates
-    rates = {s.id: s.phy_rate_mbps for s in tpl.stations}
-    assert rates["client1"] > 63.5
-    assert rates["client3"] > 163.0
-    assert rates["client3"] > rates["client4"] > rates["client2"] > rates["client1"]
-    # the benchmark's search and cli workloads run these two; they must be one setup
-    assert tpl == paper_setup()
+    assert tpl.mac == MacParams()
+    assert (tpl.seeds, tpl.master_seed) == (2, 7)
+    assert calls["back_solve"] == 4
+    assert metrics["macsim.calibration.runs"] == 79
 
 
 def test_twt_section_drives_schedule():
@@ -173,7 +175,7 @@ def test_value_error_reports_its_line(bad, text):
     with pytest.raises(ConfigError) as exc:
         parse(text)
     assert exc.value.line == text.count("\n", 0, text.rindex(bad)) + 1
-    assert key in str(exc.value)
+    assert re.search(rf"(?<!\w){key}(?!\w)", str(exc.value))
     # a station the message names is one of the config's
     for sid in re.findall(r"station '([^']*)'", str(exc.value)):
         assert f"[station.{sid}]" in text
