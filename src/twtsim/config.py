@@ -22,7 +22,7 @@ scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
@@ -208,8 +208,11 @@ class ParsedConfig:
         )
 
 
-def _stations(sections: dict[str, dict[str, _Entry]], mac: MacParams) -> tuple[list[Station], str]:
-    """The [station.<id>] sections as stations, and the id of the DUT."""
+def _stations(sections: dict[str, dict[str, _Entry]],
+              template: ScenarioTemplate) -> tuple[list[Station], str]:
+    """The [station.<id>] sections as stations, and the id of the DUT; a
+    ``standalone_mbps`` client is calibrated on the template's local stream."""
+    mac = template.mac
     mac_sec = sections.get("mac", {})
     stations: list[Station] = []
     dut: str | None = None
@@ -238,7 +241,8 @@ def _stations(sections: dict[str, dict[str, _Entry]], mac: MacParams) -> tuple[l
                                   sec["role"].line)
             rate = phy  # None, or rejected by Station at its line
         elif standalone is not None:
-            rate = _checked({**mac_sec, **sec}, back_solve_phy_rate, standalone, mac, sid)
+            rate = _checked({**mac_sec, **sec}, back_solve_phy_rate, standalone, mac,
+                            template.local_flow("cal", sid))
         elif phy is not None:
             rate = phy
         else:
@@ -295,9 +299,6 @@ def parse(text: str) -> ParsedConfig:
     mac_sec = sections.get("mac", {})
     mac = _checked(mac_sec, MacParams, **_values(mac_sec))
     video = _checked(sections["traffic"], VideoParams, **_values(sections["traffic"]))
-    stations, dut = _stations(sections, mac)
-    clients = [s.id for s in stations if s.role == "client"]
-    background = _background(sections.get("background", {}), clients, dut)
 
     # each remaining entry keyed by the constructor argument it sets
     run = dict(sections.get("sim", {}))
@@ -307,16 +308,13 @@ def parse(text: str) -> ParsedConfig:
     twt = sections.get("twt", {})
     run.update((("twt_enabled" if k == "enabled" else k), e) for k, e in twt.items())
 
-    template = _checked(
-        for_template,
-        ScenarioTemplate,
-        stations=tuple(stations),
-        dut=dut,
-        video=video,
-        background=background,
-        mac=mac,
-        **_values(for_template),
-    )
+    # the template comes first: its local stream calibrates the clients
+    template = _checked(for_template, ScenarioTemplate, stations=(), dut="", video=video,
+                        background=(), mac=mac, **_values(for_template))
+    stations, dut = _stations(sections, template)
+    clients = [s.id for s in stations if s.role == "client"]
+    background = _background(sections.get("background", {}), clients, dut)
+    template = replace(template, stations=tuple(stations), dut=dut, background=background)
     parsed = ParsedConfig(template, **_values(run))
     # Materialise once so schedule/scenario invariant violations surface here
     # with the config as context rather than deep inside a command.

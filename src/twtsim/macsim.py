@@ -57,13 +57,12 @@ class MacParams:
     cw_min: int = 15
     cw_max: int = 1023
     max_ampdu_mpdus: int = 64
-    mpdu_payload_bytes: int = 1500
     txop_limit_us: int = 5484
     per_frame_overhead_us: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("slot_us", "difs_us", "max_ampdu_mpdus", "mpdu_payload_bytes",
-                     "txop_limit_us", "per_frame_overhead_us"):
+        for name in ("slot_us", "difs_us", "max_ampdu_mpdus", "txop_limit_us",
+                     "per_frame_overhead_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("cw_min", "cw_max"):
@@ -258,9 +257,9 @@ def seed_state(entropy, spawn_key: tuple[int, ...] = ()) -> int:
     return v ^ (v >> 16)
 
 
-def mpdu_airtime_ns(mac: MacParams, phy_rate_mbps: float) -> int:
-    """Airtime of one full MPDU in ns (ceil)."""
-    return math.ceil(mac.mpdu_payload_bytes * 8 * NS_PER_US / phy_rate_mbps)
+def mpdu_airtime_ns(phy_rate_mbps: float) -> int:
+    """Airtime of one full MPDU in ns (ceil); an MPDU carries one TCP segment."""
+    return math.ceil(Flow.segment_bytes * 8 * NS_PER_US / phy_rate_mbps)
 
 
 def ack_airtime_ns(mac: MacParams, records: int, phy_rate_mbps: float) -> int:
@@ -275,7 +274,7 @@ def check_mpdu_fits(mac: MacParams, sid: str, phy_rate_mbps: float) -> None:
     The message starts with the key to change: the rate when one MPDU would not
     fit even the default limit, else ``txop_limit_us``.
     """
-    need_ns = mpdu_airtime_ns(mac, phy_rate_mbps) + mac.per_frame_overhead_us * NS_PER_US
+    need_ns = mpdu_airtime_ns(phy_rate_mbps) + mac.per_frame_overhead_us * NS_PER_US
     if need_ns <= mac.txop_limit_us * NS_PER_US:
         return
     need = f"one MPDU to station {sid!r} at {phy_rate_mbps} Mbps needs {need_ns / NS_PER_US:g} us"
@@ -289,13 +288,13 @@ _CALIBRATION_SEED = 0xCA11B
 _CALIBRATION_DURATION_S = 4.0
 
 
-def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, sid: str) -> float:
-    """PHY rate whose simulated single-client saturation matches a measured figure.
+def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, flow: Flow) -> float:
+    """PHY rate at which ``flow`` alone delivers a measured throughput figure.
 
-    Bisects on short fixed-seed calibration runs, so the returned rate is
-    consistent with the engine's own contention/aggregation behaviour rather
-    than an analytic approximation of it.  ``sid`` names the calibration
-    client in errors; it does not change the result.
+    Bisects on short fixed-seed calibration runs of ``flow`` to its client, so
+    the returned rate is consistent with the engine's contention and
+    aggregation and with the stream's RTT and queue limit.  The config passes
+    the template's local stream (``ScenarioTemplate.local_flow``).
 
     A run sees the rate only through the airtimes it times: an MPDU's and
     those of the ACK-record counts it returned.  A rate that gives all of
@@ -303,22 +302,23 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, sid: str) -> flo
     """
     if standalone_mbps <= 0:
         raise ValueError("standalone_mbps must be > 0")
+    sid = flow.dst
     runs: list[tuple[int, dict[int, int], float]] = []  # (MPDU airtime, ACK airtimes, Mbit/s)
 
     def throughput_mbps(rate: float) -> float:
-        t_mpdu = mpdu_airtime_ns(mac, rate)
+        t_mpdu = mpdu_airtime_ns(rate)
         for mpdu, acks, mbps in runs:
             if mpdu == t_mpdu and all(ack_airtime_ns(mac, n, rate) == d for n, d in acks.items()):
                 return mbps
         trace = run_sim(Scenario(
             stations=(Station(id="ap", role="ap"),
                       Station(id=sid, role="client", phy_rate_mbps=rate)),
-            flows=(Flow(id="cal", dst=sid, kind="saturated", base_rtt_s=0.002),),
+            flows=(flow,),
             duration_s=_CALIBRATION_DURATION_S,
             seed=_CALIBRATION_SEED,
             mac=mac,
         ))
-        runs.append((t_mpdu, trace.ack_airtime_ns[sid], trace.flow_throughput_mbps("cal")))
+        runs.append((t_mpdu, trace.ack_airtime_ns[sid], trace.flow_throughput_mbps(flow.id)))
         return runs[-1][2]
 
     lo, hi = standalone_mbps, standalone_mbps * 4
@@ -355,10 +355,10 @@ class _Client(_Contender):
 
     __slots__ = ("rate", "t_mpdu", "queue", "qsegs", "acks", "ack_ns", "lane", "rr_next")
 
-    def __init__(self, st: Station, mac: MacParams, rng: random.Random):
+    def __init__(self, st: Station, rng: random.Random):
         super().__init__(st.id, False, rng)
         self.rate = st.phy_rate_mbps
-        self.t_mpdu = mpdu_airtime_ns(mac, st.phy_rate_mbps)
+        self.t_mpdu = mpdu_airtime_ns(st.phy_rate_mbps)
         self.queue: deque = deque()
         self.qsegs = 0
         self.acks: list = []
@@ -400,7 +400,7 @@ class _Engine:
         ap = next(s for s in sc.stations if s.role == "ap")
         stations = [s for s in sc.stations if s.role == "client"]
         self.ap_cont = _Contender(ap.id, True, random.Random(seed_state(sc.seed, (0,))))
-        self.clients = [_Client(s, sc.mac, random.Random(seed_state(sc.seed, (i,))))
+        self.clients = [_Client(s, random.Random(seed_state(sc.seed, (i,))))
                         for i, s in enumerate(stations, 1)]
         by_id = {c.sid: c for c in self.clients}
         # the gated client: the TWT holder, unless its schedule never sleeps;

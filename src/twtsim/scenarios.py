@@ -67,36 +67,23 @@ class ScenarioTemplate:
                 out.append(s)
         return tuple(out)
 
-    def _dut_flow(self, kind: str) -> Flow:
-        return Flow(
-            id="dut-stream",
-            dst=self.dut,
-            kind=kind,
-            base_rtt_s=self.remote_rtt_s if kind == "burst" else self.local_rtt_s,
-            queue_limit_segments=self.queue_limit_segments,
-        )
+    def local_flow(self, fid: str, dst: str) -> Flow:
+        """A saturated stream from a local server to ``dst``: each background
+        stream, the phase-1 stream, and the calibration run that back-solves a
+        ``standalone_mbps`` client."""
+        return Flow(id=fid, dst=dst, kind="saturated", base_rtt_s=self.local_rtt_s,
+                    queue_limit_segments=self.queue_limit_segments)
 
     def _background_flows(self) -> tuple[Flow, ...]:
-        flows = []
-        for dst, streams in self.background:
-            for i in range(streams):
-                flows.append(
-                    Flow(
-                        id=f"bg-{dst}-{i}",
-                        dst=dst,
-                        kind="saturated",
-                        base_rtt_s=self.local_rtt_s,
-                        queue_limit_segments=self.queue_limit_segments,
-                    )
-                )
-        return tuple(flows)
+        return tuple(self.local_flow(f"bg-{dst}-{i}", dst)
+                     for dst, streams in self.background for i in range(streams))
 
     def phase1_scenario(self, duty: int, seed: int) -> Scenario:
         """Unloaded BSS, one saturated local stream to the TWT DUT, MF = 1."""
         sched = schedule_from(duty, 1)
         return Scenario(
             stations=self._with_twt(sched),
-            flows=(self._dut_flow("saturated"),),
+            flows=(self.local_flow("dut-stream", self.dut),),
             duration_s=self.phase1_duration_s,
             seed=seed,
             mac=self.mac,
@@ -123,7 +110,9 @@ class ScenarioTemplate:
             rng = np.random.default_rng(derive_seed(seed, 0x7BA))
             bursts = generate_vbr_bursts(self.video, duration, rng)
         sched = schedule_from(duty, mf) if duty is not None else None
-        flows = (self._dut_flow("burst"),) + (self._background_flows() if loaded else ())
+        stream = Flow(id="dut-stream", dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
+                      queue_limit_segments=self.queue_limit_segments)
+        flows = (stream,) + (self._background_flows() if loaded else ())
         return Scenario(
             stations=self._with_twt(sched),
             flows=flows,
@@ -144,12 +133,14 @@ class ScenarioTemplate:
         )
 
 
-def paper_setup(**overrides) -> ScenarioTemplate:
+def paper_setup(*, seeds: int | None = None, master_seed: int | None = None) -> ScenarioTemplate:
     """The bundled config's template: the paper's four-client BSS.
 
-    Keyword arguments override ``ScenarioTemplate`` fields (``seeds``,
-    ``master_seed``, ...) after the config is parsed.
+    ``seeds`` and ``master_seed``, when given, replace the config's; to change
+    anything else the config states, ``parse`` an edited copy of it.
     """
     from .config import default_config_text, parse  # config imports this module
 
-    return replace(parse(default_config_text()).template, **overrides)
+    template = parse(default_config_text()).template
+    given = {"seeds": seeds, "master_seed": master_seed}
+    return replace(template, **{k: v for k, v in given.items() if v is not None})

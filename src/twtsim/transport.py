@@ -14,7 +14,7 @@ passed to these functions as numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import ClassVar, Literal
 
 FlowKind = Literal["saturated", "burst"]
 
@@ -27,7 +27,7 @@ class Flow:
     dst: str
     kind: FlowKind
     base_rtt_s: float = 0.030
-    segment_bytes: int = 1500
+    segment_bytes: ClassVar[int] = 1500  # one MPDU carries one segment
     queue_limit_segments: int = 256
     cwnd_init_segments: float = 10.0  # the initial and the idle-restart window
     idle_restart_s: float = 1.0
@@ -39,8 +39,6 @@ class Flow:
             raise ValueError(f"cwnd_init_segments must be >= 1, got {self.cwnd_init_segments}")
         if self.base_rtt_s <= 0:
             raise ValueError(f"base_rtt_s must be > 0, got {self.base_rtt_s}")
-        if self.segment_bytes <= 0:
-            raise ValueError(f"segment_bytes must be > 0, got {self.segment_bytes}")
         if self.queue_limit_segments < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit_segments}")
 

@@ -6,7 +6,8 @@ from dataclasses import fields
 
 import twtsim.scenarios
 from test_bench_hooks import _traced
-from twtsim import ConfigError, MacParams, ScenarioTemplate, VideoParams, parse
+from twtsim import (ConfigError, MacParams, ScenarioTemplate, VideoParams, paper_setup, parse,
+                    run_sim)
 
 MINIMAL = """\
 format = 1
@@ -24,20 +25,26 @@ bitrate_mbps = 10
 
 
 def test_paper_setup_is_the_bundled_template():
-    # one cold call under the layer trace: the overrides land after parsing,
-    # and each client is back-solved once, through config
+    # one cold call under the layer trace: the overrides land after parsing
+    # (a master seed of 0 too), and each client is back-solved once, through config
     setups = []
     metrics, calls = _traced(
-        lambda: setups.append(twtsim.scenarios.paper_setup(seeds=2, master_seed=7)))
+        lambda: setups.append(twtsim.scenarios.paper_setup(seeds=2, master_seed=0)))
     (tpl,) = setups
     assert [s.id for s in tpl.stations] == ["ap", "client1", "client2", "client3", "client4"]
     assert tpl.dut == "client4"
     assert tpl.background == (("client1", 8), ("client2", 8), ("client3", 8))
     assert tpl.video.bitrate_mbps == 15.6
     assert tpl.mac == MacParams()
-    assert (tpl.seeds, tpl.master_seed) == (2, 7)
+    assert (tpl.seeds, tpl.master_seed) == (2, 0)
     assert calls["back_solve"] == 4
     assert metrics["macsim.calibration.runs"] == 79
+
+
+def test_paper_setup_takes_only_what_it_honours():
+    # the rates are calibrated for the bundled [mac]; a MAC override would not re-calibrate them
+    with pytest.raises(TypeError):
+        paper_setup(mac=MacParams())
 
 
 def test_twt_section_drives_schedule():
@@ -78,13 +85,15 @@ def test_unknown_key_reports_line_number():
     assert "duty_percent" in str(exc.value)  # suggests the known keys
 
 
-def test_sifs_is_not_a_mac_key():
-    # the engine models no SIFS; a config that sets it is told so
-    text = MINIMAL + "\n[mac]\nsifs_us = 16\n"
+@pytest.mark.parametrize("key", ["sifs_us", "mpdu_payload_bytes"])
+def test_sifs_is_not_a_mac_key(key):
+    # the engine models no SIFS, and an MPDU carries one TCP segment of
+    # Flow.segment_bytes; a config that sets either is told so
+    text = MINIMAL + f"\n[mac]\n{key} = 750\n"
     with pytest.raises(ConfigError) as exc:
         parse(text)
-    assert exc.value.line == text.count("\n", 0, text.index("sifs_us")) + 1
-    assert "sifs_us" in str(exc.value)
+    assert exc.value.line == text.count("\n", 0, text.index(key)) + 1
+    assert key in str(exc.value)
 
 
 def test_offset_is_not_a_twt_key():
@@ -121,6 +130,25 @@ def test_ap_takes_no_rate():
         parse(text)
     assert exc.value.line == text.count("\n", 0, text.index("phy_rate_mbps")) + 1
     assert "phy_rate_mbps" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["standalone_mbps = 50", "dut = true"])
+def test_ap_is_no_client(bad):
+    # the AP has no rate to back-solve and cannot be the DUT
+    text = MINIMAL.replace("role = ap\n", f"role = ap\n{bad}\n")
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index(bad)) + 1
+
+
+def test_standalone_figure_holds_under_the_configured_transport():
+    # the calibration runs the template's local stream, so a longer local RTT
+    # gives a rate at which the phase-1 stream still reaches the figure
+    text = MINIMAL.replace("phy_rate_mbps = 100\n", "standalone_mbps = 95\n") + (
+        "\n[transport]\nlocal_rtt_s = 0.010\n\n[search]\nphase1_duration_s = 10\n")
+    tpl = parse(text).template
+    got = run_sim(tpl.phase1_scenario(100, 123)).flow_throughput_mbps("dut-stream")
+    assert got == pytest.approx(95, rel=0.03)
 
 
 def test_sim_seed_is_the_master_seed():
@@ -162,7 +190,7 @@ txop_limit_us = 5484
         "bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
         "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
         "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
-        "phy_rate_mbps = -5", "role = ap", "streams_per_client = -2", "seed = -1",
+        "phy_rate_mbps = -5", "role = ap", "role = router", "streams_per_client = -2", "seed = -1",
         # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
         "phy_rate_mbps = 2", "txop_limit_us = 200")]
     + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")],
@@ -246,6 +274,12 @@ def test_background_clients_must_exist():
     with pytest.raises(ConfigError, match="distinct") as exc:
         parse(text)
     assert exc.value.line == text.count("\n", 0, text.index("clients")) + 1
+
+
+def test_background_takes_the_listed_clients():
+    text = (MINIMAL + "\n[station.c2]\nphy_rate_mbps = 50\n\n[station.c3]\nphy_rate_mbps = 60\n"
+            + "\n[background]\nclients = c3\nstreams_per_client = 2\n")
+    assert parse(text).template.background == (("c3", 2),)
 
 
 def test_invalid_model_rejected():

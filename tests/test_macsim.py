@@ -43,7 +43,7 @@ MAC = MacParams()
 
 def single_contender_bound_mbps(phy_rate_mbps: float, mac: MacParams) -> float:
     """Closed-form saturation throughput of a lone contender (upper bound)."""
-    t_mpdu_us = mac.mpdu_payload_bytes * 8 / phy_rate_mbps
+    t_mpdu_us = Flow.segment_bytes * 8 / phy_rate_mbps
     n = min(mac.max_ampdu_mpdus,
             int((mac.txop_limit_us - mac.per_frame_overhead_us) // t_mpdu_us))
     payload_us = n * t_mpdu_us
@@ -149,18 +149,18 @@ OVERHEAD_NS = MAC.per_frame_overhead_us * 1000
 
 def test_aggregate_caps_by_txop_budget():
     # 100 Mbit/s -> 120 us per 1500-byte MPDU; (5484 - 100) / 120 = 44.8
-    t_mpdu = mpdu_airtime_ns(MAC, 100.0)
+    t_mpdu = mpdu_airtime_ns(100.0)
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 10**6) == 44
 
 
 def test_aggregate_caps_by_ampdu_limit():
-    t_mpdu = mpdu_airtime_ns(MAC, 100.0)
+    t_mpdu = mpdu_airtime_ns(100.0)
     assert aggregate_ns(t_mpdu, 100_000_000, OVERHEAD_NS, 64, 10**6) == 64
 
 
 def test_aggregate_caps_by_window_remaining():
     # 95 Mbit/s -> 126.31 us per MPDU; (8191 - 100) // 126.31 = 64
-    t_mpdu = mpdu_airtime_ns(MAC, 95.0)
+    t_mpdu = mpdu_airtime_ns(95.0)
     assert aggregate_ns(t_mpdu, 8_191_000, OVERHEAD_NS, 64, 10**6) == 64
     assert aggregate_ns(t_mpdu, 300_000, OVERHEAD_NS, 64, 10**6) == 1
     assert aggregate_ns(t_mpdu, 220_000, OVERHEAD_NS, 64, 10**6) == 0
@@ -168,7 +168,7 @@ def test_aggregate_caps_by_window_remaining():
 
 def test_aggregate_caps_by_queue():
     # the engine queues full segments plus a tail: 1501 bytes are 2 MPDUs
-    t_mpdu = mpdu_airtime_ns(MAC, 100.0)
+    t_mpdu = mpdu_airtime_ns(100.0)
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 1) == 1
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 2) == 2
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 0) == 0
@@ -186,7 +186,7 @@ def test_single_contender_near_closed_form_bound():
 
 def test_back_solve_reproduces_standalone_figure():
     for target in (63.5, 95.0):
-        rate = back_solve_phy_rate(target, MAC, "sta")
+        rate = back_solve_phy_rate(target, MAC, two_station_scenario().flows[0])
         sc = two_station_scenario(
             stations=(
                 Station(id="ap", role="ap"),
@@ -206,11 +206,15 @@ def test_bundled_rates_are_pinned():
                      "client3": 194.12763938307762, "client4": 107.01004639267921}
 
 
+# the bundled config's calibration stream to client "c"
+CAL = Flow(id="cal", dst="c", kind="saturated", base_rtt_s=0.002)
+
+
 def test_back_solve_runs_each_distinct_calibration_once(monkeypatch):
     runs = []
     real = twtsim.macsim.run_sim
     monkeypatch.setattr(twtsim.macsim, "run_sim", lambda sc: runs.append(sc) or real(sc))
-    assert back_solve_phy_rate(63.5, MacParams(), "c") == 71.7596078068018
+    assert back_solve_phy_rate(63.5, MacParams(), CAL) == 71.7596078068018
     # the probe of the upper bound and 24 bisection steps are 25 rates
     assert len(runs) < 25
 
@@ -229,9 +233,9 @@ def test_back_solve_reuses_a_run_only_if_each_timed_ack_airtime_matches(monkeypa
         return tr
 
     monkeypatch.setattr(twtsim.macsim, "run_sim", fake_run_sim)
-    back_solve_phy_rate(63.5, MAC, "c")
+    back_solve_phy_rate(63.5, MAC, CAL)
     # some rates share an MPDU airtime, yet each of the 25 ran
-    assert len({mpdu_airtime_ns(MAC, r) for r in runs}) < len(runs) == 25
+    assert len({mpdu_airtime_ns(r) for r in runs}) < len(runs) == 25
 
 
 def test_throughput_splits_between_clients():
@@ -512,11 +516,11 @@ def _assert_gated_mid_edges(tr) -> None:
     assert any(end - start > 2 * longest_ack
                for start, end, sid in tr.airtime if sid == COLLISION_ID)
     # an A-MPDU to a below its TXOP cap took the whole queue, and more followed
-    cap = aggregate_ns(mpdu_airtime_ns(MAC, 40.0), TXOP_NS, OVERHEAD_NS, 64, 10**6)
+    cap = aggregate_ns(mpdu_airtime_ns(40.0), TXOP_NS, OVERHEAD_NS, 64, 10**6)
     to_a = [n for (_, dst), n in sorted(ampdus.items()) if dst == "a"]
     assert any(n < cap for n in to_a[:-1])
     # the DUT's A-MPDUs fill, and never exceed, what one short window holds
-    window_cap = aggregate_ns(mpdu_airtime_ns(MAC, 95.0), 2047 * 1000, OVERHEAD_NS, 64, 10**6)
+    window_cap = aggregate_ns(mpdu_airtime_ns(95.0), 2047 * 1000, OVERHEAD_NS, 64, 10**6)
     assert max(n for (_, dst), n in ampdus.items() if dst == "dut") == window_cap
 
 

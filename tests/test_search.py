@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -123,6 +124,23 @@ def test_full_search_converges_and_reports_everything():
     assert d["converged"] is True
     assert len(d["phase1_curve"]) == 20
     assert d["schedule"]["sp_us"] == res.schedule.sp_us
+
+
+def test_full_search_that_does_not_converge_reports_every_failed_duty():
+    # 60 Mbit/s passes phase 1 at duty 70, but no loaded session up to duty 100 passes
+    tpl = small_template(bitrate=60.0)
+    res = run_full_search(tpl)
+    assert res.converged is False
+    assert res.duty_percent is None and res.schedule is None
+    assert all(s.model == "cbr" for s in res.sessions)  # no VBR replay
+    assert res.phase1_duty_percent == 70
+    for duty in range(70, 101, 5):
+        batch = [s for s in res.sessions if s.duty_percent == duty]
+        assert len(batch) == tpl.seeds
+        assert not all(s.passed for s in batch)
+    assert len(res.sessions) == 7 * tpl.seeds
+    d = json.loads(json.dumps(res.to_dict()))
+    assert d["converged"] is False and d["duty_percent"] is None and d["schedule"] is None
 
 
 def test_search_is_deterministic():
