@@ -27,6 +27,7 @@ from importlib import resources
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
 from .scenarios import ScenarioTemplate
+from .schedule import schedule_from
 from .traffic import VideoParams
 
 BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
@@ -190,6 +191,11 @@ class ParsedConfig:
     def __post_init__(self) -> None:
         if self.duration_s is None:
             object.__setattr__(self, "duration_s", self.template.session_duration_s)
+        if self.model not in ("cbr", "vbr"):
+            raise ValueError(f"model must be 'cbr' or 'vbr', got {self.model!r}")
+        if self.duration_s <= 0:
+            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        schedule_from(self.duty_percent, self.mf)  # sweep-mf and table3 use both, TWT on or off
 
     @property
     def seed(self) -> int:
@@ -198,14 +204,8 @@ class ParsedConfig:
 
     def scenario(self) -> Scenario:
         duty = self.duty_percent if self.twt_enabled else None
-        return self.template.session_scenario(
-            duty,
-            self.mf,
-            self.model,
-            self.seed,
-            loaded=self.loaded,
-            duration_s=self.duration_s,
-        )
+        return self.template.session_scenario(duty, self.mf, self.model, self.seed,
+                                              loaded=self.loaded, duration_s=self.duration_s)
 
 
 def _stations(sections: dict[str, dict[str, _Entry]],
@@ -315,8 +315,4 @@ def parse(text: str) -> ParsedConfig:
     clients = [s.id for s in stations if s.role == "client"]
     background = _background(sections.get("background", {}), clients, dut)
     template = replace(template, stations=tuple(stations), dut=dut, background=background)
-    parsed = ParsedConfig(template, **_values(run))
-    # Materialise once so schedule/scenario invariant violations surface here
-    # with the config as context rather than deep inside a command.
-    _checked(run, parsed.scenario)
-    return parsed
+    return _checked(run, ParsedConfig, template, **_values(run))

@@ -529,7 +529,7 @@ class _Engine:
         return self.backlog[0] > 0
 
     def _select_ap_tx(self, t: int):
-        """Pick (client, n_mpdus, duration, from_rr) or None; DUT first inside windows.
+        """Pick (client, n_mpdus, duration) or None; DUT first inside windows.
 
         Returns a selection whenever ``_ap_pending(t)`` holds."""
         g = self.gated
@@ -537,13 +537,13 @@ class _Engine:
             n = aggregate_ns(g.t_mpdu, min(self.txop, self._window_left(t)),
                              self.overhead, self.mac.max_ampdu_mpdus, g.qsegs)
             if n >= 1:
-                return (g, n, self.overhead + n * g.t_mpdu, False)
+                return (g, n, self.overhead + n * g.t_mpdu)
         for c in self.rr[self.rr_ptr]:
             if c is g or not c.qsegs:
                 continue  # the gated client is handled above (or asleep)
             n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.mac.max_ampdu_mpdus, c.qsegs)
             if n >= 1:
-                return (c, n, self.overhead + n * c.t_mpdu, True)
+                return (c, n, self.overhead + n * c.t_mpdu)
         return None
 
     def _kick(self, t: int) -> None:
@@ -606,8 +606,8 @@ class _Engine:
             return
         w = winners[0]
         if w.is_ap:
-            c, n, dur, from_rr = self._select_ap_tx(t)
-            handler, args = self._on_ampdu_end, (c, n, from_rr)
+            c, n, dur = self._select_ap_tx(t)
+            handler, args = self._on_ampdu_end, (c, n)
         else:
             c = w
             dur = self._ack_duration(c)
@@ -623,7 +623,7 @@ class _Engine:
 
     # the channel is idle when a transmission ends: only a cycle scheduled by
     # an event of the same instant can stand in the way of the next one
-    def _on_ampdu_end(self, t: int, c: _Client, n: int, from_rr: bool) -> None:
+    def _on_ampdu_end(self, t: int, c: _Client, n: int) -> None:
         left = c.qsegs - n
         if n < 1 or left < 0:
             raise RuntimeError(f"A-MPDU of {n} MPDUs to station {c.sid!r} "
@@ -651,7 +651,7 @@ class _Engine:
             self.trace.delivered_bytes[fs.flow.id] += nbytes
             self.trace.deliveries.append((ts, c.sid, fs.flow.id, nbytes))
             c.acks.append((fs, segs, nbytes))
-        if from_rr:
+        if c is not self.gated:  # only the round robin serves the other clients
             self.rr_ptr = c.rr_next
         if self.race is None:
             self._contend(t)

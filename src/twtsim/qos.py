@@ -32,7 +32,7 @@ class QosReport:
     underrun_events: int
     underrun_time_s: float
     throughput_variation: float
-    due_mbps: float  # bursts whose deadline is within the horizon, as a rate
+    due_bytes: int  # bytes of the bursts whose deadline is within the horizon
     late_bursts: list[tuple[int, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -126,7 +126,7 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst], interval_s: float = 1.
         underrun_events=events,
         underrun_time_s=late_time,
         throughput_variation=cv,
-        due_mbps=8 * due_bytes / duration / 1e6,
+        due_bytes=due_bytes,
         late_bursts=late,
     )
 
@@ -134,9 +134,9 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst], interval_s: float = 1.
 def qos_pass(report: QosReport, bitrate_mbps: float, max_underruns: int = 3) -> bool:
     """True iff average throughput meets the floor and underruns are tolerable.
 
-    The floor is the lower of the bitrate and the load due within the session:
-    VBR releases less than nominal on average, and a session that ends between
-    two deadlines has less due.
+    The floor is the lower of the bitrate and the load due within the session,
+    in bytes: VBR releases less than nominal on average, and a session that ends
+    between two deadlines has less due.
     """
-    return (report.avg_throughput_mbps >= min(bitrate_mbps, report.due_mbps)
-            and report.underrun_events <= max_underruns)
+    met = report.avg_throughput_mbps >= bitrate_mbps or report.delivered_bytes >= report.due_bytes
+    return met and report.underrun_events <= max_underruns

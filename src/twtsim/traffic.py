@@ -41,6 +41,8 @@ class VideoParams:
             raise ValueError(f"weibull_lambda_bytes must be > 0, got {self.weibull_lambda_bytes}")
         if self.cbr_interval_s <= 0:
             raise ValueError(f"cbr_interval_s must be > 0, got {self.cbr_interval_s}")
+        if self.cbr_burst_bytes < 1:
+            raise ValueError(f"bitrate_mbps must fill a byte per CBR burst, got {self.bitrate_mbps}")
         if not (self.ibt_min_s <= self.ibt_mean_s <= self.ibt_max_s):
             raise ValueError("inter-burst bounds must bracket the mean")
         if self.ibt_var_s2 < 0:

@@ -29,14 +29,12 @@ class Flow:
     base_rtt_s: float = 0.030
     segment_bytes: ClassVar[int] = 1500  # one MPDU carries one segment
     queue_limit_segments: int = 256
-    cwnd_init_segments: float = 10.0  # the initial and the idle-restart window
+    cwnd_init_segments: ClassVar[float] = 10.0  # the initial and the idle-restart window
     idle_restart_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("saturated", "burst"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if self.cwnd_init_segments < 1:
-            raise ValueError(f"cwnd_init_segments must be >= 1, got {self.cwnd_init_segments}")
         if self.base_rtt_s <= 0:
             raise ValueError(f"base_rtt_s must be > 0, got {self.base_rtt_s}")
         if self.queue_limit_segments < 1:

@@ -93,7 +93,8 @@ def test_negative_seed_flag_is_a_validation_error(cfg_path, tmp_path, capsys):
     assert not out.exists()
 
 
-# in a fresh interpreter: the CBR commands, then a VBR session, which needs numpy
+# in a fresh interpreter: the CBR commands, parsing a VBR config, then a VBR
+# session, which needs numpy
 NUMPY_FREE = """\
 import sys
 import twtsim
@@ -101,7 +102,9 @@ from twtsim.cli import main
 for command in ("simulate", "qos"):
     assert main(["--config", sys.argv[1], "--command", command, "--out", sys.argv[2]]) == 0
 assert "numpy" not in sys.modules, "the CBR path imported numpy"
-cfg = twtsim.parse(open(sys.argv[1]).read())
+cfg = twtsim.parse(open(sys.argv[1]).read().replace("model = cbr", "model = vbr"))
+assert cfg.model == "vbr"
+assert "numpy" not in sys.modules, "parsing a VBR config imported numpy"
 cfg.template.session_scenario(40, 4, "vbr", 5, duration_s=16)
 assert "numpy" in sys.modules, "a VBR session was built without numpy"
 """

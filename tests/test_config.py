@@ -39,6 +39,7 @@ def test_paper_setup_is_the_bundled_template():
     assert (tpl.seeds, tpl.master_seed) == (2, 0)
     assert calls["back_solve"] == 4
     assert metrics["macsim.calibration.runs"] == 79
+    assert calls.get("generate_bursts", 0) == 0  # parsing builds no session
 
 
 def test_paper_setup_takes_only_what_it_honours():
@@ -188,12 +189,16 @@ txop_limit_us = 5484
     "bad, text",
     [pytest.param(bad, EVERY_SECTION, id=bad) for bad in (
         "bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
+        "bitrate_mbps = 0.0000001",  # no byte in a CBR burst
         "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
         "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
         "phy_rate_mbps = -5", "role = ap", "role = router", "streams_per_client = -2", "seed = -1",
         # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
         "phy_rate_mbps = 2", "txop_limit_us = 200")]
-    + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")],
+    + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")]
+    # sweep-mf and table3 use the duty and MF with TWT off too
+    + [pytest.param(bad, EVERY_SECTION.replace("enabled = true", "enabled = false"),
+                    id=f"twt off: {bad}") for bad in ("duty_percent = 0", "mf = 3")],
 )
 def test_value_error_reports_its_line(bad, text):
     # ``bad`` replaces the last line that sets its key: for a station key, station c2's

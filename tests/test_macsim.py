@@ -377,13 +377,13 @@ def test_ampdu_beyond_the_queue_raises_naming_the_station():
     engine = _Engine(two_station_scenario())
     (sta,) = engine.clients
     with pytest.raises(RuntimeError, match="'sta'"):
-        engine._on_ampdu_end(0, sta, 1, True)  # nothing queued
+        engine._on_ampdu_end(0, sta, 1)  # nothing queued
     engine._on_arrive(0, engine.flows["f1"], 4 * 1500 + 700)  # four segments and a tail
     assert sta.qsegs == 5
     with pytest.raises(RuntimeError, match="'sta'.* 5 queued"):
-        engine._on_ampdu_end(0, sta, 6, True)
+        engine._on_ampdu_end(0, sta, 6)
     assert sta.qsegs == 5  # the failed dequeue took nothing
-    engine._on_ampdu_end(0, sta, 5, True)
+    engine._on_ampdu_end(0, sta, 5)
     assert sta.qsegs == 0
     assert engine.trace.deliveries == [(0.0, "sta", "f1", 6700)]
 

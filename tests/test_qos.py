@@ -92,40 +92,43 @@ def test_unserved_burst_with_deadline_beyond_horizon_is_ignored():
     assert rep.underrun_events == 0
 
 
-def report(avg_mbps, due_mbps, underruns=3):
+def report(delivered_bytes, due_bytes, underruns=3):
     return QosReport(
         duration_s=120.0,
-        delivered_bytes=round(avg_mbps * 1e6 * 120.0 / 8),
-        avg_throughput_mbps=avg_mbps,
+        delivered_bytes=delivered_bytes,
+        avg_throughput_mbps=8 * delivered_bytes / 120.0 / 1e6,
         instantaneous_mbps=[],
         underrun_events=underruns,
         underrun_time_s=1.0,
         throughput_variation=0.1,
-        due_mbps=due_mbps,
+        due_bytes=due_bytes,
         late_bursts=[],
     )
 
 
 def test_qos_pass_thresholds():
-    rep = report(15.6, due_mbps=16.0)  # more due than the bitrate: the bitrate is the floor
+    rep = report(234_000_000, due_bytes=240_000_000)  # 15.6 of 16 Mbit/s due: bitrate floor
     assert qos_pass(rep, 15.6)
     assert not qos_pass(rep, 15.61)
     assert not qos_pass(rep, 15.6, max_underruns=2)
+    assert not qos_pass(report(234_000_000 - 1, due_bytes=240_000_000), 15.6)
 
 
 def test_qos_pass_floor_is_the_load_due_when_below_bitrate():
-    assert qos_pass(report(14.2, due_mbps=14.2), 15.6)
-    assert not qos_pass(report(14.19, due_mbps=14.2), 15.6)
-    assert not qos_pass(report(14.2, due_mbps=14.2, underruns=4), 15.6)
+    due = 213_000_017  # about 14.2 Mbit/s over the 120 s
+    assert qos_pass(report(due, due), 15.6)
+    assert qos_pass(report(due + 1, due), 15.6)
+    assert not qos_pass(report(due - 1, due), 15.6)
+    assert not qos_pass(report(due, due, underruns=4), 15.6)
 
 
 def test_due_load_counts_bursts_whose_deadline_is_within_the_horizon():
     video = VideoParams(bitrate_mbps=15.6)  # one burst every 6 s
     aligned = compute_qos(make_trace([], duration=24.0), generate_cbr_bursts(video, 24.0))
-    assert aligned.due_mbps == 15.6
+    assert aligned.due_bytes == 4 * video.cbr_burst_bytes
     # released at 0, 6 and 12 s; the deadline of the last one (18 s) is past 16 s
     cut = compute_qos(make_trace([], duration=16.0), generate_cbr_bursts(video, 16.0))
-    assert cut.due_mbps == 8 * 2 * video.cbr_burst_bytes / 16.0 / 1e6 < 15.6
+    assert cut.due_bytes == 2 * video.cbr_burst_bytes
 
 
 def test_requires_dut_flow():

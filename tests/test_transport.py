@@ -85,9 +85,3 @@ def test_offer_load_sends_partial_tail():
 
 def test_fractional_cwnd_truncates():
     assert offer_load(make_flow(), 5.9, pending_bytes=10**9, in_flight_bytes=0) == 5 * SEG
-
-
-def test_initial_window_below_one_segment_rejected():
-    # the restart window must carry at least one full segment
-    with pytest.raises(ValueError, match="cwnd_init_segments"):
-        make_flow(cwnd_init_segments=0.5)
