@@ -220,9 +220,10 @@ def _words(x) -> list[int]:
     return words
 
 
-def seed_state(entropy, spawn_key: tuple[int, ...] = ()) -> int:
-    """``numpy.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(1)[0]``
-    word for word, in pure Python.
+def seed_state(entropy, spawn_key: tuple[int, ...] = (), n_words: int = 1) -> int:
+    """``numpy.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)``
+    word for word, in pure Python, as one int whose 32-bit words, least
+    significant first, are numpy's.
 
     ``entropy`` is a non-negative int or a sequence of them.  As numpy does,
     a spawn key follows the entropy words padded with zeros to the pool size.
@@ -253,8 +254,14 @@ def seed_state(entropy, spawn_key: tuple[int, ...] = ()) -> int:
     for w in data[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = mix(pool[dst], hashmix(w))
-    v = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
-    return v ^ (v >> 16)
+    state = 0
+    hash_const = _INIT_B
+    for i in range(n_words):
+        v = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        v = v * hash_const & _MASK32
+        state |= (v ^ (v >> 16)) << 32 * i
+    return state
 
 
 def mpdu_airtime_ns(phy_rate_mbps: float) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from .macsim import MacParams, Scenario, Station, seed_state
 # perfbench's layer trace and set-up laps wrap this name here; only config calls it
 from .macsim import back_solve_phy_rate  # noqa: F401
+from .pcg64 import PCG64
 from .schedule import TwtSchedule, schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
@@ -105,10 +106,7 @@ class ScenarioTemplate:
         if model == "cbr":
             bursts = generate_cbr_bursts(self.video, duration)
         else:
-            import numpy as np  # only VBR draws need numpy
-
-            rng = np.random.default_rng(derive_seed(seed, 0x7BA))
-            bursts = generate_vbr_bursts(self.video, duration, rng)
+            bursts = generate_vbr_bursts(self.video, duration, PCG64(derive_seed(seed, 0x7BA)))
         sched = schedule_from(duty, mf) if duty is not None else None
         stream = Flow(id="dut-stream", dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
                       queue_limit_segments=self.queue_limit_segments)

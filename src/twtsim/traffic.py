@@ -3,7 +3,8 @@
 A streaming server periodically pushes a burst (video segment) over TCP.  CBR
 sends a fixed-size burst on a fixed interval; VBR draws the inter-burst time
 from a truncated normal distribution and builds each burst from Weibull-sized
-frames at the configured frame rate.
+frames at the configured frame rate.  VBR draws come from a ``pcg64.PCG64``;
+a numpy ``Generator`` with the same seed draws the same values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .pcg64 import PCG64
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,13 @@ class Burst:
             raise ValueError("burst times must be non-negative / positive")
 
 
-def sample_frame_size(params: VideoParams, rng: np.random.Generator) -> int:
+def sample_frame_size(params: VideoParams, rng: PCG64) -> int:
     """Draw one Weibull(k, lambda) frame size in bytes, floored and >= 1."""
     size = int(params.lambda_bytes * rng.weibull(params.weibull_k))
     return max(size, 1)
 
 
-def sample_inter_burst_time(params: VideoParams, rng: np.random.Generator) -> float:
+def sample_inter_burst_time(params: VideoParams, rng: PCG64) -> float:
     """Draw one truncated-normal inter-burst time via rejection sampling."""
     sd = math.sqrt(params.ibt_var_s2)
     while True:
@@ -118,7 +119,7 @@ def generate_cbr_bursts(params: VideoParams, duration_s: float) -> list[Burst]:
 
 
 def generate_vbr_bursts(
-    params: VideoParams, duration_s: float, rng: np.random.Generator
+    params: VideoParams, duration_s: float, rng: PCG64
 ) -> list[Burst]:
     """Variable bursts: ibt ~ truncated normal, size = sum of round(ibt * fps) frames."""
     if duration_s <= 0:

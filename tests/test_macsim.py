@@ -36,6 +36,7 @@ from twtsim.macsim import (
     mpdu_airtime_ns,
     seed_state,
 )
+from twtsim.pcg64 import PCG64
 from twtsim.qos import burst_service
 
 MAC = MacParams()
@@ -105,8 +106,9 @@ WORD = st.integers(0, 2**32 - 1)
 BIG = st.integers(0, 2**128)  # up to five 32-bit words
 
 
-def numpy_state(entropy, spawn_key=()) -> int:
-    return int(np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(1)[0])
+def numpy_state(entropy, spawn_key=(), n_words=1) -> int:
+    words = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)
+    return int.from_bytes(words.astype("<u4").tobytes(), "little")
 
 
 @settings(deadline=None)
@@ -114,6 +116,15 @@ def numpy_state(entropy, spawn_key=()) -> int:
        spawn_key=st.lists(BIG, max_size=3).map(tuple))
 def test_seed_state_is_numpys_first_state_word(entropy, spawn_key):
     assert seed_state(entropy, spawn_key) == numpy_state(entropy, spawn_key)
+
+
+@settings(deadline=None)
+@given(entropy=st.one_of(BIG, st.lists(BIG, max_size=6)),
+       spawn_key=st.lists(BIG, max_size=3).map(tuple), n_words=st.integers(1, 9))
+def test_seed_state_is_numpys_first_n_state_words(entropy, spawn_key, n_words):
+    # the pool holds four words, so n_words > 4 cycles through it
+    assert (seed_state(entropy, spawn_key, n_words)
+            == numpy_state(entropy, spawn_key, n_words))
 
 
 @settings(deadline=None)
@@ -459,6 +470,8 @@ def _pinned_scenarios() -> dict[str, Scenario]:
                Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.003, queue_limit_segments=8)),
         bursts=tuple(generate_cbr_bursts(VideoParams(bitrate_mbps=4.0, cbr_interval_s=1.0), 4.0)),
         duration_s=4.0, seed=12, record_cwnd=True)
+    # VBR bursts from the package's generator: its digest was recorded with
+    # numpy's default_rng(13), which draws the same values
     video = VideoParams(bitrate_mbps=3.0, ibt_mean_s=1.5, ibt_min_s=1.0, ibt_max_s=2.0,
                         ibt_var_s2=0.1)
     vbr = Scenario(
@@ -468,7 +481,7 @@ def _pinned_scenarios() -> dict[str, Scenario]:
         flows=(Flow(id="stream", dst="dut", kind="burst", queue_limit_segments=16),
                Flow(id="bg1", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24),
                Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24)),
-        bursts=tuple(generate_vbr_bursts(video, 5.0, np.random.default_rng(13))),
+        bursts=tuple(generate_vbr_bursts(video, 5.0, PCG64(13))),
         duration_s=5.0, seed=13, record_cwnd=True)
     # a DUT with 2047 us windows between two background clients: the AP
     # collides with clients holding ACK records, and a's long-RTT flow lets
