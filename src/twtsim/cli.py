@@ -108,7 +108,7 @@ def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
 def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
     scenario = cfg.scenario()
     trace = run_sim(scenario)
-    report = compute_qos(trace, scenario.bursts, interval_s=cfg.template.qos_interval_s)
+    report = compute_qos(trace, scenario.bursts)
     payload = report.to_dict()
     payload["seed"] = cfg.seed
     payload["model"] = cfg.model
@@ -164,9 +164,8 @@ def cmd_sweep_duty(cfg: ParsedConfig, out: Path) -> int:
     try:
         _, curve = phase1_min_duty(cfg.template)
     except InfeasibleTargetError as exc:
-        # The sweep itself is still useful output; surface the error code.
-        _write_json(out / "error.json", {"error": "infeasible-target", "detail": str(exc)})
-        return EXIT_NO_CONVERGENCE
+        _write_duty_curve(out / "duty_sweep.csv", exc.curve)  # the curve shows the shortfall
+        raise
     _write_duty_curve(out / "duty_sweep.csv", curve)
     return EXIT_OK
 

@@ -22,6 +22,7 @@ scenario.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
@@ -32,6 +33,8 @@ from .traffic import VideoParams
 
 BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
+# an id names the station in the CSV artifacts, so it holds no comma or space
+STATION_SECTION = re.compile(r"station\.[A-Za-z0-9_.-]+")
 
 
 def default_config_text() -> str:
@@ -57,7 +60,7 @@ def _to_bool(value: str) -> bool:
     raise ValueError(f"{value!r} is not a boolean")
 
 
-_CONVERTERS = {"int": int, "float": float, "float | None": float}
+_CONVERTERS = {"int": int, "float": float}
 
 
 def _typed(cls, *names: str) -> dict:
@@ -67,15 +70,15 @@ def _typed(cls, *names: str) -> dict:
 
 # section -> key -> converter of the key's text value
 _SECTION_KEYS = {
-    "sim": {"duration_s": float, "model": str, "loaded": _to_bool, "seed": int},
+    "sim": {"model": str, "seed": int},
     "mac": _typed(MacParams),
     "station": {"role": str, "phy_rate_mbps": float, "standalone_mbps": float, "dut": _to_bool},
     "traffic": _typed(VideoParams),
     "twt": {"enabled": _to_bool, "duty_percent": int, "mf": int},
-    "background": {"streams_per_client": int, "clients": str},
+    "background": {"streams_per_client": int},
     "transport": _typed(ScenarioTemplate, "remote_rtt_s", "local_rtt_s", "queue_limit_segments"),
     "search": _typed(ScenarioTemplate, "seeds", "phase1_duration_s", "session_duration_s",
-                     "max_underruns", "qos_interval_s"),
+                     "max_underruns"),
 }
 
 
@@ -107,8 +110,9 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
                     f"unknown section [{name}] (known: {', '.join(sorted(_SECTION_KEYS))})",
                     lineno,
                 )
-            if base == "station" and "." not in name:
-                raise ConfigError("station sections are named [station.<id>]", lineno)
+            if base == "station" and not STATION_SECTION.fullmatch(name):
+                raise ConfigError("station sections are named [station.<id>], the id of "
+                                  "letters, digits, '_', '.' and '-'", lineno)
             if base != "station" and "." in name:
                 raise ConfigError(f"section [{base}] does not take a suffix", lineno)
             if name in sections:
@@ -182,19 +186,13 @@ class ParsedConfig:
 
     template: ScenarioTemplate
     model: str = "cbr"
-    duration_s: float | None = None  # None: the template's session length
-    loaded: bool = True
     twt_enabled: bool = True
     duty_percent: int = 30
     mf: int = 1
 
     def __post_init__(self) -> None:
-        if self.duration_s is None:
-            object.__setattr__(self, "duration_s", self.template.session_duration_s)
         if self.model not in ("cbr", "vbr"):
             raise ValueError(f"model must be 'cbr' or 'vbr', got {self.model!r}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
         schedule_from(self.duty_percent, self.mf)  # sweep-mf and table3 use both, TWT on or off
 
     @property
@@ -204,8 +202,7 @@ class ParsedConfig:
 
     def scenario(self) -> Scenario:
         duty = self.duty_percent if self.twt_enabled else None
-        return self.template.session_scenario(duty, self.mf, self.model, self.seed,
-                                              loaded=self.loaded, duration_s=self.duration_s)
+        return self.template.session_scenario(duty, self.mf, self.model, self.seed)
 
 
 def _stations(sections: dict[str, dict[str, _Entry]],
@@ -267,21 +264,12 @@ def _stations(sections: dict[str, dict[str, _Entry]],
 
 
 def _background(section: dict[str, _Entry], clients: list[str], dut: str) -> tuple[tuple[str, int], ...]:
-    """(client id, parallel streams) for each background client."""
+    """(client id, parallel streams) for each client but the DUT."""
     entry = section.get("streams_per_client")
     streams = BACKGROUND_STREAMS if entry is None else entry.value
     if streams < 0:
         raise ConfigError(f"streams_per_client must be >= 0, got {streams}", entry.line)
-    if "clients" not in section:
-        return tuple((c, streams) for c in clients if c != dut)
-    chosen = [c.strip() for c in section["clients"].value.split(",") if c.strip()]
-    if len(set(chosen)) != len(chosen):
-        raise ConfigError("background clients must be distinct", section["clients"].line)
-    for c in chosen:
-        if c not in clients or c == dut:
-            raise ConfigError(f"background client {c!r} is not a non-DUT client",
-                              section["clients"].line)
-    return tuple((c, streams) for c in chosen)
+    return tuple((c, streams) for c in clients if c != dut)
 
 
 def parse(text: str) -> ParsedConfig:

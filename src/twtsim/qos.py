@@ -20,6 +20,8 @@ from itertools import accumulate
 from .macsim import SimTrace
 from .traffic import Burst
 
+INTERVAL_S = 1.0  # width of an instantaneous-throughput bin
+
 
 @dataclass(frozen=True)
 class QosReport:
@@ -69,24 +71,22 @@ def burst_service(trace: SimTrace, bursts: Sequence[Burst]) -> list[tuple[int, f
     return served
 
 
-def compute_qos(trace: SimTrace, bursts: Sequence[Burst], interval_s: float = 1.0) -> QosReport:
+def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
     """Derive the DUT stream's QoS from a trace and its generated burst list."""
     if trace.dut_flow_id is None:
         raise ValueError("trace has no DUT stream to score")
-    if interval_s <= 0:
-        raise ValueError(f"interval_s must be > 0, got {interval_s}")
 
     duration = trace.duration_s
     total = trace.delivered_bytes.get(trace.dut_flow_id, 0)
     avg = 8.0 * total / duration / 1e6
 
-    nbins = math.ceil(duration / interval_s)
+    nbins = math.ceil(duration / INTERVAL_S)
     bins = [0] * nbins
     fid = trace.dut_flow_id
     for t, _, flow, nbytes in trace.deliveries:
         if flow == fid:
-            bins[min(int(t / interval_s), nbins - 1)] += nbytes
-    series = [(i * interval_s, 8.0 * b / interval_s / 1e6) for i, b in enumerate(bins)]
+            bins[min(int(t / INTERVAL_S), nbins - 1)] += nbytes
+    series = [(i * INTERVAL_S, 8.0 * b / INTERVAL_S / 1e6) for i, b in enumerate(bins)]
 
     due_bytes = sum(b.size_bytes for b in bursts
                     if b.release_time_s + b.inter_burst_time_s <= duration)
@@ -131,7 +131,7 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst], interval_s: float = 1.
     )
 
 
-def qos_pass(report: QosReport, bitrate_mbps: float, max_underruns: int = 3) -> bool:
+def qos_pass(report: QosReport, bitrate_mbps: float, max_underruns: int) -> bool:
     """True iff average throughput meets the floor and underruns are tolerable.
 
     The floor is the lower of the bitrate and the load due within the session,

@@ -39,11 +39,9 @@ class ScenarioTemplate:
     phase1_duration_s: float = 30.0
     session_duration_s: float = 120.0
     max_underruns: int = 3
-    qos_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s",
-                     "qos_interval_s"):
+        for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name, least in (("seeds", 1), ("queue_limit_segments", 1), ("max_underruns", 0),
@@ -90,32 +88,24 @@ class ScenarioTemplate:
             mac=self.mac,
         )
 
-    def session_scenario(
-        self,
-        duty: int | None,
-        mf: int,
-        model: str,
-        seed: int,
-        loaded: bool = True,
-        duration_s: float | None = None,
-    ) -> Scenario:
-        """A streaming session; duty None disables TWT (always-awake baseline)."""
+    def session_scenario(self, duty: int | None, mf: int, model: str, seed: int) -> Scenario:
+        """A streaming session under peak background congestion; duty None
+        disables TWT (always-awake baseline)."""
         if model not in ("cbr", "vbr"):
             raise ValueError(f"model must be 'cbr' or 'vbr', got {model!r}")
-        duration = self.session_duration_s if duration_s is None else duration_s
         if model == "cbr":
-            bursts = generate_cbr_bursts(self.video, duration)
+            bursts = generate_cbr_bursts(self.video, self.session_duration_s)
         else:
-            bursts = generate_vbr_bursts(self.video, duration, PCG64(derive_seed(seed, 0x7BA)))
+            rng = PCG64(derive_seed(seed, 0x7BA))
+            bursts = generate_vbr_bursts(self.video, self.session_duration_s, rng)
         sched = schedule_from(duty, mf) if duty is not None else None
         stream = Flow(id="dut-stream", dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
                       queue_limit_segments=self.queue_limit_segments)
-        flows = (stream,) + (self._background_flows() if loaded else ())
         return Scenario(
             stations=self._with_twt(sched),
-            flows=flows,
+            flows=(stream, *self._background_flows()),
             bursts=tuple(bursts),
-            duration_s=duration,
+            duration_s=self.session_duration_s,
             seed=seed,
             mac=self.mac,
         )

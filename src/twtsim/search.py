@@ -24,7 +24,12 @@ MAX_MF = 256
 
 
 class InfeasibleTargetError(Exception):
-    """The target bitrate is not reachable even with a 100% duty cycle."""
+    """The target bitrate is not reachable even with a 100% duty cycle;
+    ``curve`` is the duty sweep that shows it."""
+
+    def __init__(self, message: str, curve: tuple[DutyPoint, ...]):
+        super().__init__(message)
+        self.curve = curve
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ def phase1_min_duty(template: ScenarioTemplate) -> tuple[int, tuple[DutyPoint, .
     if chosen is None:
         raise InfeasibleTargetError(
             f"target {target:.2f} Mbit/s unreachable: 100% duty delivers "
-            f"{curve[-1].mean_throughput_mbps:.2f} Mbit/s"
+            f"{curve[-1].mean_throughput_mbps:.2f} Mbit/s",
+            tuple(curve),
         )
     return chosen, tuple(curve)
 
@@ -119,7 +125,7 @@ def session_report(
 ) -> QosReport:
     """QoS of one loaded streaming session; duty None disables TWT."""
     scenario = template.session_scenario(duty, mf, model, seed)
-    return compute_qos(run_sim(scenario), scenario.bursts, interval_s=template.qos_interval_s)
+    return compute_qos(run_sim(scenario), scenario.bursts)
 
 
 def _evaluate_mf(template: ScenarioTemplate, duty: int, mf: int) -> MfPoint:

@@ -24,7 +24,6 @@ class VideoParams:
     bitrate_mbps: float = 15.6
     frame_rate: float = 30.0
     weibull_k: float = 0.8099
-    weibull_lambda_bytes: float | None = None
     ibt_mean_s: float = 6.0
     ibt_var_s2: float = 1.8
     ibt_min_s: float = 2.0
@@ -38,8 +37,6 @@ class VideoParams:
             raise ValueError(f"frame_rate must be > 0, got {self.frame_rate}")
         if self.weibull_k <= 0:
             raise ValueError(f"weibull_k must be > 0, got {self.weibull_k}")
-        if self.weibull_lambda_bytes is not None and self.weibull_lambda_bytes <= 0:
-            raise ValueError(f"weibull_lambda_bytes must be > 0, got {self.weibull_lambda_bytes}")
         if self.cbr_interval_s <= 0:
             raise ValueError(f"cbr_interval_s must be > 0, got {self.cbr_interval_s}")
         if self.cbr_burst_bytes < 1:
@@ -56,9 +53,7 @@ class VideoParams:
 
     @property
     def lambda_bytes(self) -> float:
-        """Weibull scale; defaults to 6950 * bitrate / 2 bytes."""
-        if self.weibull_lambda_bytes is not None:
-            return self.weibull_lambda_bytes
+        """Weibull scale: 6950 * bitrate / 2 bytes."""
         return 6950.0 * self.bitrate_mbps / 2.0
 
     @property

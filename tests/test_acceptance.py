@@ -7,6 +7,7 @@ for the whole module is a few minutes on a laptop.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,8 +92,9 @@ def test_traffic_statistics_match_oracles():
 
 def test_gating_soundness(template):
     checked = 0
+    sessions = replace(template, session_duration_s=30.0)
     for duty, mf, model, seed in ((30, 4, "cbr", 11), (25, 8, "cbr", 12), (40, 2, "vbr", 13)):
-        sc = template.session_scenario(duty, mf, model, seed=seed, duration_s=30.0)
+        sc = sessions.session_scenario(duty, mf, model, seed)
         tr = run_sim(sc)
         assert tr.wake_windows_s, "gated run must expose its wake windows"
         for t, _station, flow, _nb in tr.deliveries:
@@ -101,8 +103,9 @@ def test_gating_soundness(template):
                 checked += 1
     assert checked > 0
 
-    full = template.session_scenario(100, 1, "cbr", seed=21, duration_s=20.0)
-    off = template.session_scenario(None, 1, "cbr", seed=21, duration_s=20.0)
+    short = replace(template, session_duration_s=20.0)
+    full = short.session_scenario(100, 1, "cbr", seed=21)
+    off = short.session_scenario(None, 1, "cbr", seed=21)
     ta, tb = run_sim(full), run_sim(off)
     assert ta.deliveries == tb.deliveries
     assert ta.airtime == tb.airtime
@@ -206,13 +209,14 @@ def test_artifacts_deterministic(tmp_path):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(
         "format = 1\n"
-        "[sim]\nduration_s = 40\nseed = 9\n"
+        "[sim]\nseed = 9\n"
         "[station.ap]\nrole = ap\n"
         "[station.c1]\nstandalone_mbps = 63.5\n"
         "[station.c4]\nstandalone_mbps = 95\ndut = true\n"
         "[traffic]\nbitrate_mbps = 15.6\n"
         "[twt]\nduty_percent = 30\nmf = 4\n"
         "[background]\nstreams_per_client = 4\n"
+        "[search]\nsession_duration_s = 40\n"
     )
     outs = []
     for name in ("a", "b"):

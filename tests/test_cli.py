@@ -14,9 +14,7 @@ SHORT = """\
 format = 1
 
 [sim]
-duration_s = 16
 model = cbr
-loaded = true
 seed = 5
 
 [station.ap]
@@ -226,10 +224,27 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert err["error"] == "config-not-found"
 
 
-def test_infeasible_search_exit_code(tmp_path, capsys):
-    text = SHORT.replace("bitrate_mbps = 10", "bitrate_mbps = 400")
+@pytest.fixture()
+def infeasible_cfg_path(tmp_path):
     p = tmp_path / "hard.cfg"
-    p.write_text(text)
-    assert run_cli("--config", p, "--command", "search", "--out", tmp_path / "s") == 2
+    p.write_text(SHORT.replace("bitrate_mbps = 10", "bitrate_mbps = 400"))
+    return p
+
+
+def test_infeasible_search_exit_code(infeasible_cfg_path, tmp_path, capsys):
+    assert run_cli("--config", infeasible_cfg_path, "--command", "search",
+                   "--out", tmp_path / "s") == 2
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"] == "infeasible-target"
+
+
+def test_infeasible_sweep_duty_still_writes_its_curve(infeasible_cfg_path, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli("--config", infeasible_cfg_path, "--command", "sweep-duty", "--out", out) == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "infeasible-target"
+    assert os.listdir(out) == ["duty_sweep.csv"]
+    lines = (out / "duty_sweep.csv").read_text().splitlines()
+    assert lines[0] == "duty_percent,mean_throughput_mbps,std_throughput_mbps"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(5, 101, 5))
+    assert float(lines[-1].split(",")[1]) < 400  # the curve shows the shortfall

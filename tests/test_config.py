@@ -8,6 +8,7 @@ import twtsim.scenarios
 from test_bench_hooks import _traced
 from twtsim import (ConfigError, MacParams, ScenarioTemplate, VideoParams, paper_setup, parse,
                     run_sim)
+from twtsim.config import _SECTION_KEYS
 
 MINIMAL = """\
 format = 1
@@ -64,7 +65,7 @@ def test_twt_disabled_leaves_all_stations_awake():
 def test_minimal_config_fills_defaults():
     cfg = parse(MINIMAL)
     assert cfg.model == "cbr"
-    assert cfg.duration_s == 120.0
+    assert cfg.scenario().duration_s == cfg.template.session_duration_s == 120.0
     assert cfg.template.video.weibull_k == 0.8099
     assert cfg.template.video.ibt_mean_s == 6.0
     assert cfg.template.mac.txop_limit_us == 5484
@@ -86,11 +87,27 @@ def test_unknown_key_reports_line_number():
     assert "duty_percent" in str(exc.value)  # suggests the known keys
 
 
-@pytest.mark.parametrize("key", ["sifs_us", "mpdu_payload_bytes"])
-def test_sifs_is_not_a_mac_key(key):
-    # the engine models no SIFS, and an MPDU carries one TCP segment of
-    # Flow.segment_bytes; a config that sets either is told so
-    text = MINIMAL + f"\n[mac]\n{key} = 750\n"
+# (section, key) -> a value the key once took
+DROPPED_KEYS = {
+    # the engine models no SIFS, and an MPDU carries one TCP segment of Flow.segment_bytes
+    ("mac", "sifs_us"): "750",
+    ("mac", "mpdu_payload_bytes"): "750",
+    # a session runs for [search] session_duration_s, always under the background
+    ("sim", "duration_s"): "120",
+    ("sim", "loaded"): "true",
+    # every client but the DUT carries background streams
+    ("background", "clients"): "c1",
+    # throughput bins are 1 s wide, and the Weibull scale follows the bitrate
+    ("search", "qos_interval_s"): "1",
+    ("traffic", "weibull_lambda_bytes"): "27105",
+}
+
+
+@pytest.mark.parametrize("section, key", DROPPED_KEYS)
+def test_dropped_key_is_unknown(section, key):
+    # a config that still sets one is told so at that key's line
+    header = "" if section == "traffic" else f"\n[{section}]\n"  # MINIMAL ends in [traffic]
+    text = MINIMAL + f"{header}{key} = {DROPPED_KEYS[section, key]}\n"
     with pytest.raises(ConfigError) as exc:
         parse(text)
     assert exc.value.line == text.count("\n", 0, text.index(key)) + 1
@@ -157,15 +174,19 @@ def test_sim_seed_is_the_master_seed():
     assert cfg.seed == cfg.template.master_seed == 42
 
 
-EVERY_SECTION = (MINIMAL + "ibt_var_s2 = 1.8\nibt_min_s = 2\n"
-                 + "\n[station.c2]\nrole = client\nphy_rate_mbps = 50\n"
-                 + "\n[mac]\ntxop_limit_us = 5484\n"
-                 + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
-                 + "\n[background]\nstreams_per_client = 2\n"
-                 + "\n[transport]\nremote_rtt_s = 0.03\nqueue_limit_segments = 64\n"
-                 + "\n[search]\nseeds = 2\nphase1_duration_s = 5\nsession_duration_s = 12\n"
-                 + "max_underruns = 3\nqos_interval_s = 1\n"
-                 + "\n[sim]\nduration_s = 12\nseed = 1\n")
+# every key parse accepts; a station key's last line is station c2's
+EVERY_KEY = (MINIMAL + "frame_rate = 30\nweibull_k = 0.8099\nibt_mean_s = 6\nibt_var_s2 = 1.8\n"
+             + "ibt_min_s = 2\nibt_max_s = 10\ncbr_interval_s = 6\n"
+             + "\n[station.c2]\nrole = client\nphy_rate_mbps = 50\ndut = false\n"
+             + "\n[mac]\nslot_us = 9\ndifs_us = 34\ncw_min = 15\ncw_max = 1023\n"
+             + "max_ampdu_mpdus = 64\ntxop_limit_us = 5484\nper_frame_overhead_us = 100\n"
+             + "\n[twt]\nenabled = true\nduty_percent = 30\nmf = 4\n"
+             + "\n[background]\nstreams_per_client = 2\n"
+             + "\n[transport]\nremote_rtt_s = 0.03\nlocal_rtt_s = 0.002\n"
+             + "queue_limit_segments = 64\n"
+             + "\n[search]\nseeds = 2\nphase1_duration_s = 5\nsession_duration_s = 12\n"
+             + "max_underruns = 3\n"
+             + "\n[sim]\nmodel = cbr\nseed = 1\n")
 # a back-solved client: its calibration run meets a short TXOP limit first
 BACK_SOLVED = """\
 format = 1
@@ -187,17 +208,17 @@ txop_limit_us = 5484
 
 @pytest.mark.parametrize(
     "bad, text",
-    [pytest.param(bad, EVERY_SECTION, id=bad) for bad in (
+    [pytest.param(bad, EVERY_KEY, id=bad) for bad in (
         "bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
         "bitrate_mbps = 0.0000001",  # no byte in a CBR burst
         "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
-        "qos_interval_s = 0", "phase1_duration_s = 0", "max_underruns = -1", "duration_s = 0",
+        "phase1_duration_s = 0", "max_underruns = -1",
         "phy_rate_mbps = -5", "role = ap", "role = router", "streams_per_client = -2", "seed = -1",
         # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
         "phy_rate_mbps = 2", "txop_limit_us = 200")]
     + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")]
     # sweep-mf and table3 use the duty and MF with TWT off too
-    + [pytest.param(bad, EVERY_SECTION.replace("enabled = true", "enabled = false"),
+    + [pytest.param(bad, EVERY_KEY.replace("enabled = true", "enabled = false"),
                     id=f"twt off: {bad}") for bad in ("duty_percent = 0", "mf = 3")],
 )
 def test_value_error_reports_its_line(bad, text):
@@ -212,6 +233,61 @@ def test_value_error_reports_its_line(bad, text):
     # a station the message names is one of the config's
     for sid in re.findall(r"station '([^']*)'", str(exc.value)):
         assert f"[station.{sid}]" in text
+
+
+# (section, key) -> a valid value other than EVERY_KEY's; standalone_mbps
+# replaces station c2's phy_rate_mbps
+OTHER_VALUES = {
+    ("sim", "model"): "vbr", ("sim", "seed"): "2",
+    ("mac", "slot_us"): "10", ("mac", "difs_us"): "43", ("mac", "cw_min"): "31",
+    ("mac", "cw_max"): "511", ("mac", "max_ampdu_mpdus"): "32", ("mac", "txop_limit_us"): "3000",
+    ("mac", "per_frame_overhead_us"): "50",
+    ("station", "role"): "ap", ("station", "phy_rate_mbps"): "60",
+    ("station", "standalone_mbps"): "60", ("station", "dut"): "true",
+    ("traffic", "bitrate_mbps"): "12", ("traffic", "frame_rate"): "25",
+    ("traffic", "weibull_k"): "1", ("traffic", "ibt_mean_s"): "5", ("traffic", "ibt_var_s2"): "1",
+    ("traffic", "ibt_min_s"): "3", ("traffic", "ibt_max_s"): "9",
+    ("traffic", "cbr_interval_s"): "4",
+    ("twt", "enabled"): "false", ("twt", "duty_percent"): "40", ("twt", "mf"): "2",
+    ("background", "streams_per_client"): "4",
+    ("transport", "remote_rtt_s"): "0.05", ("transport", "local_rtt_s"): "0.004",
+    ("transport", "queue_limit_segments"): "128",
+    ("search", "seeds"): "3", ("search", "phase1_duration_s"): "10",
+    ("search", "session_duration_s"): "16", ("search", "max_underruns"): "1",
+}
+
+
+@pytest.mark.parametrize("section, key",
+                         [(s, k) for s, keys in _SECTION_KEYS.items() for k in keys])
+def test_parse_reads_every_key(section, key):
+    # a key that parse accepts but does not read would be a knob the engine ignores
+    text = EVERY_KEY
+    if key == "standalone_mbps":  # the one back-solved client
+        text = text.replace("phy_rate_mbps = 50", "standalone_mbps = 50")
+    last = list(re.finditer(rf"^{key} = (.*)$", text, flags=re.M))[-1]
+    assert last.group(1) != OTHER_VALUES[section, key]
+    base = parse(text)
+    changed = text[:last.start()] + f"{key} = {OTHER_VALUES[section, key]}" + text[last.end():]
+    try:
+        other = parse(changed)
+    except ConfigError as exc:  # the value was read, and refused
+        assert exc.line == text.count("\n", 0, last.start()) + 1
+        return
+    assert other != base
+
+
+@pytest.mark.parametrize("header", ["[station.]", "[station.bg,1]", "[station.my laptop]"])
+def test_station_id_must_suit_the_artifacts(header):
+    # the id is a field of the deliveries.csv and airtime.csv rows
+    text = MINIMAL + f"\n{header}\nphy_rate_mbps = 50\n"
+    with pytest.raises(ConfigError, match="station") as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index(header)) + 1
+
+
+def test_station_id_may_hold_dots_dashes_and_underscores():
+    text = MINIMAL + "\n[station.bg-1.a_B]\nphy_rate_mbps = 50\n"
+    assert parse(text).template.background == (("bg-1.a_B", 8),)
 
 
 def test_fractional_frame_rate_accepted():
@@ -270,23 +346,6 @@ def test_exactly_one_dut_required():
         parse(text)
 
 
-def test_background_clients_must_exist():
-    text = MINIMAL + "\n[background]\nclients = ghost\n"
-    with pytest.raises(ConfigError, match="ghost"):
-        parse(text)
-    # a client listed twice would give two background flows the same id
-    text = MINIMAL + "\n[station.c2]\nphy_rate_mbps = 50\n\n[background]\nclients = c2, c2\n"
-    with pytest.raises(ConfigError, match="distinct") as exc:
-        parse(text)
-    assert exc.value.line == text.count("\n", 0, text.index("clients")) + 1
-
-
-def test_background_takes_the_listed_clients():
-    text = (MINIMAL + "\n[station.c2]\nphy_rate_mbps = 50\n\n[station.c3]\nphy_rate_mbps = 60\n"
-            + "\n[background]\nclients = c3\nstreams_per_client = 2\n")
-    assert parse(text).template.background == (("c3", 2),)
-
-
 def test_invalid_model_rejected():
     text = MINIMAL + "\n[sim]\nmodel = dash\n"
     with pytest.raises(ConfigError, match="model"):
@@ -294,9 +353,9 @@ def test_invalid_model_rejected():
 
 
 def test_parse_template_round_trip():
-    tpl = parse(MINIMAL).template
+    tpl = parse(MINIMAL + "\n[search]\nsession_duration_s = 12\n").template
     assert tpl.dut == "c1"
     assert tpl.background == ()  # only client is the DUT
-    sc = tpl.session_scenario(30, 2, "cbr", seed=3, loaded=True, duration_s=12.0)
+    sc = tpl.session_scenario(30, 2, "cbr", seed=3)
     assert len(sc.bursts) == 2
     assert sc.duration_s == 12.0

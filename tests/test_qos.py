@@ -108,18 +108,18 @@ def report(delivered_bytes, due_bytes, underruns=3):
 
 def test_qos_pass_thresholds():
     rep = report(234_000_000, due_bytes=240_000_000)  # 15.6 of 16 Mbit/s due: bitrate floor
-    assert qos_pass(rep, 15.6)
-    assert not qos_pass(rep, 15.61)
+    assert qos_pass(rep, 15.6, max_underruns=3)
+    assert not qos_pass(rep, 15.61, max_underruns=3)
     assert not qos_pass(rep, 15.6, max_underruns=2)
-    assert not qos_pass(report(234_000_000 - 1, due_bytes=240_000_000), 15.6)
+    assert not qos_pass(report(234_000_000 - 1, due_bytes=240_000_000), 15.6, max_underruns=3)
 
 
 def test_qos_pass_floor_is_the_load_due_when_below_bitrate():
     due = 213_000_017  # about 14.2 Mbit/s over the 120 s
-    assert qos_pass(report(due, due), 15.6)
-    assert qos_pass(report(due + 1, due), 15.6)
-    assert not qos_pass(report(due - 1, due), 15.6)
-    assert not qos_pass(report(due, due, underruns=4), 15.6)
+    assert qos_pass(report(due, due), 15.6, max_underruns=3)
+    assert qos_pass(report(due + 1, due), 15.6, max_underruns=3)
+    assert not qos_pass(report(due - 1, due), 15.6, max_underruns=3)
+    assert not qos_pass(report(due, due, underruns=4), 15.6, max_underruns=3)
 
 
 def test_due_load_counts_bursts_whose_deadline_is_within_the_horizon():

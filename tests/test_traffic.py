@@ -40,8 +40,6 @@ def test_oracles_match_quadrature():
 def test_default_lambda_tracks_bitrate():
     p = VideoParams(bitrate_mbps=15.6)
     assert p.lambda_bytes == pytest.approx(6950 * 15.6 / 2)
-    p2 = VideoParams(bitrate_mbps=8.0, weibull_lambda_bytes=12345.0)
-    assert p2.lambda_bytes == 12345.0
 
 
 def test_frame_size_mean_matches_oracle():
@@ -55,7 +53,7 @@ def test_frame_size_mean_matches_oracle():
 
 
 def test_frame_size_exponential_degenerate_case():
-    p = VideoParams(bitrate_mbps=1.0, weibull_k=1.0, weibull_lambda_bytes=1000.0)
+    p = VideoParams(bitrate_mbps=1000 / 3475, weibull_k=1.0)  # lambda = 1000 bytes
     rng = np.random.default_rng(11)
     n = 1_000_000
     mean = float(np.mean([sample_frame_size(p, rng) for _ in range(n)]))
@@ -119,10 +117,6 @@ def test_vbr_reproducible_per_seed():
 
 
 def test_video_params_reject_nonpositive_sizes_and_intervals():
-    with pytest.raises(ValueError, match="weibull_lambda_bytes"):
-        VideoParams(bitrate_mbps=15.6, weibull_lambda_bytes=-5)
-    with pytest.raises(ValueError, match="weibull_lambda_bytes"):
-        VideoParams(bitrate_mbps=15.6, weibull_lambda_bytes=0)
     with pytest.raises(ValueError, match="cbr_interval_s"):
         VideoParams(bitrate_mbps=15.6, cbr_interval_s=0)
     with pytest.raises(ValueError, match="ibt_var_s2"):
