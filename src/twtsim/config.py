@@ -14,7 +14,8 @@ A config looks like::
 Unknown keys, bad values, and structural problems are reported with the line
 number they came from.  A key left out takes the default of the object it
 sets: ``MacParams`` ([mac]), ``VideoParams`` ([traffic]), ``ScenarioTemplate``
-([transport], [search], [sim] seed) or ``ParsedConfig`` ([sim], [twt]).
+([background], [transport], [search], [sim] seed) or ``ParsedConfig`` ([sim],
+[twt]).
 ``parse`` returns a ParsedConfig: its ``template`` is what the search and
 table commands drive, and ``scenario()`` materialises the one runnable [sim]
 scenario.
@@ -31,7 +32,6 @@ from .scenarios import ScenarioTemplate
 from .schedule import schedule_from
 from .traffic import VideoParams
 
-BACKGROUND_STREAMS = 8  # parallel saturated streams to each background client
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
 # an id names the station in the CSV artifacts, so it holds no comma or space
 STATION_SECTION = re.compile(r"station\.[A-Za-z0-9_.-]+")
@@ -263,15 +263,6 @@ def _stations(sections: dict[str, dict[str, _Entry]],
     return stations, dut
 
 
-def _background(section: dict[str, _Entry], clients: list[str], dut: str) -> tuple[tuple[str, int], ...]:
-    """(client id, parallel streams) for each client but the DUT."""
-    entry = section.get("streams_per_client")
-    streams = BACKGROUND_STREAMS if entry is None else entry.value
-    if streams < 0:
-        raise ConfigError(f"streams_per_client must be >= 0, got {streams}", entry.line)
-    return tuple((c, streams) for c in clients if c != dut)
-
-
 def parse(text: str) -> ParsedConfig:
     sections = _tokenize(text)
 
@@ -293,14 +284,15 @@ def parse(text: str) -> ParsedConfig:
     for_template = {**sections.get("transport", {}), **sections.get("search", {})}
     if "seed" in run:
         for_template["master_seed"] = run.pop("seed")
+    background = sections.get("background", {})
+    if "streams_per_client" in background:
+        for_template["background_streams"] = background["streams_per_client"]
     twt = sections.get("twt", {})
     run.update((("twt_enabled" if k == "enabled" else k), e) for k, e in twt.items())
 
     # the template comes first: its local stream calibrates the clients
     template = _checked(for_template, ScenarioTemplate, stations=(), dut="", video=video,
-                        background=(), mac=mac, **_values(for_template))
+                        mac=mac, **_values(for_template))
     stations, dut = _stations(sections, template)
-    clients = [s.id for s in stations if s.role == "client"]
-    background = _background(sections.get("background", {}), clients, dut)
-    template = replace(template, stations=tuple(stations), dut=dut, background=background)
+    template = replace(template, stations=tuple(stations), dut=dut)
     return _checked(run, ParsedConfig, template, **_values(run))

@@ -71,6 +71,14 @@ def burst_service(trace: SimTrace, bursts: Sequence[Burst]) -> list[tuple[int, f
     return served
 
 
+def _sum_left(xs) -> float:
+    """Add floats left to right: from Python 3.12 on, ``sum`` compensates."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
     """Derive the DUT stream's QoS from a trace and its generated burst list."""
     if trace.dut_flow_id is None:
@@ -111,9 +119,9 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
             late.append((b.index, lateness))
 
     values = [v for _, v in series]
-    mean = sum(values) / len(values) if values else 0.0
+    mean = _sum_left(values) / len(values) if values else 0.0
     if mean > 0:
-        var = sum((v - mean) ** 2 for v in values) / len(values)
+        var = _sum_left((v - mean) ** 2 for v in values) / len(values)
         cv = math.sqrt(var) / mean
     else:
         cv = 0.0

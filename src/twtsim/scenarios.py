@@ -29,7 +29,7 @@ class ScenarioTemplate:
     stations: tuple[Station, ...]  # AP + clients, no TWT attached
     dut: str
     video: VideoParams
-    background: tuple[tuple[str, int], ...]  # (client id, parallel streams)
+    background_streams: int = 8  # parallel saturated streams to each client but the DUT
     mac: MacParams = MacParams()
     remote_rtt_s: float = Flow.base_rtt_s
     local_rtt_s: float = 0.002
@@ -44,8 +44,8 @@ class ScenarioTemplate:
         for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name, least in (("seeds", 1), ("queue_limit_segments", 1), ("max_underruns", 0),
-                            ("master_seed", 0)):
+        for name, least in (("background_streams", 0), ("seeds", 1), ("queue_limit_segments", 1),
+                            ("max_underruns", 0), ("master_seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -74,8 +74,9 @@ class ScenarioTemplate:
                     queue_limit_segments=self.queue_limit_segments)
 
     def _background_flows(self) -> tuple[Flow, ...]:
-        return tuple(self.local_flow(f"bg-{dst}-{i}", dst)
-                     for dst, streams in self.background for i in range(streams))
+        return tuple(self.local_flow(f"bg-{s.id}-{i}", s.id)
+                     for s in self.stations if s.role == "client" and s.id != self.dut
+                     for i in range(self.background_streams))
 
     def phase1_scenario(self, duty: int, seed: int) -> Scenario:
         """Unloaded BSS, one saturated local stream to the TWT DUT, MF = 1."""

@@ -27,19 +27,20 @@ bitrate_mbps = 10
 
 def test_paper_setup_is_the_bundled_template():
     # one cold call under the layer trace: the overrides land after parsing
-    # (a master seed of 0 too), and each client is back-solved once, through config
+    # (a master seed of 0 too), and each client is back-solved once, through
+    # config, from the calibration table (test_macsim bisects the table again)
     setups = []
     metrics, calls = _traced(
         lambda: setups.append(twtsim.scenarios.paper_setup(seeds=2, master_seed=0)))
     (tpl,) = setups
     assert [s.id for s in tpl.stations] == ["ap", "client1", "client2", "client3", "client4"]
     assert tpl.dut == "client4"
-    assert tpl.background == (("client1", 8), ("client2", 8), ("client3", 8))
+    assert tpl.background_streams == 8
     assert tpl.video.bitrate_mbps == 15.6
     assert tpl.mac == MacParams()
     assert (tpl.seeds, tpl.master_seed) == (2, 0)
     assert calls["back_solve"] == 4
-    assert metrics["macsim.calibration.runs"] == 79
+    assert metrics["macsim.calibration.runs"] == 0
     assert calls.get("generate_bursts", 0) == 0  # parsing builds no session
 
 
@@ -74,7 +75,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.template.mac == MacParams()
     assert cfg.template.video == VideoParams(bitrate_mbps=10)
     for f in fields(ScenarioTemplate):
-        if f.name not in ("stations", "dut", "video", "background", "mac"):
+        if f.name not in ("stations", "dut", "video", "mac"):
             assert getattr(cfg.template, f.name) == f.default, f.name
 
 
@@ -287,7 +288,8 @@ def test_station_id_must_suit_the_artifacts(header):
 
 def test_station_id_may_hold_dots_dashes_and_underscores():
     text = MINIMAL + "\n[station.bg-1.a_B]\nphy_rate_mbps = 50\n"
-    assert parse(text).template.background == (("bg-1.a_B", 8),)
+    flows = parse(text).template.background_only_scenario(seed=1).flows
+    assert [f.dst for f in flows] == ["bg-1.a_B"] * 8
 
 
 def test_fractional_frame_rate_accepted():
@@ -355,7 +357,7 @@ def test_invalid_model_rejected():
 def test_parse_template_round_trip():
     tpl = parse(MINIMAL + "\n[search]\nsession_duration_s = 12\n").template
     assert tpl.dut == "c1"
-    assert tpl.background == ()  # only client is the DUT
+    assert tpl.background_only_scenario(seed=1).flows == ()  # only client is the DUT
     sc = tpl.session_scenario(30, 2, "cbr", seed=3)
     assert len(sc.bursts) == 2
     assert sc.duration_s == 12.0

@@ -2,7 +2,7 @@ import gc
 import hashlib
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -221,7 +221,55 @@ def test_bundled_rates_are_pinned():
 CAL = Flow(id="cal", dst="c", kind="saturated", base_rtt_s=0.002)
 
 
+def test_calibration_table_is_recomputed(monkeypatch):
+    # each entry of the table is what bisection gives, bit for bit
+    table = dict(twtsim.macsim._CALIBRATED)
+    monkeypatch.setattr(twtsim.macsim, "_CALIBRATED", {})
+    got = {key: back_solve_phy_rate(key[0], key[1], replace(key[2], id="cal", dst="c"))
+           for key in table}
+    entries = "".join(f"    {key!r}: {rate!r},\n" for key, rate in got.items())
+    assert [r.hex() for r in got.values()] == [r.hex() for r in table.values()], (
+        f"bisection disagrees with the table; after a labelled model change, "
+        f"set in macsim.py\n_CALIBRATED = {{\n{entries}}}")
+
+
+class _Ran(Exception):
+    pass
+
+
+def _no_run(sc):
+    raise _Ran
+
+
+MAC_CHANGES = {"slot_us": 10, "difs_us": 43, "cw_min": 31, "cw_max": 511, "max_ampdu_mpdus": 32,
+               "txop_limit_us": 3000, "per_frame_overhead_us": 50}
+
+
+@pytest.mark.parametrize("standalone, mac, flow", [
+    (63.6, MacParams(), CAL),
+    *[(63.5, MacParams(**{k: v}), CAL) for k, v in MAC_CHANGES.items()],
+    *[(63.5, MacParams(), replace(CAL, **{k: v}))
+      for k, v in (("base_rtt_s", 0.003), ("queue_limit_segments", 128), ("idle_restart_s", 2.0))],
+], ids=["standalone_mbps", *MAC_CHANGES, "base_rtt_s", "queue_limit_segments", "idle_restart_s"])
+def test_a_changed_calibration_input_misses_the_table(monkeypatch, standalone, mac, flow):
+    monkeypatch.setattr(twtsim.macsim, "run_sim", _no_run)
+    with pytest.raises(_Ran):
+        back_solve_phy_rate(standalone, mac, flow)
+
+
+def test_every_mac_field_is_changed_by_a_miss_case():
+    assert set(MAC_CHANGES) == {f.name for f in fields(MacParams)}
+
+
+def test_renamed_calibration_stream_hits_the_table(monkeypatch):
+    # the station and flow ids only label the run
+    monkeypatch.setattr(twtsim.macsim, "run_sim", _no_run)
+    assert back_solve_phy_rate(63.5, MacParams(), replace(CAL, id="x", dst="laptop")) \
+        == 71.7596078068018
+
+
 def test_back_solve_runs_each_distinct_calibration_once(monkeypatch):
+    monkeypatch.setattr(twtsim.macsim, "_CALIBRATED", {})
     runs = []
     real = twtsim.macsim.run_sim
     monkeypatch.setattr(twtsim.macsim, "run_sim", lambda sc: runs.append(sc) or real(sc))
@@ -243,6 +291,7 @@ def test_back_solve_reuses_a_run_only_if_each_timed_ack_airtime_matches(monkeypa
         tr.delivered_bytes["cal"] = round(rate * 1e5)  # 0.8 of the rate
         return tr
 
+    monkeypatch.setattr(twtsim.macsim, "_CALIBRATED", {})
     monkeypatch.setattr(twtsim.macsim, "run_sim", fake_run_sim)
     back_solve_phy_rate(63.5, MAC, CAL)
     # some rates share an MPDU airtime, yet each of the 25 ran

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from twtsim import Burst, QosReport, VideoParams, compute_qos, generate_cbr_bursts, qos_pass
@@ -51,6 +53,25 @@ def test_throughput_variation_is_population_cv():
     mean = sum(series) / len(series)
     var = sum((v - mean) ** 2 for v in series) / len(series)
     assert rep.throughput_variation == pytest.approx(var**0.5 / mean)
+
+
+def test_throughput_variation_adds_left_to_right():
+    # bytes per 1-s bin whose Mbit/s values, and their squared deviations, a
+    # left-to-right sum and a correctly rounded one add differently
+    bins = (2624462, 2436271, 274848, 2540069)
+    tr = make_trace([(i + 0.5, nb) for i, nb in enumerate(bins)], duration=4.0)
+    rep = compute_qos(tr, cbr_bursts(1, size=sum(bins)))
+    series = [v for _, v in rep.instantaneous_mbps]
+    total = 0.0
+    for v in series:
+        total += v
+    mean = total / len(series)
+    squares = [(v - mean) ** 2 for v in series]
+    ss = 0.0
+    for d in squares:
+        ss += d
+    assert total != math.fsum(series) and ss != math.fsum(squares)
+    assert rep.throughput_variation == math.sqrt(ss / len(series)) / mean
 
 
 def test_zero_delivery_gives_zero_cv():

@@ -15,6 +15,7 @@ from twtsim import (
     phase3_validate,
     run_full_search,
 )
+from twtsim.search import _stdev
 
 
 def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
@@ -26,7 +27,7 @@ def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
         ),
         dut="dut",
         video=VideoParams(bitrate_mbps=bitrate),
-        background=(("bg1", 4),),
+        background_streams=4,
         mac=MacParams(),
         seeds=seeds,
         master_seed=7,
@@ -147,3 +148,8 @@ def test_search_is_deterministic():
     a = run_full_search(small_template())
     b = run_full_search(small_template())
     assert a.to_dict() == b.to_dict()
+
+
+def test_phase1_std_is_the_correctly_rounded_root_of_the_exact_variance():
+    # Python 3.10's statistics.stdev rounds twice and gives ...638 here
+    assert _stdev([14.495, 16.516, 17.887, 10.939, 10.283]) == 3.3491409346278633
