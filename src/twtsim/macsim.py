@@ -20,11 +20,15 @@ count of the ungated clients with a backlog tells whether the AP contends.
 Each event carries the handler it fires, as ``(t, seq, handler, args)``;
 ``seq`` breaks time ties in push order.  A contention cycle that no pending
 event precedes starts at once, off the heap.  Time is tracked in integer
-nanoseconds; all randomness comes from streams derived from the scenario
-seed, so a scenario replays byte-identically.  Contender i -- the AP as 0,
-then the clients in station order -- draws its backoffs from a
-``random.Random`` seeded with ``seed_state(seed, (i,))``: the first word of
-the i-th child of numpy's ``SeedSequence(seed)``, hashed without numpy.
+nanoseconds, and so is the trace: each transmission and each delivery
+appends integers to ``array`` columns -- ns, station and flow indices and
+bytes -- which ``SimTrace.airtime`` and ``SimTrace.deliveries`` decode into
+rows of seconds and names on read (``Rows``).  All randomness comes from
+streams derived from the scenario seed, so a scenario replays
+byte-identically.  Contender i -- the AP as 0, then the clients in station
+order -- draws its backoffs from a ``random.Random`` seeded with
+``seed_state(seed, (i,))``: the first word of the i-th child of numpy's
+``SeedSequence(seed)``, hashed without numpy.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ import itertools
 import math
 import operator
 import random
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heappush
 
 from .schedule import TwtSchedule, wake_windows
@@ -164,15 +170,68 @@ class Scenario:
         return None
 
 
+def _seconds(ns):
+    """Seconds from integer ns, each as ``ns / 1e9`` gives it."""
+    return map(operator.truediv, ns, itertools.repeat(1e9))
+
+
+def _named(names: tuple[str, ...]):
+    """Decoder of a column of indices into ``names``."""
+    return partial(map, list(names).__getitem__)  # a list's is the faster call
+
+
+class Rows(Sequence):
+    """Read-only trace rows, kept as integer columns and decoded on read.
+
+    Each column is an ``array('q')`` that the engine appends to; its decoder
+    maps it to the values of that field (``_seconds``, ``_named`` or
+    ``iter``).  The rows iterate, index, slice (into a list), compare and print
+    as the list of their tuples does.
+    """
+
+    __slots__ = ("columns", "_decoders")
+
+    def __init__(self, *decoders):
+        self.columns = tuple(array("q") for _ in decoders)
+        self._decoders = decoders
+
+    def _rows(self, columns):
+        return zip(*(decode(col) for decode, col in zip(self._decoders, columns)))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return self._rows(self.columns)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._rows([col[i] for col in self.columns]))
+        i = range(len(self))[i]
+        return next(self._rows([col[i:i + 1] for col in self.columns]))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Rows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SimTrace:
-    """Everything observable from one run (times in seconds)."""
+    """Everything observable from one run (times in seconds).
+
+    A run's airtime and deliveries are ``Rows``: integer columns decoded on
+    read into the tuples below.  A trace built by hand may hold lists of them.
+    """
 
     duration_s: float
     dut_flow_id: str | None
     wake_windows_s: list[tuple[float, float]] | None
-    deliveries: list[tuple[float, str, str, int]] = field(default_factory=list)
-    airtime: list[tuple[float, float, str]] = field(default_factory=list)
+    deliveries: Sequence[tuple[float, str, str, int]] = field(default_factory=list)
+    airtime: Sequence[tuple[float, float, str]] = field(default_factory=list)
     cwnd_series: list[tuple[float, str, float]] = field(default_factory=list)
     # per client, the airtime of returning n ACK records for each n the run timed
     ack_airtime_ns: dict[str, dict[int, int]] = field(default_factory=dict)
@@ -358,11 +417,11 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, flow: Flow) -> f
 
 
 class _Contender:
-    __slots__ = ("sid", "is_ap", "bo", "stage", "rng")
+    __slots__ = ("idx", "is_ap", "bo", "stage", "rng")
 
-    def __init__(self, sid: str, is_ap: bool, rng: random.Random):
-        self.sid = sid
-        self.is_ap = is_ap
+    def __init__(self, idx: int, rng: random.Random):
+        self.idx = idx  # its station index in the trace: 0 for the AP, i for client i
+        self.is_ap = not idx
         self.bo: int | None = None
         self.stage = 0
         self.rng = rng
@@ -374,10 +433,11 @@ class _Client(_Contender):
     holding ``qsegs`` segments, the ACK records ``(flow state, segments,
     bytes)`` yet to return, and the airtime of n records for each n timed."""
 
-    __slots__ = ("rate", "t_mpdu", "queue", "qsegs", "acks", "ack_ns", "lane", "rr_next")
+    __slots__ = ("sid", "rate", "t_mpdu", "queue", "qsegs", "acks", "ack_ns", "lane", "rr_next")
 
-    def __init__(self, st: Station, rng: random.Random):
-        super().__init__(st.id, False, rng)
+    def __init__(self, st: Station, idx: int, rng: random.Random):
+        super().__init__(idx, rng)
+        self.sid = st.id
         self.rate = st.phy_rate_mbps
         self.t_mpdu = mpdu_airtime_ns(st.phy_rate_mbps)
         self.queue: deque = deque()
@@ -391,11 +451,12 @@ class _Client(_Contender):
 class _FlowState:
     """The running state of one flow; its TCP window state lives here only."""
 
-    __slots__ = ("flow", "dst", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns", "released", "sent",
-                 "in_flight", "queued_segments", "last_send_ns")
+    __slots__ = ("flow", "idx", "dst", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns", "released",
+                 "sent", "in_flight", "queued_segments", "last_send_ns")
 
-    def __init__(self, flow: Flow, dst: _Client):
+    def __init__(self, flow: Flow, idx: int, dst: _Client):
         self.flow = flow
+        self.idx = idx  # its flow index in the trace
         self.dst = dst
         self.cwnd = flow.cwnd_init_segments
         self.ssthresh = math.inf
@@ -420,8 +481,8 @@ class _Engine:
 
         ap = next(s for s in sc.stations if s.role == "ap")
         stations = [s for s in sc.stations if s.role == "client"]
-        self.ap_cont = _Contender(ap.id, True, random.Random(seed_state(sc.seed, (0,))))
-        self.clients = [_Client(s, random.Random(seed_state(sc.seed, (i,))))
+        self.ap_cont = _Contender(0, random.Random(seed_state(sc.seed, (0,))))
+        self.clients = [_Client(s, i, random.Random(seed_state(sc.seed, (i,))))
                         for i, s in enumerate(stations, 1)]
         by_id = {c.sid: c for c in self.clients}
         # the gated client: the TWT holder, unless its schedule never sleeps;
@@ -438,7 +499,8 @@ class _Engine:
             c.rr_next = (i + 1) % len(self.clients)
         self.rr = [self.clients[i:] + self.clients[:i] for i in range(len(self.clients))]
         self.rr_ptr = 0
-        self.flows: dict[str, _FlowState] = {f.id: _FlowState(f, by_id[f.dst]) for f in sc.flows}
+        self.flows: dict[str, _FlowState] = {f.id: _FlowState(f, i, by_id[f.dst])
+                                             for i, f in enumerate(sc.flows)}
 
         self.heap: list = []
         self.next_seq = itertools.count().__next__
@@ -451,10 +513,20 @@ class _Engine:
             self.period = holder.twt.period_us * NS_PER_US
             win_us = wake_windows(holder.twt, round(sc.duration_s * 1e6))
             windows = [(a / 1e6, b / 1e6) for a, b in win_us]
+        # station indices: the contenders', then the collision pseudo-station
+        names = (ap.id, *(c.sid for c in self.clients), COLLISION_ID)
+        self.collision_idx = len(names) - 1
+        airtime = Rows(_seconds, _seconds, _named(names))  # start, end, station
+        # A-MPDU end, station, flow, bytes
+        deliveries = Rows(_seconds, _named(names), _named(tuple(f.id for f in sc.flows)), iter)
+        self.log_airtime = tuple(col.append for col in airtime.columns)
+        self.log_delivery = tuple(col.append for col in deliveries.columns)
         self.trace = SimTrace(
             duration_s=sc.duration_s,
             dut_flow_id=sc.dut_flow_id,
             wake_windows_s=windows,
+            deliveries=deliveries,
+            airtime=airtime,
             ack_airtime_ns={c.sid: c.ack_ns for c in self.clients},
         )
         for f in sc.flows:
@@ -619,27 +691,28 @@ class _Engine:
                 dur = max(dur, self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w))
                 w.stage = min(w.stage + 1, self.mac.max_stage)
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
-            end = t + dur
-            self.busy_until = end
             self.trace.collisions += 1
-            self.trace.airtime.append((t / 1e9, end / 1e9, COLLISION_ID))
-            heappush(self.heap, (end, self.next_seq(), self._kick, ()))
-            return
-        w = winners[0]
-        if w.is_ap:
-            c, n, dur = self._select_ap_tx(t)
-            handler, args = self._on_ampdu_end, (c, n)
+            idx, handler, args = self.collision_idx, self._kick, ()
         else:
-            c = w
-            dur = self._ack_duration(c)
-            handler, args = self._on_ack_end, (c,)
-        if c is g and dur > self._window_left(t):
-            raise RuntimeError("gated transmission would cross window end")
-        w.bo = None
-        w.stage = 0
+            w = winners[0]
+            if w.is_ap:
+                c, n, dur = self._select_ap_tx(t)
+                handler, args = self._on_ampdu_end, (c, n)
+            else:
+                c = w
+                dur = self._ack_duration(c)
+                handler, args = self._on_ack_end, (c,)
+            if c is g and dur > self._window_left(t):
+                raise RuntimeError("gated transmission would cross window end")
+            w.bo = None
+            w.stage = 0
+            idx = w.idx
         end = t + dur
         self.busy_until = end
-        self.trace.airtime.append((t / 1e9, end / 1e9, w.sid))
+        log_start, log_end, log_station = self.log_airtime
+        log_start(t)
+        log_end(end)
+        log_station(idx)
         heappush(self.heap, (end, self.next_seq(), handler, args))
 
     # the channel is idle when a transmission ends: only a cycle scheduled by
@@ -666,11 +739,14 @@ class _Engine:
             acc = per_flow.setdefault(fs, [0, 0])
             acc[0] += count
             acc[1] += count * size
-        ts = t / 1e9
+        log_end, log_station, log_flow, log_bytes = self.log_delivery
         for fs, (segs, nbytes) in per_flow.items():
             fs.queued_segments -= segs
             self.trace.delivered_bytes[fs.flow.id] += nbytes
-            self.trace.deliveries.append((ts, c.sid, fs.flow.id, nbytes))
+            log_end(t)
+            log_station(c.idx)
+            log_flow(fs.idx)
+            log_bytes(nbytes)
             c.acks.append((fs, segs, nbytes))
         if c is not self.gated:  # only the round robin serves the other clients
             self.rr_ptr = c.rr_next

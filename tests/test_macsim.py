@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -37,7 +38,7 @@ from twtsim.macsim import (
     seed_state,
 )
 from twtsim.pcg64 import PCG64
-from twtsim.qos import burst_service
+from twtsim.qos import burst_service, compute_qos
 
 MAC = MacParams()
 
@@ -607,6 +608,55 @@ def test_engine_trace_digest_is_pinned():
         assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DIGESTS[name], name
 
 
+def test_trace_rows_decode_their_integer_columns():
+    for name, sc in _pinned_scenarios().items():
+        tr = run_sim(sc)
+        stations = [s.id for s in sc.stations if s.role == "ap"]
+        stations += [s.id for s in sc.stations if s.role == "client"] + [COLLISION_ID]
+        flows = [f.id for f in sc.flows]
+        start, end, sid = tr.airtime.columns
+        airtime = [(a / 1e9, b / 1e9, stations[i]) for a, b, i in zip(start, end, sid)]
+        t, dst, fid, nbytes = tr.deliveries.columns
+        deliveries = [(a / 1e9, stations[d], flows[f], n) for a, d, f, n in zip(t, dst, fid, nbytes)]
+        for view, rows in ((tr.airtime, airtime), (tr.deliveries, deliveries)):
+            assert list(view) == rows, name
+            assert repr(view) == repr(rows), name  # the same types, not just equal values
+            assert len(view) == len(rows) > 40, name
+            assert view[0] == rows[0] and view[-1] == rows[-1], name
+            with pytest.raises(IndexError):
+                view[len(rows)]
+            assert view[3:40:7] == rows[3:40:7] and view[-5:] == rows[-5:], name
+            assert view == rows and rows == view, name
+            assert view != rows[:-1] and rows[:-1] != view, name
+            assert view != tuple(rows), name  # as a list is
+            with pytest.raises(TypeError):
+                view[0] = rows[0]
+        # a trace built by hand from the rows scores as the run's own does
+        hand = replace(tr, airtime=airtime, deliveries=deliveries)
+        assert burst_service(hand, sc.bursts) == burst_service(tr, sc.bursts), name
+        if sc.dut_flow_id is not None:
+            assert compute_qos(hand, sc.bursts) == compute_qos(tr, sc.bursts), name
+
+
+def test_trace_rows_hold_a_few_bytes_each():
+    template = paper_setup()
+    # warm up on a shorter run: what a first run caches is not the trace's
+    run_sim(replace(template, session_duration_s=1.0).session_scenario(20, 4, "cbr", 7))
+    sc = replace(template, session_duration_s=8.0).session_scenario(20, 4, "cbr", 7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = run_sim(sc)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(tr.airtime) + len(tr.deliveries)
+    assert rows > 4000
+    # integer columns: 24 bytes per airtime row and 32 per delivery; a tuple
+    # of floats and strings per row took about 117 here
+    assert held <= 40 * rows
+
+
 def test_finished_engine_is_freed_without_the_cyclic_collector():
     # pending events hold bound methods of the engine, and queued runs and ACK
     # records hold flow states that point at their client; run() must drop them
@@ -619,9 +669,11 @@ def test_finished_engine_is_freed_without_the_cyclic_collector():
         for name, sc in _pinned_scenarios().items():
             engine = _Engine(sc)
             ref = weakref.ref(engine)
-            engine.run()
-            del engine
+            trace = engine.run()
+            rows = list(trace.airtime), list(trace.deliveries)
+            del engine  # keep the trace: its rows must hold no reference to the engine
             assert ref() is None, name
             assert alive() == before, name
+            assert trace.airtime == rows[0] and trace.deliveries == rows[1], name
     finally:
         gc.enable()
