@@ -23,8 +23,8 @@ from pathlib import Path
 from .config import ConfigError, ParsedConfig, default_config_text, parse
 from .macsim import run_sim
 from .qos import burst_service, compute_qos, qos_pass
-from .search import (InfeasibleTargetError, phase1_min_duty, phase2_select_mf,
-                     run_full_search, session_report)
+from .search import (InfeasibleTargetError, judged_sessions, phase1_min_duty,
+                     phase2_select_mf, run_full_search)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -202,11 +202,8 @@ def cmd_table3(cfg: ParsedConfig, out: Path) -> int:
 
 def _qos_rows(cfg: ParsedConfig, model: str, phase: int) -> list[tuple]:
     duty = cfg.duty_percent if cfg.twt_enabled else None
-    reports = [
-        session_report(cfg.template, duty, cfg.mf, model, seed)
-        for seed in cfg.template.rep_seeds(phase)
-    ]
-    return [(r.avg_throughput_mbps, r.underrun_events) for r in reports]
+    return [(s.report.avg_throughput_mbps, s.report.underrun_events)
+            for s in judged_sessions(cfg.template, duty, cfg.mf, model, phase)]
 
 
 def cmd_table4(cfg: ParsedConfig, out: Path) -> int:
@@ -290,7 +287,11 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "out"
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(_error_json("output", str(exc)))
+        return EXIT_VALIDATION
 
     try:
         return _HANDLERS[args.command](cfg, out)

@@ -85,12 +85,11 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
         raise ValueError("trace has no DUT stream to score")
 
     duration = trace.duration_s
-    total = trace.delivered_bytes.get(trace.dut_flow_id, 0)
-    avg = 8.0 * total / duration / 1e6
+    fid = trace.dut_flow_id
+    total = trace.delivered_bytes.get(fid, 0)
 
     nbins = math.ceil(duration / INTERVAL_S)
     bins = [0] * nbins
-    fid = trace.dut_flow_id
     for t, _, flow, nbytes in trace.deliveries:
         if flow == fid:
             bins[min(int(t / INTERVAL_S), nbins - 1)] += nbytes
@@ -129,7 +128,7 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
     return QosReport(
         duration_s=duration,
         delivered_bytes=total,
-        avg_throughput_mbps=avg,
+        avg_throughput_mbps=trace.flow_throughput_mbps(fid),
         instantaneous_mbps=series,
         underrun_events=events,
         underrun_time_s=late_time,

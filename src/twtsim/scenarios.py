@@ -16,6 +16,8 @@ from .schedule import TwtSchedule, schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
 
+DUT_STREAM = "dut-stream"  # id of the stream to the DUT, in phase 1 and in a session
+
 
 def derive_seed(*parts: int) -> int:
     """Stable scalar seed from a tuple of integers."""
@@ -83,7 +85,7 @@ class ScenarioTemplate:
         sched = schedule_from(duty, 1)
         return Scenario(
             stations=self._with_twt(sched),
-            flows=(self.local_flow("dut-stream", self.dut),),
+            flows=(self.local_flow(DUT_STREAM, self.dut),),
             duration_s=self.phase1_duration_s,
             seed=seed,
             mac=self.mac,
@@ -100,7 +102,7 @@ class ScenarioTemplate:
             rng = PCG64(derive_seed(seed, 0x7BA))
             bursts = generate_vbr_bursts(self.video, self.session_duration_s, rng)
         sched = schedule_from(duty, mf) if duty is not None else None
-        stream = Flow(id="dut-stream", dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
+        stream = Flow(id=DUT_STREAM, dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
                       queue_limit_segments=self.queue_limit_segments)
         return Scenario(
             stations=self._with_twt(sched),

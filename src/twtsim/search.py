@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .macsim import run_sim
 from .qos import QosReport, compute_qos, qos_pass
-from .scenarios import ScenarioTemplate
+from .scenarios import DUT_STREAM, ScenarioTemplate
 from .schedule import TwtSchedule, schedule_from
 
 DUTY_STEP = 5
@@ -52,7 +52,7 @@ class MfPoint:
 @dataclass(frozen=True)
 class SessionRecord:
     model: str
-    duty_percent: int
+    duty_percent: int | None
     mf: int
     seed: int
     report: QosReport
@@ -122,7 +122,7 @@ def phase1_min_duty(template: ScenarioTemplate) -> tuple[int, tuple[DutyPoint, .
     chosen: int | None = None
     for duty in range(DUTY_STEP, 101, DUTY_STEP):
         samples = [
-            run_sim(template.phase1_scenario(duty, seed)).flow_throughput_mbps("dut-stream")
+            run_sim(template.phase1_scenario(duty, seed)).flow_throughput_mbps(DUT_STREAM)
             for seed in template.rep_seeds(1, duty)
         ]
         mean, std = _mean_std(samples)
@@ -138,18 +138,23 @@ def phase1_min_duty(template: ScenarioTemplate) -> tuple[int, tuple[DutyPoint, .
     return chosen, tuple(curve)
 
 
-def session_report(
-    template: ScenarioTemplate, duty: int | None, mf: int, model: str, seed: int
-) -> QosReport:
-    """QoS of one loaded streaming session; duty None disables TWT."""
-    scenario = template.session_scenario(duty, mf, model, seed)
-    return compute_qos(run_sim(scenario), scenario.bursts)
+def judged_sessions(
+    template: ScenarioTemplate, duty: int | None, mf: int, model: str, *key: int
+) -> tuple[SessionRecord, ...]:
+    """The loaded streaming sessions of ``template.rep_seeds(*key)`` at one
+    schedule, in seed order, each scored and judged by the pass rule; duty
+    None disables TWT."""
+    records = []
+    for seed in template.rep_seeds(*key):
+        scenario = template.session_scenario(duty, mf, model, seed)
+        report = compute_qos(run_sim(scenario), scenario.bursts)
+        passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
+        records.append(SessionRecord(model, duty, mf, seed, report, passed))
+    return tuple(records)
 
 
 def _evaluate_mf(template: ScenarioTemplate, duty: int, mf: int) -> MfPoint:
-    reports = [
-        session_report(template, duty, mf, "cbr", seed) for seed in template.rep_seeds(2, mf)
-    ]
+    reports = [s.report for s in judged_sessions(template, duty, mf, "cbr", 2, mf)]
     return MfPoint(
         mf,
         statistics.fmean(r.underrun_time_s for r in reports),
@@ -180,25 +185,13 @@ def phase2_select_mf(
     return best_mf, tuple(curve)
 
 
-def _judged_sessions(
-    template: ScenarioTemplate, duty: int, mf: int, model: str, phase: int
-) -> tuple[SessionRecord, ...]:
-    """The seeded sessions of one schedule, each judged by the pass rule."""
-    records = []
-    for seed in template.rep_seeds(phase, duty):
-        report = session_report(template, duty, mf, model, seed)
-        passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
-        records.append(SessionRecord(model, duty, mf, seed, report, passed))
-    return tuple(records)
-
-
 def phase3_validate(
     template: ScenarioTemplate, duty: int, mf: int
 ) -> tuple[int | None, tuple[SessionRecord, ...]]:
     """Grow duty in 5-point steps until every seeded CBR session passes QoS."""
     records: tuple[SessionRecord, ...] = ()
     for d in range(duty, 101, DUTY_STEP):
-        batch = _judged_sessions(template, d, mf, "cbr", 3)
+        batch = judged_sessions(template, d, mf, "cbr", 3, d)
         records += batch
         if all(r.passed for r in batch):
             return d, records
@@ -213,7 +206,7 @@ def run_full_search(template: ScenarioTemplate) -> SearchResult:
     converged = cbr_duty is not None
     if converged:
         # The VBR model is replayed at the schedule the CBR search settled on.
-        sessions += _judged_sessions(template, cbr_duty, mf, "vbr", 4)
+        sessions += judged_sessions(template, cbr_duty, mf, "vbr", 4, cbr_duty)
     return SearchResult(
         converged=converged,
         duty_percent=cbr_duty,

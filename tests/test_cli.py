@@ -9,6 +9,8 @@ import pytest
 
 import twtsim
 from twtsim.cli import main
+from twtsim.config import parse
+from twtsim.search import judged_sessions
 
 SHORT = """\
 format = 1
@@ -172,6 +174,10 @@ def test_table4_csv(cfg_path, tmp_path):
     assert lines[0] == "iteration,qos1_avg_throughput_mbps,qos2_underrun_events"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "mean"]
     assert_mean_row(lines)
+    cfg = parse(SHORT)
+    sessions = judged_sessions(cfg.template, cfg.duty_percent, cfg.mf, cfg.model, 40)
+    assert lines[1:3] == [f"{i},{s.report.avg_throughput_mbps},{s.report.underrun_events}"
+                          for i, s in enumerate(sessions, 1)]
 
 
 def test_table5_csv(cfg_path, tmp_path):
@@ -188,6 +194,15 @@ def test_out_dir_env_var(cfg_path, tmp_path, monkeypatch):
     monkeypatch.setenv("TWTSIM_OUT", str(target))
     assert run_cli("--config", cfg_path, "--command", "qos") == 0
     assert (target / "qos_report.json").is_file()
+
+
+def test_out_path_that_is_a_file_is_a_validation_error(cfg_path, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli("--config", cfg_path, "--command", "qos", "--out", taken) == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "output"
+    assert str(taken) in err["detail"]
 
 
 def test_config_error_exit_code_and_json(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from twtsim import (
     InfeasibleTargetError,
     MacParams,
+    MfPoint,
     ScenarioTemplate,
     Station,
     VideoParams,
@@ -15,7 +17,7 @@ from twtsim import (
     phase3_validate,
     run_full_search,
 )
-from twtsim.search import _stdev
+from twtsim.search import _stdev, judged_sessions
 
 
 def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
@@ -91,6 +93,20 @@ def test_phase2_curve_stops_after_first_degradation():
         assert mf == mfs[-2]
     else:
         assert mf == mfs[-1]
+
+
+def test_phase2_points_are_means_of_the_judged_sessions_keyed_by_mf():
+    tpl = small_template()
+    _, curve = phase2_select_mf(tpl, 30)
+    for p in curve:
+        sessions = judged_sessions(tpl, 30, p.mf, "cbr", 2, p.mf)
+        assert [s.seed for s in sessions] == tpl.rep_seeds(2, p.mf)
+        assert all(s.duty_percent == 30 and s.mf == p.mf for s in sessions)
+        reports = [s.report for s in sessions]
+        assert p == MfPoint(p.mf,
+                            statistics.fmean(r.underrun_time_s for r in reports),
+                            statistics.fmean(r.underrun_events for r in reports),
+                            statistics.fmean(r.throughput_variation for r in reports))
 
 
 def test_phase3_steps_duty_until_all_sessions_pass():
