@@ -83,17 +83,13 @@ def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
         burst_service(trace, scenario.bursts),
     )
     _write_csv(out / "cwnd.csv", ["time_s", "flow", "cwnd_segments"], trace.cwnd_series)
-    sched = None
-    for st in scenario.stations:
-        if st.twt is not None:
-            sched = st.twt.to_dict()
     _write_json(
         out / "summary.json",
         {
             "seed": cfg.seed,
             "duration_s": scenario.duration_s,
             "model": cfg.model,
-            "twt_schedule": sched,
+            "twt_schedule": scenario.twt[1].to_dict() if scenario.twt is not None else None,
             "flow_throughput_mbps": {
                 fid: trace.flow_throughput_mbps(fid) for fid in sorted(trace.delivered_bytes)
             },

@@ -23,6 +23,7 @@ scenario.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -60,7 +61,15 @@ def _to_bool(value: str) -> bool:
     raise ValueError(f"{value!r} is not a boolean")
 
 
-_CONVERTERS = {"int": int, "float": float}
+def _finite(value: str) -> float:
+    """``float``, less the infinities and NaN it also accepts ('inf', 'nan', '1e400')."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+_CONVERTERS = {"int": int, "float": _finite}
 
 
 def _typed(cls, *names: str) -> dict:
@@ -72,7 +81,8 @@ def _typed(cls, *names: str) -> dict:
 _SECTION_KEYS = {
     "sim": {"model": str, "seed": int},
     "mac": _typed(MacParams),
-    "station": {"role": str, "phy_rate_mbps": float, "standalone_mbps": float, "dut": _to_bool},
+    "station": {"role": str, "phy_rate_mbps": _finite, "standalone_mbps": _finite,
+                "dut": _to_bool},
     "traffic": _typed(VideoParams),
     "twt": {"enabled": _to_bool, "duty_percent": int, "mf": int},
     "background": {"streams_per_client": int},

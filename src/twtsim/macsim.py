@@ -8,11 +8,12 @@ resolved in contention cycles: after the medium goes idle every backlogged
 contender waits DIFS and counts down its binary-exponential backoff, the
 smallest counter transmits, ties collide and escalate their stage.  A
 transmission is an A-MPDU bounded by the aggregation cap, the TXOP limit and
--- for a TWT station -- the remainder of the current wake window; nothing
-addressed to or sent by a TWT station may cross a wake-window boundary.
-The engine only moves bytes and gates the TWT station: when each video burst
-was served is worked out afterwards from the deliveries
-(``qos.burst_service``).
+-- for the TWT station -- the remainder of the current wake window; nothing
+addressed to or sent by the TWT station may cross a wake-window boundary.
+A scenario holds at most one individual TWT agreement, ``Scenario.twt``: the
+id of the client it gates and its schedule.  The engine only moves bytes and
+gates that client: when each video burst was served is worked out afterwards
+from the deliveries (``qos.burst_service``).
 
 Each client's state -- its queue, its ACK records, its contender -- is one
 object that events and queue runs carry, as they carry each flow's state; a
@@ -87,7 +88,8 @@ class MacParams:
 
 @dataclass(frozen=True)
 class Station:
-    """One node of the BSS; the DUT is the station carrying a TWT schedule.
+    """One node of the BSS.  Its TWT agreement, if any, is the scenario's
+    (``Scenario.twt``), not the station's.
 
     A client's PHY rate sets its MPDU and ACK airtime; the AP takes none, as
     nothing the engine times depends on it."""
@@ -95,7 +97,6 @@ class Station:
     id: str
     role: str  # "ap" | "client"
     phy_rate_mbps: float | None = None
-    twt: TwtSchedule | None = None
 
     def __post_init__(self) -> None:
         if self.role not in ("ap", "client"):
@@ -111,7 +112,9 @@ class Station:
 class Scenario:
     """A complete simulation input: stations, flows, DUT traffic, duration, seed.
 
-    It checks itself when it is built."""
+    ``twt`` is the one individual TWT agreement, ``(client id, schedule)``, or
+    None for none; the burst-driven flow, if any, goes to that client.  It
+    checks itself when it is built."""
 
     stations: tuple[Station, ...]
     flows: tuple[Flow, ...]
@@ -120,6 +123,7 @@ class Scenario:
     seed: int = 1
     mac: MacParams = MacParams()
     record_cwnd: bool = False
+    twt: tuple[str, TwtSchedule] | None = None
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -132,15 +136,12 @@ class Scenario:
         ids = [s.id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise ValueError("station ids must be unique")
-        twt_holders = [s for s in self.stations if s.twt is not None]
-        if len(twt_holders) > 1:
-            raise ValueError("at most one station may carry a TWT schedule")
-        if twt_holders and twt_holders[0].role != "client":
-            raise ValueError("the TWT schedule must sit on a client")
         for s in self.stations:
             if s.role == "client":
                 check_mpdu_fits(self.mac, s.id, s.phy_rate_mbps)
-        by_id = {s.id: s for s in self.stations}
+        clients = {s.id for s in self.stations if s.role == "client"}
+        if self.twt is not None and self.twt[0] not in clients:
+            raise ValueError(f"the TWT agreement names unknown or non-client {self.twt[0]!r}")
         flow_ids = [f.id for f in self.flows]
         if len(set(flow_ids)) != len(flow_ids):
             raise ValueError("flow ids must be unique")
@@ -148,13 +149,12 @@ class Scenario:
         if len(burst_flows) > 1:
             raise ValueError("at most one burst-driven flow is supported")
         for f in self.flows:
-            dst = by_id.get(f.dst)
-            if dst is None or dst.role != "client":
+            if f.dst not in clients:
                 raise ValueError(f"flow {f.id!r} targets unknown or non-client {f.dst!r}")
         if burst_flows:
             if not self.bursts:
                 raise ValueError("a burst-driven flow requires a burst list")
-            if twt_holders and burst_flows[0].dst != twt_holders[0].id:
+            if self.twt is not None and burst_flows[0].dst != self.twt[0]:
                 raise ValueError("the burst-driven flow must target the TWT station")
             for i, b in enumerate(self.bursts):
                 if b.index != i:
@@ -485,15 +485,15 @@ class _Engine:
         self.clients = [_Client(s, i, random.Random(seed_state(sc.seed, (i,))))
                         for i, s in enumerate(stations, 1)]
         by_id = {c.sid: c for c in self.clients}
-        # the gated client: the TWT holder, unless its schedule never sleeps;
-        # its wake windows (integer ns) start at 0
-        holder = next((s for s in sc.stations if s.twt is not None and s.twt.wi_us > 0), None)
-        self.gated = by_id[holder.id] if holder is not None else None
+        # the gated client: the TWT agreement's, unless its schedule never
+        # sleeps; its wake windows (integer ns) start at 0
+        sid, sched = sc.twt if sc.twt is not None and sc.twt[1].wi_us > 0 else (None, None)
+        self.gated = by_id.get(sid)
         # ungated clients with queued segments, by lane: 1 before the gated
         # client in station order, 0 after it.  _ap_pending asks aggregate_ns
         # about the gated client only when no client before it has a backlog.
         self.backlog = [0, 0]
-        gated_at = self.clients.index(self.gated) if holder is not None else len(self.clients)
+        gated_at = self.clients.index(self.gated) if self.gated is not None else len(self.clients)
         for i, c in enumerate(self.clients):
             c.lane = None if c is self.gated else int(i < gated_at)
             c.rr_next = (i + 1) % len(self.clients)
@@ -508,10 +508,10 @@ class _Engine:
         self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
 
         windows = None
-        if holder is not None:
-            self.sp = holder.twt.sp_us * NS_PER_US
-            self.period = holder.twt.period_us * NS_PER_US
-            win_us = wake_windows(holder.twt, round(sc.duration_s * 1e6))
+        if sched is not None:
+            self.sp = sched.sp_us * NS_PER_US
+            self.period = sched.period_us * NS_PER_US
+            win_us = wake_windows(sched, round(sc.duration_s * 1e6))
             windows = [(a / 1e6, b / 1e6) for a, b in win_us]
         # station indices: the contenders', then the collision pseudo-station
         names = (ap.id, *(c.sid for c in self.clients), COLLISION_ID)

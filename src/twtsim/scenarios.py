@@ -12,7 +12,7 @@ from .macsim import MacParams, Scenario, Station, seed_state
 # perfbench's layer trace and set-up laps wrap this name here; only config calls it
 from .macsim import back_solve_phy_rate  # noqa: F401
 from .pcg64 import PCG64
-from .schedule import TwtSchedule, schedule_from
+from .schedule import schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from .transport import Flow
 
@@ -28,7 +28,7 @@ def derive_seed(*parts: int) -> int:
 class ScenarioTemplate:
     """Everything the schedule search needs to instantiate simulations."""
 
-    stations: tuple[Station, ...]  # AP + clients, no TWT attached
+    stations: tuple[Station, ...]  # AP + clients
     dut: str
     video: VideoParams
     background_streams: int = 8  # parallel saturated streams to each client but the DUT
@@ -59,15 +59,6 @@ class ScenarioTemplate:
         """One seed per repetition of the point named by ``key``."""
         return [derive_seed(self.master_seed, *key, rep) for rep in range(self.seeds)]
 
-    def _with_twt(self, schedule: TwtSchedule | None) -> tuple[Station, ...]:
-        out = []
-        for s in self.stations:
-            if s.id == self.dut and schedule is not None:
-                out.append(replace(s, twt=schedule))
-            else:
-                out.append(s)
-        return tuple(out)
-
     def local_flow(self, fid: str, dst: str) -> Flow:
         """A saturated stream from a local server to ``dst``: each background
         stream, the phase-1 stream, and the calibration run that back-solves a
@@ -82,9 +73,9 @@ class ScenarioTemplate:
 
     def phase1_scenario(self, duty: int, seed: int) -> Scenario:
         """Unloaded BSS, one saturated local stream to the TWT DUT, MF = 1."""
-        sched = schedule_from(duty, 1)
         return Scenario(
-            stations=self._with_twt(sched),
+            stations=self.stations,
+            twt=(self.dut, schedule_from(duty, 1)),
             flows=(self.local_flow(DUT_STREAM, self.dut),),
             duration_s=self.phase1_duration_s,
             seed=seed,
@@ -101,11 +92,11 @@ class ScenarioTemplate:
         else:
             rng = PCG64(derive_seed(seed, 0x7BA))
             bursts = generate_vbr_bursts(self.video, self.session_duration_s, rng)
-        sched = schedule_from(duty, mf) if duty is not None else None
         stream = Flow(id=DUT_STREAM, dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
                       queue_limit_segments=self.queue_limit_segments)
         return Scenario(
-            stations=self._with_twt(sched),
+            stations=self.stations,
+            twt=(self.dut, schedule_from(duty, mf)) if duty is not None else None,
             flows=(stream, *self._background_flows()),
             bursts=tuple(bursts),
             duration_s=self.session_duration_s,

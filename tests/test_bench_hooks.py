@@ -25,9 +25,10 @@ def _gated_stream_scenario() -> Scenario:
     return Scenario(
         stations=(
             Station(id="ap", role="ap"),
-            Station(id="dut", role="client", phy_rate_mbps=100.0, twt=schedule_from(30, 4)),
+            Station(id="dut", role="client", phy_rate_mbps=100.0),
             Station(id="bg", role="client", phy_rate_mbps=100.0),
         ),
+        twt=("dut", schedule_from(30, 4)),
         flows=(
             Flow(id="stream", dst="dut", kind="burst"),
             Flow(id="noise", dst="bg", kind="saturated", base_rtt_s=0.002),

@@ -221,7 +221,10 @@ def test_config_error_exit_code_and_json(tmp_path, capsys):
      ("[station.c5]\nrole = ap\n", "role"),
      # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short for c4
      ("[station.c5]\nphy_rate_mbps = 2\n", "phy_rate_mbps"),
-     ("[mac]\ntxop_limit_us = 200\n", "txop_limit_us")],
+     ("[mac]\ntxop_limit_us = 200\n", "txop_limit_us"),
+     # float() takes these; the config does not
+     ("[station.c5]\nphy_rate_mbps = inf\n", "phy_rate_mbps"),
+     ("[transport]\nlocal_rtt_s = nan\n", "local_rtt_s")],
 )
 def test_config_value_error_carries_its_line(extra, key, tmp_path, capsys):
     text = SHORT + "\n" + extra

@@ -53,14 +53,14 @@ def test_paper_setup_takes_only_what_it_honours():
 def test_twt_section_drives_schedule():
     text = MINIMAL + "\n[twt]\nduty_percent = 30\nmf = 8\n"
     scenario = parse(text).scenario()
-    dut = next(s for s in scenario.stations if s.twt is not None)
-    assert (dut.twt.sp_us, dut.twt.wi_us) == (8191, 19114)
+    dut, sched = scenario.twt
+    assert (dut, sched.sp_us, sched.wi_us) == ("c1", 8191, 19114)
 
 
 def test_twt_disabled_leaves_all_stations_awake():
     text = MINIMAL + "\n[twt]\nenabled = false\nduty_percent = 30\n"
     scenario = parse(text).scenario()
-    assert all(s.twt is None for s in scenario.stations)
+    assert scenario.twt is None
 
 
 def test_minimal_config_fills_defaults():
@@ -220,7 +220,14 @@ txop_limit_us = 5484
     + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")]
     # sweep-mf and table3 use the duty and MF with TWT off too
     + [pytest.param(bad, EVERY_KEY.replace("enabled = true", "enabled = false"),
-                    id=f"twt off: {bad}") for bad in ("duty_percent = 0", "mf = 3")],
+                    id=f"twt off: {bad}") for bad in ("duty_percent = 0", "mf = 3")]
+    # float() takes these; left in, they would crash or hang a run, or be
+    # reported at another key's line
+    + [pytest.param(f"{key} = {value}", text, id=f"{key} = {value}")
+       for value in ("inf", "-inf", "nan", "1e400")
+       for key, text in (("phy_rate_mbps", EVERY_KEY), ("standalone_mbps", BACK_SOLVED),
+                         ("session_duration_s", EVERY_KEY), ("local_rtt_s", EVERY_KEY),
+                         ("bitrate_mbps", EVERY_KEY))],
 )
 def test_value_error_reports_its_line(bad, text):
     # ``bad`` replaces the last line that sets its key: for a station key, station c2's

@@ -362,13 +362,13 @@ def test_airtime_entries_never_overlap():
 # ------------------------------------------------------------------ TWT -----
 
 def gated_scenario(duty: int, mf: int, seed: int = 5, duration_s: float = 6.0) -> Scenario:
-    sched = schedule_from(duty, mf)
     return Scenario(
         stations=(
             Station(id="ap", role="ap"),
-            Station(id="dut", role="client", phy_rate_mbps=100.0, twt=sched),
+            Station(id="dut", role="client", phy_rate_mbps=100.0),
             Station(id="bg", role="client", phy_rate_mbps=100.0),
         ),
+        twt=("dut", schedule_from(duty, mf)),
         flows=(
             Flow(id="stream", dst="dut", kind="saturated", base_rtt_s=0.002),
             Flow(id="noise", dst="bg", kind="saturated", base_rtt_s=0.002),
@@ -417,19 +417,18 @@ def test_gating_throttles_throughput():
 
 
 def test_full_duty_equals_twt_disabled():
-    on = gated_scenario(duty=100, mf=1)
-    off = Scenario(
-        stations=tuple(
-            replace(s, twt=None) if s.twt is not None else s for s in on.stations
-        ),
-        flows=on.flows,
-        duration_s=on.duration_s,
-        seed=on.seed,
-    )
-    ta, tb = run_sim(on), run_sim(off)
-    assert ta.deliveries == tb.deliveries
-    assert ta.airtime == tb.airtime
-    assert ta.wake_windows_s is None and tb.wake_windows_s is None
+    # a schedule that never sleeps gates nothing, whatever its MF
+    pinned = _pinned_scenarios()
+    for name, sc, mf in (("gated", gated_scenario(duty=20, mf=1), 1),
+                         ("cbr_mf64", pinned["cbr_mf64"], 64), ("vbr_mf4", pinned["vbr_mf4"], 4),
+                         ("gated_mid", pinned["gated_mid"], 32)):
+        ta = run_sim(replace(sc, twt=(sc.twt[0], schedule_from(100, mf))))
+        tb = run_sim(replace(sc, twt=None))
+        assert ta.deliveries, name
+        assert ta.deliveries == tb.deliveries, name
+        assert ta.airtime == tb.airtime, name
+        assert ta.drops == tb.drops, name
+        assert ta.wake_windows_s is None and tb.wake_windows_s is None, name
 
 
 # ------------------------------------------------------------- validation ---
@@ -477,6 +476,20 @@ def test_scenario_rejects_duplicate_ids():
         )
 
 
+def test_scenario_twt_must_name_a_client():
+    sc = gated_scenario(duty=30, mf=4)
+    for sid in ("ap", "ghost"):
+        with pytest.raises(ValueError, match=f"^the TWT agreement names .*'{sid}'"):
+            replace(sc, twt=(sid, sc.twt[1]))
+
+
+def test_scenario_burst_flow_must_target_the_twt_client():
+    sc = _pinned_scenarios()["cbr_mf64"]
+    with pytest.raises(ValueError, match="^the burst-driven flow must target the TWT station"):
+        replace(sc, twt=("bg", sc.twt[1]))
+    assert replace(sc, twt=None).dut_flow_id == "stream"  # without TWT it may go anywhere
+
+
 def test_scenario_rejects_flow_to_unknown_station():
     with pytest.raises(ValueError):
         two_station_scenario(flows=(Flow(id="f", dst="ghost", kind="saturated"),))
@@ -512,9 +525,9 @@ def _pinned_scenarios() -> dict[str, Scenario]:
     # 500 kB CBR bursts (333 segments and a 500-byte tail) to a DUT whose
     # 1023 us windows hold at most seven MPDUs, so queued runs are split
     cbr = Scenario(
-        stations=(ap, Station(id="dut", role="client", phy_rate_mbps=95.0,
-                              twt=schedule_from(30, 64)),
+        stations=(ap, Station(id="dut", role="client", phy_rate_mbps=95.0),
                   Station(id="bg", role="client", phy_rate_mbps=100.0)),
+        twt=("dut", schedule_from(30, 64)),
         flows=(Flow(id="stream", dst="dut", kind="burst"),
                Flow(id="bg1", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=8),
                Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.003, queue_limit_segments=8)),
@@ -525,9 +538,9 @@ def _pinned_scenarios() -> dict[str, Scenario]:
     video = VideoParams(bitrate_mbps=3.0, ibt_mean_s=1.5, ibt_min_s=1.0, ibt_max_s=2.0,
                         ibt_var_s2=0.1)
     vbr = Scenario(
-        stations=(ap, Station(id="dut", role="client", phy_rate_mbps=95.0,
-                              twt=schedule_from(30, 4)),
+        stations=(ap, Station(id="dut", role="client", phy_rate_mbps=95.0),
                   Station(id="bg", role="client", phy_rate_mbps=70.0)),
+        twt=("dut", schedule_from(30, 4)),
         flows=(Flow(id="stream", dst="dut", kind="burst", queue_limit_segments=16),
                Flow(id="bg1", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24),
                Flow(id="bg2", dst="bg", kind="saturated", base_rtt_s=0.002, queue_limit_segments=24)),
@@ -538,9 +551,9 @@ def _pinned_scenarios() -> dict[str, Scenario]:
     # its queue run dry and refill; the stream's sender restarts when idle
     gated_mid = Scenario(
         stations=(Station(id="a", role="client", phy_rate_mbps=40.0), ap,
-                  Station(id="dut", role="client", phy_rate_mbps=95.0,
-                          twt=schedule_from(20, 32)),
+                  Station(id="dut", role="client", phy_rate_mbps=95.0),
                   Station(id="b", role="client", phy_rate_mbps=120.0)),
+        twt=("dut", schedule_from(20, 32)),
         flows=(Flow(id="stream", dst="dut", kind="burst", queue_limit_segments=32,
                     idle_restart_s=0.25),
                Flow(id="a1", dst="a", kind="saturated", base_rtt_s=0.04, queue_limit_segments=64),
