@@ -19,9 +19,13 @@ Each client's state -- its queue, its ACK records, its contender -- is one
 object that events and queue runs carry, as they carry each flow's state; a
 count of the ungated clients with a backlog tells whether the AP contends.
 Each event carries the handler it fires, as ``(t, seq, handler, args)``;
-``seq`` breaks time ties in push order.  A contention cycle that no pending
-event precedes starts at once, off the heap.  Time is tracked in integer
-nanoseconds, and so is the trace: each transmission and each delivery
+``seq`` breaks time ties in push order.  The channel carries at most one
+transmission or collision, so its end event waits in one slot of the engine,
+not on the heap, and the loop runs whichever of the slot and the heap's first
+event is earlier.  A contention cycle that no pending event precedes starts at
+once, off the heap.  A backoff draw looks its window and ``getrandbits`` width
+up in a per-stage table (``MacParams.backoff_stages``).  Time is tracked in
+integer nanoseconds, and so is the trace: each transmission and each delivery
 appends integers to ``array`` columns -- ns, station and flow indices and
 bytes -- which ``SimTrace.airtime`` and ``SimTrace.deliveries`` decode into
 rows of seconds and names on read (``Rows``).  All randomness comes from
@@ -85,6 +89,15 @@ class MacParams:
     def max_stage(self) -> int:
         return ((self.cw_max + 1) // (self.cw_min + 1)).bit_length() - 1
 
+    @cached_property
+    def backoff_stages(self) -> tuple[tuple[int, int], ...]:
+        """Per backoff stage, ``(cw, bits)``: the window
+        ``min(cw_max, (cw_min+1)*2^stage - 1)`` and the ``getrandbits`` width
+        ``(cw + 1).bit_length()`` that ``random.randint(0, cw)`` asks for."""
+        cws = (min(self.cw_max, ((self.cw_min + 1) << stage) - 1)
+               for stage in range(self.max_stage + 1))
+        return tuple((cw, (cw + 1).bit_length()) for cw in cws)
+
 
 @dataclass(frozen=True)
 class Station:
@@ -104,8 +117,8 @@ class Station:
         if self.role == "ap":
             if self.phy_rate_mbps is not None:
                 raise ValueError("phy_rate_mbps applies to clients; the AP takes no rate")
-        elif self.phy_rate_mbps is None or self.phy_rate_mbps <= 0:
-            raise ValueError(f"phy_rate_mbps must be > 0, got {self.phy_rate_mbps}")
+        elif self.phy_rate_mbps is None or not 0 < self.phy_rate_mbps < math.inf:
+            raise ValueError(f"phy_rate_mbps must be finite and > 0, got {self.phy_rate_mbps}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,8 @@ class Scenario:
     twt: tuple[str, TwtSchedule] | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         aps = [s for s in self.stations if s.role == "ap"]
@@ -201,6 +214,10 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return len(self.columns[0])
 
+    def decoded(self, i: int):
+        """An iterator over the decoded values of field ``i``, in row order."""
+        return self._decoders[i](self.columns[i])
+
     def __iter__(self):
         return self._rows(self.columns)
 
@@ -245,11 +262,11 @@ class SimTrace:
 
 def backoff_draw(mac: MacParams, stage: int, rng: random.Random) -> int:
     """Draw a backoff counter uniform on [0, cw] with cw = min(cw_max, (cw_min+1)*2^stage - 1)."""
-    if not (0 <= stage <= mac.max_stage):
+    stages = mac.backoff_stages
+    if not 0 <= stage < len(stages):
         raise ValueError(f"stage must be in [0, {mac.max_stage}], got {stage}")
-    cw = min(mac.cw_max, ((mac.cw_min + 1) << stage) - 1)
+    cw, k = stages[stage]
     # rejection sampling on getrandbits, bit for bit what rng.randint(0, cw) does
-    k = (cw + 1).bit_length()
     r = rng.getrandbits(k)
     while r > cw:
         r = rng.getrandbits(k)
@@ -430,8 +447,8 @@ class _Contender:
 class _Client(_Contender):
     """One client's engine state, itself the contender that returns its ACKs:
     the downlink FIFO of runs ``[flow state, segments, bytes per segment]``
-    holding ``qsegs`` segments, the ACK records ``(flow state, segments,
-    bytes)`` yet to return, and the airtime of n records for each n timed."""
+    holding ``qsegs`` segments, the ACK records ``[flow state, segments,
+    bytes]`` yet to return, and the airtime of n records for each n timed."""
 
     __slots__ = ("sid", "rate", "t_mpdu", "queue", "qsegs", "acks", "ack_ns", "lane", "rr_next")
 
@@ -506,6 +523,9 @@ class _Engine:
         self.next_seq = itertools.count().__next__
         self.busy_until = 0
         self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
+        self.record_cwnd = sc.record_cwnd
+        # the end event of the one transmission or collision on the channel
+        self.tx_end: tuple | None = None
 
         windows = None
         if sched is not None:
@@ -519,7 +539,7 @@ class _Engine:
         airtime = Rows(_seconds, _seconds, _named(names))  # start, end, station
         # A-MPDU end, station, flow, bytes
         deliveries = Rows(_seconds, _named(names), _named(tuple(f.id for f in sc.flows)), iter)
-        self.log_airtime = tuple(col.append for col in airtime.columns)
+        self.log_start, self.log_end, self.log_station = (col.append for col in airtime.columns)
         self.log_delivery = tuple(col.append for col in deliveries.columns)
         self.trace = SimTrace(
             duration_s=sc.duration_s,
@@ -534,8 +554,8 @@ class _Engine:
 
     # -- transport ------------------------------------------------------
     def _record_cwnd(self, t: int, fs: _FlowState) -> None:
-        if self.sc.record_cwnd:
-            self.trace.cwnd_series.append((t / 1e9, fs.flow.id, fs.cwnd))
+        """Log the flow's window; callers check ``record_cwnd`` first."""
+        self.trace.cwnd_series.append((t / 1e9, fs.flow.id, fs.cwnd))
 
     def _try_send(self, t: int, fs: _FlowState) -> None:
         pending = fs.released - fs.sent
@@ -544,7 +564,8 @@ class _Engine:
             return
         if fs.last_send_ns is not None and t - fs.last_send_ns > fs.idle_ns:
             fs.cwnd, fs.ssthresh = on_idle_restart(fs.flow, fs.cwnd, fs.ssthresh)
-            self._record_cwnd(t, fs)
+            if self.record_cwnd:
+                self._record_cwnd(t, fs)
             offer = offer_load(fs.flow, fs.cwnd, pending, fs.in_flight)
             if offer <= 0:
                 return
@@ -557,12 +578,15 @@ class _Engine:
         """Queue the full segments, then the tail, up to the flow's limit; drop the rest."""
         seg = fs.flow.segment_bytes
         full, tail = divmod(nbytes, seg)
-        room = max(0, fs.flow.queue_limit_segments - fs.queued_segments)
-        took = min(full, room)
-        took_tail = 1 if tail and room > full else 0
+        room = fs.flow.queue_limit_segments - fs.queued_segments  # never negative
+        c = fs.dst
+        if full + (tail > 0) <= room:  # all of it fits
+            took, took_tail = full, 1 if tail else 0
+        else:
+            took = min(full, room)
+            took_tail = 1 if tail and room > full else 0
         accepted = took + took_tail
         if accepted:
-            c = fs.dst
             if took:
                 c.queue.append([fs, took, seg])
             if took_tail:
@@ -579,13 +603,16 @@ class _Engine:
             fs.sent -= dbytes
             self.trace.drops[fid] = self.trace.drops.get(fid, 0) + dropped
             fs.cwnd = fs.ssthresh = on_loss(fs.cwnd)
-            self._record_cwnd(t, fs)
-        self._kick(t)
+            if self.record_cwnd:
+                self._record_cwnd(t, fs)
+        if self.race is None and t >= self.busy_until:  # _kick
+            self._contend(t)
 
     def _on_server_ack(self, t: int, fs: _FlowState, segs: int, nbytes: int) -> None:
         fs.in_flight -= nbytes
         fs.cwnd = on_ack(fs.cwnd, fs.ssthresh, segs)
-        self._record_cwnd(t, fs)
+        if self.record_cwnd:
+            self._record_cwnd(t, fs)
         self._try_send(t, fs)
 
     def _on_burst(self, t: int, fs: _FlowState, size: int) -> None:
@@ -593,11 +620,9 @@ class _Engine:
         self._try_send(t, fs)
 
     # -- contention -----------------------------------------------------
-    def _window_left(self, t: int) -> int:
-        """ns of the gated client's wake window left at t (0 if asleep)."""
-        into = t % self.period
-        return self.sp - into if into < self.sp else 0
-
+    # What is left of the gated client's wake window at t is
+    # ``self.sp - t % self.period``: at most 0 while it sleeps, which every
+    # test of it below treats as no room.
     def _ack_duration(self, c: _Client) -> int:
         n = len(c.acks)
         dur = c.ack_ns.get(n)
@@ -607,15 +632,18 @@ class _Engine:
 
     def _gated_acks_fit(self, t: int) -> bool:
         """The gated client's ACK records fit what is left of its wake window."""
-        left = self._window_left(t)
-        return left > self.difs and left >= self.difs + self._ack_duration(self.gated)
+        left = self.sp - t % self.period - self.difs
+        if left <= 0:
+            return False
+        g = self.gated
+        return left >= (g.ack_ns.get(len(g.acks)) or self._ack_duration(g))
 
     def _ap_pending(self, t: int) -> bool:
         if self.backlog[1]:
             return True
         g = self.gated
         if g is not None and g.qsegs:
-            budget = min(self.txop, self._window_left(t) - self.difs)
+            budget = min(self.txop, self.sp - t % self.period - self.difs)
             if budget > 0 and aggregate_ns(g.t_mpdu, budget, self.overhead,
                                            self.mac.max_ampdu_mpdus, g.qsegs) >= 1:
                 return True
@@ -627,7 +655,7 @@ class _Engine:
         Returns a selection whenever ``_ap_pending(t)`` holds."""
         g = self.gated
         if g is not None and g.qsegs:
-            n = aggregate_ns(g.t_mpdu, min(self.txop, self._window_left(t)),
+            n = aggregate_ns(g.t_mpdu, min(self.txop, self.sp - t % self.period),
                              self.overhead, self.mac.max_ampdu_mpdus, g.qsegs)
             if n >= 1:
                 return (g, n, self.overhead + n * g.t_mpdu)
@@ -653,67 +681,77 @@ class _Engine:
                 racers.append(c)
         if not racers:
             return
-        min_bo = self.mac.cw_max  # no counter exceeds it
+        mac = self.mac
+        min_bo = mac.cw_max  # no counter exceeds it
         for c in racers:
             bo = c.bo
             if bo is None:
-                bo = c.bo = backoff_draw(self.mac, c.stage, c.rng)
+                bo = c.bo = backoff_draw(mac, c.stage, c.rng)
             if bo < min_bo:
                 min_bo = bo
         self.race = (racers, min_bo)
         start = t + self.difs + min_bo * self.slot
-        # every caller ends with this call, so when no pending event is due by
-        # the start, the start is the next event: run it now, off the heap
-        if start < self.horizon and (not self.heap or self.heap[0][0] > start):
+        # every caller ends with this call, so when the channel holds no
+        # transmission and no pending event is due by the start, the start is
+        # the next event: run it now, off the heap
+        heap = self.heap
+        if start < self.horizon and self.tx_end is None and (not heap or heap[0][0] > start):
             self._on_tx_start(start)
         else:
-            heappush(self.heap, (start, self.next_seq(), self._on_tx_start, ()))
+            heappush(heap, (start, self.next_seq(), self._on_tx_start, ()))
 
     def _on_tx_start(self, t: int) -> None:
         racers, min_bo = self.race
         self.race = None
         g = self.gated
-        winners = []
+        w = None  # the first winner; a second makes the list of all of them
+        winners = None
         for c in racers:
             c.bo -= min_bo
             if not c.bo:
                 if self._ap_pending(t) if c.is_ap else (c is not g or self._gated_acks_fit(t)):
-                    winners.append(c)
+                    if w is None:
+                        w = c
+                    elif winners is None:
+                        winners = [w, c]
+                    else:
+                        winners.append(c)
                 else:
                     c.bo = None  # stale claim; redraw when pending again
-        if not winners:
+        if w is None:
             self._contend(t)
             return
-        if len(winners) > 1:
+        if winners is not None:
             # every winner is pending, so each duration is at least the overhead
             dur = 0
+            max_stage = self.mac.max_stage
             for w in winners:
                 dur = max(dur, self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w))
-                w.stage = min(w.stage + 1, self.mac.max_stage)
+                w.stage = min(w.stage + 1, max_stage)
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
             self.trace.collisions += 1
             idx, handler, args = self.collision_idx, self._kick, ()
         else:
-            w = winners[0]
             if w.is_ap:
                 c, n, dur = self._select_ap_tx(t)
                 handler, args = self._on_ampdu_end, (c, n)
             else:
                 c = w
-                dur = self._ack_duration(c)
+                dur = c.ack_ns.get(len(c.acks)) or self._ack_duration(c)
                 handler, args = self._on_ack_end, (c,)
-            if c is g and dur > self._window_left(t):
+            if c is g and dur > self.sp - t % self.period:
                 raise RuntimeError("gated transmission would cross window end")
             w.bo = None
             w.stage = 0
             idx = w.idx
+        if self.tx_end is not None:
+            raise RuntimeError("a transmission started while another was on the channel")
         end = t + dur
         self.busy_until = end
-        log_start, log_end, log_station = self.log_airtime
-        log_start(t)
-        log_end(end)
-        log_station(idx)
-        heappush(self.heap, (end, self.next_seq(), handler, args))
+        self.log_start(t)
+        self.log_end(end)
+        self.log_station(idx)
+        self.tx_end = (end, self.next_seq(), handler, args)
 
     # the channel is idle when a transmission ends: only a cycle scheduled by
     # an event of the same instant can stand in the way of the next one
@@ -726,7 +764,7 @@ class _Engine:
         if not left and c.lane is not None:
             self.backlog[c.lane] -= 1
         q = c.queue
-        per_flow: dict[_FlowState, list] = {}  # [segments, bytes], first-dequeued first
+        records = []  # [flow state, segments, bytes], first-dequeued first
         while n:
             run = q[0]
             fs, count, size = run
@@ -736,18 +774,24 @@ class _Engine:
                 run[1] = count - n
                 count = n
             n -= count
-            acc = per_flow.setdefault(fs, [0, 0])
-            acc[0] += count
-            acc[1] += count * size
+            for r in records:  # an A-MPDU holds few flows: a scan beats a dict
+                if r[0] is fs:
+                    r[1] += count
+                    r[2] += count * size
+                    break
+            else:
+                records.append([fs, count, count * size])
         log_end, log_station, log_flow, log_bytes = self.log_delivery
-        for fs, (segs, nbytes) in per_flow.items():
+        delivered = self.trace.delivered_bytes
+        for record in records:
+            fs, segs, nbytes = record
             fs.queued_segments -= segs
-            self.trace.delivered_bytes[fs.flow.id] += nbytes
+            delivered[fs.flow.id] += nbytes
             log_end(t)
             log_station(c.idx)
             log_flow(fs.idx)
             log_bytes(nbytes)
-            c.acks.append((fs, segs, nbytes))
+            c.acks.append(record)
         if c is not self.gated:  # only the round robin serves the other clients
             self.rr_ptr = c.rr_next
         if self.race is None:
@@ -755,9 +799,9 @@ class _Engine:
 
     def _on_ack_end(self, t: int, c: _Client) -> None:
         records, c.acks = c.acks, []
-        for fs, segs, nbytes in records:
-            heappush(self.heap, (t + fs.half_rtt_ns, self.next_seq(), self._on_server_ack,
-                                 (fs, segs, nbytes)))
+        on_server_ack = self._on_server_ack
+        for record in records:  # each record is the server ACK's args
+            heappush(self.heap, (t + record[0].half_rtt_ns, self.next_seq(), on_server_ack, record))
         if self.race is None:
             self._contend(t)
 
@@ -780,8 +824,17 @@ class _Engine:
                 if fs.flow.kind == "saturated":
                     self._try_send(0, fs)
             self._kick(0)
-            while heap:
-                t, _, handler, args = heappop(heap)
+            while True:
+                # the next event is the transmission end or the heap's first,
+                # whichever is earlier as (t, seq)
+                end = self.tx_end
+                if end is not None and (not heap or end < heap[0]):
+                    self.tx_end = None
+                    t, _, handler, args = end
+                elif heap:
+                    t, _, handler, args = heappop(heap)
+                else:
+                    break
                 if t >= horizon:
                     break
                 handler(t, *args)
@@ -790,6 +843,7 @@ class _Engine:
             # ACK records hold flow states that point at their client: drop
             # them so a finished engine is freed without the cyclic collector
             heap.clear()
+            self.tx_end = None
             for c in self.clients:
                 c.queue.clear()
                 c.acks.clear()

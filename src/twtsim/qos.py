@@ -13,11 +13,12 @@ reaches the lower of the bitrate and the load due within it, with at most
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 
-from .macsim import SimTrace
+from .macsim import Rows, SimTrace
 from .traffic import Burst
 
 INTERVAL_S = 1.0  # width of an instantaneous-throughput bin
@@ -49,6 +50,34 @@ class QosReport:
         }
 
 
+def _dut_deliveries(trace: SimTrace) -> Iterator[tuple[float, int]]:
+    """An iterator over (time, bytes) of each delivery of the DUT flow, in order.
+
+    A run's ``Rows`` are filtered column by column without building a row
+    tuple for any other flow; a trace built by hand may hold a list of rows.
+    """
+    rows, fid = trace.deliveries, trace.dut_flow_id
+    if isinstance(rows, Rows):
+        keep = map(operator.eq, rows.decoded(2), repeat(fid))
+        return compress(zip(rows.decoded(0), rows.decoded(3)), keep)
+    return ((t, nbytes) for t, _, flow, nbytes in rows if flow == fid)
+
+
+def _served(dut: Iterable[tuple[float, int]],
+            bursts: Sequence[Burst]) -> list[tuple[int, float, float]]:
+    edges = [0, *accumulate(b.size_bytes for b in bursts)]  # burst i spans edges[i:i + 2]
+    starts: list[float] = []
+    served: list[tuple[int, float, float]] = []
+    delivered = 0
+    for t, nbytes in dut:
+        delivered += nbytes
+        while len(starts) < len(bursts) and edges[len(starts)] < delivered:
+            starts.append(t)
+        while len(served) < len(starts) and edges[len(served) + 1] <= delivered:
+            served.append((bursts[len(served)].index, starts[len(served)], t))
+    return served
+
+
 def burst_service(trace: SimTrace, bursts: Sequence[Burst]) -> list[tuple[int, float, float]]:
     """(index, serve start, serve end) of each burst the DUT flow finished, in order.
 
@@ -56,19 +85,7 @@ def burst_service(trace: SimTrace, bursts: Sequence[Burst]) -> list[tuple[int, f
     first DUT delivery that takes the cumulative bytes past its offset and ends
     at the first that reaches its offset + size.
     """
-    edges = [0, *accumulate(b.size_bytes for b in bursts)]  # burst i spans edges[i:i + 2]
-    starts: list[float] = []
-    served: list[tuple[int, float, float]] = []
-    delivered = 0
-    for t, _, flow, nbytes in trace.deliveries:
-        if flow != trace.dut_flow_id:
-            continue
-        delivered += nbytes
-        while len(starts) < len(bursts) and edges[len(starts)] < delivered:
-            starts.append(t)
-        while len(served) < len(starts) and edges[len(served) + 1] <= delivered:
-            served.append((bursts[len(served)].index, starts[len(served)], t))
-    return served
+    return _served(_dut_deliveries(trace), bursts)
 
 
 def _sum_left(xs) -> float:
@@ -90,15 +107,20 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
 
     nbins = math.ceil(duration / INTERVAL_S)
     bins = [0] * nbins
-    for t, _, flow, nbytes in trace.deliveries:
-        if flow == fid:
+
+    # one walk over the DUT's deliveries: _served reads every one of them, and
+    # each fills its throughput bin on the way
+    def binned():
+        for t, nbytes in _dut_deliveries(trace):
             bins[min(int(t / INTERVAL_S), nbins - 1)] += nbytes
+            yield t, nbytes
+
+    serve_end = {index: end for index, _, end in _served(binned(), bursts)}
     series = [(i * INTERVAL_S, 8.0 * b / INTERVAL_S / 1e6) for i, b in enumerate(bins)]
 
     due_bytes = sum(b.size_bytes for b in bursts
                     if b.release_time_s + b.inter_burst_time_s <= duration)
 
-    serve_end = {index: end for index, _, end in burst_service(trace, bursts)}
     events = 0
     late_time = 0.0
     late: list[tuple[int, float]] = []

@@ -6,6 +6,7 @@ The paper's setup is stated once, in the bundled ``configs/paper_setup.cfg``;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .macsim import MacParams, Scenario, Station, seed_state
@@ -44,8 +45,8 @@ class ScenarioTemplate:
 
     def __post_init__(self) -> None:
         for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name, least in (("background_streams", 0), ("seeds", 1), ("queue_limit_segments", 1),
                             ("max_underruns", 0), ("master_seed", 0)):
             if getattr(self, name) < least:

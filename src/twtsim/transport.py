@@ -81,9 +81,11 @@ def offer_load(flow: Flow, cwnd: float, pending_bytes: float, in_flight_bytes: i
     if pending_bytes < 0 or in_flight_bytes < 0:
         raise ValueError("pending_bytes and in_flight_bytes must be >= 0")
     headroom = int(cwnd) * flow.segment_bytes - in_flight_bytes
-    admissible = min(pending_bytes, max(0, headroom), flow.queue_limit_segments * flow.segment_bytes)
+    if headroom <= 0:
+        return 0
+    admissible = min(pending_bytes, headroom, flow.queue_limit_segments * flow.segment_bytes)
     segments = int(admissible // flow.segment_bytes)
     # a burst tail smaller than one segment still needs to travel
-    if segments == 0 and 0 < pending_bytes < flow.segment_bytes and headroom > 0:
+    if segments == 0 and 0 < pending_bytes < flow.segment_bytes:
         return int(pending_bytes)
     return segments * flow.segment_bytes

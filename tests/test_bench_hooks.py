@@ -76,6 +76,9 @@ PINNED_CALLS = {
                 "on_idle_restart": 0, "on_loss": 91, "wake_windows": 1},
     "gated_mid": {"aggregate_ns": 2274, "backoff_draw": 2700, "offer_load": 1577, "on_ack": 1564,
                   "on_idle_restart": 2, "on_loss": 5, "wake_windows": 1},
+    # recorded before the transmission end left the event heap
+    "bundled": {"aggregate_ns": 2944, "backoff_draw": 3869, "offer_load": 2270, "on_ack": 2244,
+                "on_idle_restart": 0, "on_loss": 30, "wake_windows": 1},
 }
 
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 import tracemalloc
 import weakref
@@ -448,6 +449,16 @@ def test_ampdu_beyond_the_queue_raises_naming_the_station():
     assert engine.trace.deliveries == [(0.0, "sta", "f1", 6700)]
 
 
+def test_a_transmission_on_a_busy_channel_raises():
+    engine = _Engine(two_station_scenario())
+    engine._on_arrive(0, engine.flows["f1"], 4 * 1500)  # the idle channel starts an A-MPDU
+    end = engine.tx_end[0]
+    engine.ap_cont.bo = 0
+    engine.race = ([engine.ap_cont], 0)
+    with pytest.raises(RuntimeError, match="another was on the channel"):
+        engine._on_tx_start(end - 1)
+
+
 def test_scenario_requires_exactly_one_ap():
     with pytest.raises(ValueError):
         Scenario(
@@ -456,6 +467,18 @@ def test_scenario_requires_exactly_one_ap():
             duration_s=1.0,
             seed=1,
         )
+
+
+@pytest.mark.parametrize("rate", [None, 0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_station_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="^phy_rate_mbps must be finite and > 0"):
+        Station(id="sta", role="client", phy_rate_mbps=rate)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_scenario_duration_must_be_finite_and_positive(duration):
+    with pytest.raises(ValueError, match="^duration_s must be finite and > 0"):
+        two_station_scenario(duration_s=duration)
 
 
 def test_scenario_rejects_a_negative_seed():
@@ -561,17 +584,24 @@ def _pinned_scenarios() -> dict[str, Scenario]:
                Flow(id="b2", dst="b", kind="saturated", base_rtt_s=0.003, queue_limit_segments=12)),
         bursts=tuple(generate_cbr_bursts(VideoParams(bitrate_mbps=3.1, cbr_interval_s=0.5), 4.0)),
         duration_s=4.0, seed=14, record_cwnd=True)
-    return {"drops": drops, "cbr_mf64": cbr, "vbr_mf4": vbr, "gated_mid": gated_mid}
+    # the paper's shape: the bundled four-client BSS, 24 background streams
+    # and a CBR stream at duty 20, MF 4, so up to five contenders race
+    bundled = replace(replace(paper_setup(), session_duration_s=10.0)
+                      .session_scenario(20, 4, "cbr", 7), record_cwnd=True)
+    return {"drops": drops, "cbr_mf64": cbr, "vbr_mf4": vbr, "gated_mid": gated_mid,
+            "bundled": bundled}
 
 
 # SHA-256 of each scenario's trace, recorded before the downlink queue held
-# run-length runs ("gated_mid": before the engine kept per-client state);
-# any change to queue admission, A-MPDU dequeue or contention moves them.
+# run-length runs ("gated_mid": before the engine kept per-client state;
+# "bundled": before the transmission end left the event heap); any change to
+# queue admission, A-MPDU dequeue or contention moves them.
 PINNED_DIGESTS = {
     "drops": "a2a60b2d05d05088fdd0d70e8cf1d3d3e1f1941f2076c5c500f53ec4044eb87b",
     "cbr_mf64": "7f645896869f0323502433102cffd623b24ee31a3737cbd519fc41b0d7d4ec20",
     "vbr_mf4": "82316ef1028b4fc03d9dc4691ae52267a6bec004a841b2e2f0b6ffd12dbaf284",
     "gated_mid": "54313bff4b9e68d99792578c0520a6a5f50f555f7e5274cd093448e9836e42ae",
+    "bundled": "a6c3f47a35836d8424d25ef228666bf4119a2c67ba96e660939307d2422507ca",
 }
 
 
@@ -610,6 +640,9 @@ def test_engine_trace_digest_is_pinned():
             a_mpdus.setdefault((t, dst), []).append(fid)
         if name == "drops":
             assert {"a1", "a2", "a3"} <= set(tr.drops)
+            assert any(len(fids) > 1 for fids in a_mpdus.values())
+        elif name == "bundled":
+            assert len(sc.flows) == 25 and tr.collisions
             assert any(len(fids) > 1 for fids in a_mpdus.values())
         else:
             assert burst_service(tr, sc.bursts)

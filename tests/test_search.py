@@ -1,4 +1,5 @@
 import json
+import math
 import statistics
 from dataclasses import replace
 
@@ -47,6 +48,14 @@ def test_template_needs_at_least_one_seed(seeds):
 def test_template_rejects_a_negative_master_seed():
     with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1"):
         replace(small_template(), master_seed=-1)
+
+
+@pytest.mark.parametrize("name", ["remote_rtt_s", "local_rtt_s", "phase1_duration_s",
+                                  "session_duration_s"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_template_times_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        replace(small_template(), **{name: value})
 
 
 def test_derive_seed_is_stable_and_sensitive():
