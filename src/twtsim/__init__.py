@@ -1,17 +1,9 @@
 """Deterministic Wi-Fi 6 TWT streaming simulator and schedule search toolkit."""
 
 from .config import ConfigError, ParsedConfig, parse
-from .macsim import (
-    MacParams,
-    Scenario,
-    SimTrace,
-    Station,
-    back_solve_phy_rate,
-    backoff_draw,
-    run_sim,
-)
+from .macsim import MacParams, Scenario, SimTrace, Station, run_sim
 from .qos import QosReport, compute_qos, qos_pass
-from .scenarios import ScenarioTemplate, derive_seed, paper_setup
+from .scenarios import ScenarioTemplate, paper_setup
 from .schedule import TwtSchedule, duty_cycle, schedule_from, wake_windows
 from .search import (
     DutyPoint,
@@ -24,15 +16,8 @@ from .search import (
     phase3_validate,
     run_full_search,
 )
-from .traffic import (
-    Burst,
-    VideoParams,
-    generate_cbr_bursts,
-    generate_vbr_bursts,
-    sample_frame_size,
-    sample_inter_burst_time,
-)
-from .transport import Flow, offer_load, on_ack, on_idle_restart, on_loss
+from .traffic import Burst, VideoParams, generate_cbr_bursts, generate_vbr_bursts
+from .transport import Flow
 
 __version__ = "0.1.0"
 
@@ -54,17 +39,10 @@ __all__ = [
     "Station",
     "TwtSchedule",
     "VideoParams",
-    "back_solve_phy_rate",
-    "backoff_draw",
     "compute_qos",
-    "derive_seed",
     "duty_cycle",
     "generate_cbr_bursts",
     "generate_vbr_bursts",
-    "offer_load",
-    "on_ack",
-    "on_idle_restart",
-    "on_loss",
     "paper_setup",
     "parse",
     "phase1_min_duty",
@@ -73,8 +51,6 @@ __all__ = [
     "qos_pass",
     "run_full_search",
     "run_sim",
-    "sample_frame_size",
-    "sample_inter_burst_time",
     "schedule_from",
     "wake_windows",
 ]

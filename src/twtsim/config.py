@@ -23,7 +23,6 @@ scenario.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -61,15 +60,7 @@ def _to_bool(value: str) -> bool:
     raise ValueError(f"{value!r} is not a boolean")
 
 
-def _finite(value: str) -> float:
-    """``float``, less the infinities and NaN it also accepts ('inf', 'nan', '1e400')."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
-
-
-_CONVERTERS = {"int": int, "float": _finite}
+_CONVERTERS = {"int": int, "float": float}
 
 
 def _typed(cls, *names: str) -> dict:
@@ -81,8 +72,7 @@ def _typed(cls, *names: str) -> dict:
 _SECTION_KEYS = {
     "sim": {"model": str, "seed": int},
     "mac": _typed(MacParams),
-    "station": {"role": str, "phy_rate_mbps": _finite, "standalone_mbps": _finite,
-                "dut": _to_bool},
+    "station": {"role": str, "phy_rate_mbps": float, "standalone_mbps": float, "dut": _to_bool},
     "traffic": _typed(VideoParams),
     "twt": {"enabled": _to_bool, "duty_percent": int, "mf": int},
     "background": {"streams_per_client": int},
@@ -231,9 +221,6 @@ def _stations(sections: dict[str, dict[str, _Entry]],
         role = given.get("role", "client")
         phy = given.get("phy_rate_mbps")
         standalone = given.get("standalone_mbps")
-        if role not in ("ap", "client"):
-            raise ConfigError(f"station role must be 'ap' or 'client', got {role!r}",
-                              sec["role"].line)
         if phy is not None and standalone is not None:
             raise ConfigError(
                 f"station {sid!r}: give phy_rate_mbps or standalone_mbps, not both",
@@ -246,13 +233,12 @@ def _stations(sections: dict[str, dict[str, _Entry]],
             if any(s.role == "ap" for s in stations):
                 raise ConfigError(f"more than one station with role = ap ({sid!r})",
                                   sec["role"].line)
-            rate = phy  # None, or rejected by Station at its line
-        elif standalone is not None:
+        if role == "client" and standalone is not None:
             rate = _checked({**mac_sec, **sec}, back_solve_phy_rate, standalone, mac,
                             template.local_flow("cal", sid))
-        elif phy is not None:
+        else:  # Station refuses a rate given to the AP, and any other role, at their lines
             rate = phy
-        else:
+        if role == "client" and rate is None:
             first_line = min(e.line for e in sec.values()) if sec else None
             raise ConfigError(f"station {sid!r} needs phy_rate_mbps or standalone_mbps", first_line)
         if given.get("dut", False):
@@ -268,8 +254,9 @@ def _stations(sections: dict[str, dict[str, _Entry]],
         raise ConfigError("no station with role = ap")
     if all(s.role == "ap" for s in stations):
         raise ConfigError("no client stations")
-    if dut is None:
-        raise ConfigError("no station marked dut = true")
+    if dut is None:  # reported at the last dut = false, if a station gives one
+        falses = [sec["dut"].line for sec in sections.values() if "dut" in sec]
+        raise ConfigError("no station marked dut = true", max(falses, default=None))
     return stations, dut
 
 

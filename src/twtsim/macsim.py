@@ -51,12 +51,14 @@ from heapq import heappop, heappush
 
 from .schedule import TwtSchedule, wake_windows
 from .traffic import Burst
-from .transport import Flow, offer_load, on_ack, on_idle_restart, on_loss
+from .transport import (MAX_TIME_S, Flow, check_finite_positive, offer_load, on_ack,
+                        on_idle_restart, on_loss)
 
 NS_PER_US = 1000
 TCP_ACK_BYTES = 64
 
 COLLISION_ID = "!collision"
+_TXOP_LIMIT_MAX_US = 65535 * 32  # 802.11's TXOP Limit field: 16 bits of 32 us units
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,9 @@ class MacParams:
             raise ValueError("cw_min must be <= cw_max")
         if self.txop_limit_us <= self.per_frame_overhead_us:
             raise ValueError("txop_limit_us must exceed per_frame_overhead_us")
+        if self.txop_limit_us > _TXOP_LIMIT_MAX_US:
+            raise ValueError(f"txop_limit_us must be at most {_TXOP_LIMIT_MAX_US}, "
+                             f"802.11's longest TXOP, got {self.txop_limit_us}")
 
     @cached_property
     def max_stage(self) -> int:
@@ -113,12 +118,11 @@ class Station:
 
     def __post_init__(self) -> None:
         if self.role not in ("ap", "client"):
-            raise ValueError(f"station role must be 'ap' or 'client', got {self.role!r}")
-        if self.role == "ap":
-            if self.phy_rate_mbps is not None:
-                raise ValueError("phy_rate_mbps applies to clients; the AP takes no rate")
-        elif self.phy_rate_mbps is None or not 0 < self.phy_rate_mbps < math.inf:
-            raise ValueError(f"phy_rate_mbps must be finite and > 0, got {self.phy_rate_mbps}")
+            raise ValueError(f"role must be 'ap' or 'client', got {self.role!r}")
+        if self.role == "client":
+            check_finite_positive("phy_rate_mbps", self.phy_rate_mbps)
+        elif self.phy_rate_mbps is not None:
+            raise ValueError("phy_rate_mbps applies to clients; the AP takes no rate")
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ class Scenario:
     twt: tuple[str, TwtSchedule] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        check_finite_positive("duration_s", self.duration_s, MAX_TIME_S)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         aps = [s for s in self.stations if s.role == "ap"]
@@ -250,8 +253,6 @@ class SimTrace:
     deliveries: Sequence[tuple[float, str, str, int]] = field(default_factory=list)
     airtime: Sequence[tuple[float, float, str]] = field(default_factory=list)
     cwnd_series: list[tuple[float, str, float]] = field(default_factory=list)
-    # per client, the airtime of returning n ACK records for each n the run timed
-    ack_airtime_ns: dict[str, dict[int, int]] = field(default_factory=dict)
     delivered_bytes: dict[str, int] = field(default_factory=dict)
     drops: dict[str, int] = field(default_factory=dict)
     collisions: int = 0
@@ -357,11 +358,14 @@ def check_mpdu_fits(mac: MacParams, sid: str, phy_rate_mbps: float) -> None:
     The message starts with the key to change: the rate when one MPDU would not
     fit even the default limit, else ``txop_limit_us``.
     """
-    need_ns = mpdu_airtime_ns(phy_rate_mbps) + mac.per_frame_overhead_us * NS_PER_US
-    if need_ns <= mac.txop_limit_us * NS_PER_US:
+    # mpdu_airtime_ns before its ceil, which a rate below ~1e-302 would overflow;
+    # the room is whole ns, and ceil(x) <= n exactly when x <= n for a whole n
+    mpdu_ns = Flow.segment_bytes * 8 * NS_PER_US / phy_rate_mbps
+    if mpdu_ns <= (mac.txop_limit_us - mac.per_frame_overhead_us) * NS_PER_US:
         return
-    need = f"one MPDU to station {sid!r} at {phy_rate_mbps} Mbps needs {need_ns / NS_PER_US:g} us"
-    if need_ns > MacParams.txop_limit_us * NS_PER_US:
+    need = (f"one MPDU to station {sid!r} at {phy_rate_mbps} Mbps needs "
+            f"{mpdu_ns / NS_PER_US + mac.per_frame_overhead_us:g} us")
+    if mpdu_ns > (MacParams.txop_limit_us - mac.per_frame_overhead_us) * NS_PER_US:
         raise ValueError(f"phy_rate_mbps {phy_rate_mbps} is too low: {need}, "
                          f"more than the {mac.txop_limit_us} us TXOP limit")
     raise ValueError(f"txop_limit_us {mac.txop_limit_us} is too short: {need}")
@@ -387,39 +391,27 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, flow: Flow) -> f
     Bisects on short fixed-seed calibration runs of ``flow`` to its client, so
     the returned rate is consistent with the engine's contention and
     aggregation and with the stream's RTT and queue limit.  The config passes
-    the template's local stream (``ScenarioTemplate.local_flow``).
-
-    A run sees the rate only through the airtimes it times: an MPDU's and
-    those of the ACK-record counts it returned.  A rate that gives all of
-    them as an earlier run did replays that run, so its result is reused.
-    The bundled config's figures are looked up in ``_CALIBRATED`` instead.
+    the template's local stream (``ScenarioTemplate.local_flow``).  The bundled
+    config's figures are looked up in ``_CALIBRATED`` instead.
     """
-    if standalone_mbps <= 0:
-        raise ValueError("standalone_mbps must be > 0")
+    check_finite_positive("standalone_mbps", standalone_mbps)
     known = _CALIBRATED.get((standalone_mbps, mac, replace(flow, id="", dst="")))
     if known is not None:
         return known
     sid = flow.dst
-    runs: list[tuple[int, dict[int, int], float]] = []  # (MPDU airtime, ACK airtimes, Mbit/s)
 
     def throughput_mbps(rate: float) -> float:
-        t_mpdu = mpdu_airtime_ns(rate)
-        for mpdu, acks, mbps in runs:
-            if mpdu == t_mpdu and all(ack_airtime_ns(mac, n, rate) == d for n, d in acks.items()):
-                return mbps
-        trace = run_sim(Scenario(
+        return run_sim(Scenario(
             stations=(Station(id="ap", role="ap"),
                       Station(id=sid, role="client", phy_rate_mbps=rate)),
             flows=(flow,),
             duration_s=_CALIBRATION_DURATION_S,
             seed=_CALIBRATION_SEED,
             mac=mac,
-        ))
-        runs.append((t_mpdu, trace.ack_airtime_ns[sid], trace.flow_throughput_mbps(flow.id)))
-        return runs[-1][2]
+        )).flow_throughput_mbps(flow.id)
 
     lo, hi = standalone_mbps, standalone_mbps * 4
-    if throughput_mbps(hi) < standalone_mbps:
+    if hi == math.inf or throughput_mbps(hi) < standalone_mbps:
         raise ValueError(
             f"standalone_mbps {standalone_mbps} is not reachable "
             f"by station {sid!r} under the configured MAC parameters"
@@ -547,7 +539,6 @@ class _Engine:
             wake_windows_s=windows,
             deliveries=deliveries,
             airtime=airtime,
-            ack_airtime_ns={c.sid: c.ack_ns for c in self.clients},
         )
         for f in sc.flows:
             self.trace.delivered_bytes[f.id] = 0

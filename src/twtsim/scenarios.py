@@ -6,7 +6,6 @@ The paper's setup is stated once, in the bundled ``configs/paper_setup.cfg``;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .macsim import MacParams, Scenario, Station, seed_state
@@ -15,14 +14,9 @@ from .macsim import back_solve_phy_rate  # noqa: F401
 from .pcg64 import PCG64
 from .schedule import schedule_from
 from .traffic import VideoParams, generate_cbr_bursts, generate_vbr_bursts
-from .transport import Flow
+from .transport import MAX_TIME_S, Flow, check_finite_positive
 
 DUT_STREAM = "dut-stream"  # id of the stream to the DUT, in phase 1 and in a session
-
-
-def derive_seed(*parts: int) -> int:
-    """Stable scalar seed from a tuple of integers."""
-    return seed_state(parts)
 
 
 @dataclass(frozen=True)
@@ -45,8 +39,7 @@ class ScenarioTemplate:
 
     def __post_init__(self) -> None:
         for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            check_finite_positive(name, getattr(self, name), MAX_TIME_S)
         for name, least in (("background_streams", 0), ("seeds", 1), ("queue_limit_segments", 1),
                             ("max_underruns", 0), ("master_seed", 0)):
             if getattr(self, name) < least:
@@ -58,7 +51,7 @@ class ScenarioTemplate:
 
     def rep_seeds(self, *key: int) -> list[int]:
         """One seed per repetition of the point named by ``key``."""
-        return [derive_seed(self.master_seed, *key, rep) for rep in range(self.seeds)]
+        return [seed_state((self.master_seed, *key, rep)) for rep in range(self.seeds)]
 
     def local_flow(self, fid: str, dst: str) -> Flow:
         """A saturated stream from a local server to ``dst``: each background
@@ -91,7 +84,7 @@ class ScenarioTemplate:
         if model == "cbr":
             bursts = generate_cbr_bursts(self.video, self.session_duration_s)
         else:
-            rng = PCG64(derive_seed(seed, 0x7BA))
+            rng = PCG64(seed_state((seed, 0x7BA)))
             bursts = generate_vbr_bursts(self.video, self.session_duration_s, rng)
         stream = Flow(id=DUT_STREAM, dst=self.dut, kind="burst", base_rtt_s=self.remote_rtt_s,
                       queue_limit_segments=self.queue_limit_segments)

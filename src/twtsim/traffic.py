@@ -13,13 +13,30 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .transport import check_finite_positive
+
 if TYPE_CHECKING:
     from .pcg64 import PCG64
 
 
+# the least share of normal draws the inter-burst window must take: the
+# rejection sampler then makes at most 1000 draws per burst on average
+_IBT_HIT_FLOOR = 1e-3
+# the largest standard exponential PCG64 draws: its ziggurat tail at the
+# largest double below 1 (pcg64._EXP_R - log1p(-(1 - 2**-53))); a Weibull(k)
+# frame is at most that to the 1/k times the Weibull scale
+_EXP_MAX = 7.6971174701310497140446280481 + 53 * math.log(2)
+_LOG_FLOAT_MAX = 709.0  # just below the log of the largest double, 709.78
+
+
 @dataclass(frozen=True)
 class VideoParams:
-    """Parameters of the synthetic video stream (sizes in bytes, times in s)."""
+    """Parameters of the synthetic video stream (sizes in bytes, times in s).
+
+    It refuses a stream it cannot draw: an inter-burst window that a normal
+    draw hits less often than ``_IBT_HIT_FLOOR``, and a ``weibull_k`` so small
+    that the largest VBR burst, ``round(ibt_max_s * frame_rate)`` frames of
+    the largest Weibull frame, would overflow a float."""
 
     bitrate_mbps: float = 15.6
     frame_rate: float = 30.0
@@ -31,20 +48,35 @@ class VideoParams:
     cbr_interval_s: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.bitrate_mbps <= 0:
-            raise ValueError(f"bitrate_mbps must be > 0, got {self.bitrate_mbps}")
-        if self.frame_rate <= 0:
-            raise ValueError(f"frame_rate must be > 0, got {self.frame_rate}")
-        if self.weibull_k <= 0:
-            raise ValueError(f"weibull_k must be > 0, got {self.weibull_k}")
-        if self.cbr_interval_s <= 0:
-            raise ValueError(f"cbr_interval_s must be > 0, got {self.cbr_interval_s}")
-        if self.cbr_burst_bytes < 1:
-            raise ValueError(f"bitrate_mbps must fill a byte per CBR burst, got {self.bitrate_mbps}")
+        for name in ("bitrate_mbps", "frame_rate", "weibull_k", "ibt_mean_s", "ibt_min_s",
+                     "ibt_max_s", "cbr_interval_s"):
+            check_finite_positive(name, getattr(self, name))
+        burst = self.bitrate_mbps * 1e6 * self.cbr_interval_s / 8.0  # rounds to cbr_burst_bytes
+        if not 0.5 < burst < math.inf:
+            raise ValueError(f"bitrate_mbps {self.bitrate_mbps} makes a {self.cbr_interval_s} s "
+                             f"CBR burst of {burst:.4g} bytes, not a finite count of 1 or more")
         if not (self.ibt_min_s <= self.ibt_mean_s <= self.ibt_max_s):
             raise ValueError("inter-burst bounds must bracket the mean")
         if self.ibt_var_s2 < 0:
             raise ValueError(f"ibt_var_s2 must be >= 0, got {self.ibt_var_s2}")
+        if self.ibt_var_s2 != 0:  # 0 is a point mass at the mean; NaN fails the test below
+            scale = math.sqrt(2 * self.ibt_var_s2)
+            hit = (math.erf((self.ibt_max_s - self.ibt_mean_s) / scale)
+                   - math.erf((self.ibt_min_s - self.ibt_mean_s) / scale)) / 2
+            if not hit >= _IBT_HIT_FLOOR:
+                raise ValueError(
+                    f"ibt_var_s2 {self.ibt_var_s2} puts a normal inter-burst draw in "
+                    f"[{self.ibt_min_s}, {self.ibt_max_s}] s with probability {hit:.3g}, "
+                    f"below {_IBT_HIT_FLOOR}")
+        frames = self.ibt_max_s * self.frame_rate + 1  # no burst has more, round(ibt * frame_rate)
+        room = _LOG_FLOAT_MAX - math.log(self.lambda_bytes * frames)
+        if not room > 0:
+            raise ValueError(f"frame_rate {self.frame_rate} over ibt_max_s {self.ibt_max_s} s "
+                             f"at bitrate_mbps {self.bitrate_mbps} overflows a VBR burst")
+        if self.weibull_k * room <= math.log(_EXP_MAX):
+            raise ValueError(f"weibull_k {self.weibull_k} lets a VBR burst of {frames - 1:.4g} "
+                             f"frames overflow a float; here it must exceed "
+                             f"{math.log(_EXP_MAX) / room:.4g}")
         if round(self.ibt_min_s * self.frame_rate) < 1:
             raise ValueError(
                 f"ibt_min_s must span at least one frame at {self.frame_rate} fps, "

@@ -13,10 +13,25 @@ passed to these functions as numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Literal
 
 FlowKind = Literal["saturated", "burst"]
+
+# the engine counts time in integer ns, and its trace stores them as int64: a
+# run ends by 2**62 ns (about 146 years), so what starts before then also ends
+# inside int64, as no transmission lasts longer than a TXOP
+MAX_TIME_S = 2**62 / 1e9
+
+
+def check_finite_positive(name: str, value: float | None, most: float = math.inf) -> None:
+    """Raise ValueError, its message led by ``name``, unless ``value`` is a
+    finite number > 0 and at most ``most``."""
+    if value is None or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most:.4g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +50,8 @@ class Flow:
     def __post_init__(self) -> None:
         if self.kind not in ("saturated", "burst"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if self.base_rtt_s <= 0:
-            raise ValueError(f"base_rtt_s must be > 0, got {self.base_rtt_s}")
+        check_finite_positive("base_rtt_s", self.base_rtt_s, MAX_TIME_S)
+        check_finite_positive("idle_restart_s", self.idle_restart_s, MAX_TIME_S)
         if self.queue_limit_segments < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit_segments}")
 

@@ -15,18 +15,17 @@ import pytest
 from twtsim import (
     VideoParams,
     compute_qos,
-    derive_seed,
     duty_cycle,
     paper_setup,
     qos_pass,
     run_full_search,
     run_sim,
-    sample_frame_size,
-    sample_inter_burst_time,
     schedule_from,
 )
 from twtsim.cli import main as cli_main
+from twtsim.macsim import seed_state
 from twtsim.qos import burst_service
+from twtsim.traffic import sample_frame_size, sample_inter_burst_time
 
 # Frozen quadrature oracles (tests/oracles.py regenerates them).
 WEIBULL_UNIT_MEAN_K08099 = 1.1232077315775444
@@ -160,7 +159,7 @@ def test_background_throughput_preserved(template):
 
     with_twt, without_twt = [], []
     for rep in range(3):
-        seed = derive_seed(MASTER_SEED, 6, rep)
+        seed = seed_state((MASTER_SEED, 6, rep))
         with_twt.append(bg_mbps(run_sim(template.session_scenario(30, 4, "cbr", seed))))
         without_twt.append(bg_mbps(run_sim(template.session_scenario(None, 1, "cbr", seed))))
     on, off = sum(with_twt) / len(with_twt), sum(without_twt) / len(without_twt)
@@ -179,7 +178,7 @@ def test_search_pipeline_end_to_end(template, search_result):
     assert res.converged, "search did not converge"
     assert res.schedule is not None
 
-    held_out = derive_seed(MASTER_SEED, 99)
+    held_out = seed_state((MASTER_SEED, 99))
     sc = template.session_scenario(res.duty_percent, res.mf, "cbr", seed=held_out)
     report = compute_qos(run_sim(sc), sc.bursts)
     assert qos_pass(report, BITRATE, template.max_underruns), (

@@ -1,14 +1,17 @@
 import re
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dataclasses import fields
-
+import twtsim.macsim
 import twtsim.scenarios
+import twtsim.traffic
 from test_bench_hooks import _traced
 from twtsim import (ConfigError, MacParams, ScenarioTemplate, VideoParams, paper_setup, parse,
                     run_sim)
-from twtsim.config import _SECTION_KEYS
+from twtsim.config import _SECTION_KEYS, default_config_text
 
 MINIMAL = """\
 format = 1
@@ -218,6 +221,8 @@ txop_limit_us = 5484
         # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short
         "phy_rate_mbps = 2", "txop_limit_us = 200")]
     + [pytest.param("txop_limit_us = 200", BACK_SOLVED, id="back-solved txop_limit_us = 200")]
+    # four times the figure, the bisection's upper end, overflows
+    + [pytest.param("standalone_mbps = 1e308", BACK_SOLVED, id="standalone_mbps = 1e308")]
     # sweep-mf and table3 use the duty and MF with TWT off too
     + [pytest.param(bad, EVERY_KEY.replace("enabled = true", "enabled = false"),
                     id=f"twt off: {bad}") for bad in ("duty_percent = 0", "mf = 3")]
@@ -241,6 +246,67 @@ def test_value_error_reports_its_line(bad, text):
     # a station the message names is one of the config's
     for sid in re.findall(r"station '([^']*)'", str(exc.value)):
         assert f"[station.{sid}]" in text
+
+
+def _edited(text: str, **values: str) -> str:
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"ibt_var_s2": "1e12"}, "ibt_var_s2"),  # hits [2, 10] s with probability 3.2e-6
+    ({"ibt_min_s": "6", "ibt_max_s": "6"}, "ibt_var_s2"),  # probability 0
+    ({"weibull_k": "1e-300"}, "weibull_k"),  # 44.4 ** 1e300 overflows
+], ids=["rare draw", "zero-width window", "tiny weibull_k"])
+def test_traffic_that_cannot_be_drawn_is_refused_at_its_line(values, key):
+    text = _edited(EVERY_KEY, model="vbr", **values)
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, re.search(rf"^{key} = ", text, re.M).start()) + 1
+    assert str(exc.value).startswith(f"line {exc.value.line}: {key} ")
+
+
+def test_a_zero_width_window_without_variance_draws_its_mean():
+    text = _edited(EVERY_KEY, model="vbr", ibt_var_s2="0", ibt_min_s="6", ibt_max_s="6")
+    assert {b.inter_burst_time_s for b in parse(text).scenario().bursts} == {6.0}
+
+
+def test_a_bad_role_is_refused_at_its_line_before_any_calibration(monkeypatch):
+    def no_calibration(sc):
+        raise AssertionError("calibrated a station of an unknown role")
+
+    monkeypatch.setattr(twtsim.macsim, "run_sim", no_calibration)
+    text = BACK_SOLVED.replace("standalone_mbps = 20\n", "role = router\nstandalone_mbps = 20\n")
+    with pytest.raises(ConfigError, match="role must be 'ap' or 'client'") as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("role = router")) + 1
+
+
+def test_session_work_scales_with_its_keys_and_no_key_bounds_it(monkeypatch):
+    # README, "Config format": values that would take hours to build still parse
+    for key, value in (("frame_rate", "1e9"), ("session_duration_s", "1e9"),
+                       ("streams_per_client", str(2**62)), ("cbr_interval_s", "1e-6")):
+        parse(_edited(EVERY_KEY, **{key: value}))
+    frames = []
+    real = twtsim.traffic.sample_frame_size
+    monkeypatch.setattr(twtsim.traffic, "sample_frame_size",
+                        lambda params, rng: frames.append(1) or real(params, rng))
+
+    def built(**values):
+        return parse(_edited(EVERY_KEY, **values)).scenario()
+
+    # one burst per cbr_interval_s of the session
+    for session, interval, bursts in (("12", "6", 2), ("24", "6", 4), ("12", "3", 4)):
+        assert len(built(session_duration_s=session, cbr_interval_s=interval).bursts) == bursts
+    # every client but the DUT takes streams_per_client background streams
+    for streams in (2, 4):
+        assert len(built(streams_per_client=str(streams)).flows) == 1 + streams
+    # a VBR burst draws round(ibt * frame_rate) frames
+    for fps in (30, 60):
+        frames.clear()
+        sc = built(model="vbr", frame_rate=str(fps))
+        assert len(frames) == sum(round(b.inter_burst_time_s * fps) for b in sc.bursts) > 0
 
 
 # (section, key) -> a valid value other than EVERY_KEY's; standalone_mbps
@@ -368,3 +434,61 @@ def test_parse_template_round_trip():
     sc = tpl.session_scenario(30, 2, "cbr", seed=3)
     assert len(sc.bursts) == 2
     assert sc.duration_s == 12.0
+
+
+# -------------------------------------------------- edits of the bundled config ---
+
+# the bundled config with each client's back-solved rate given as phy_rate_mbps,
+# so that an edit never calibrates
+_RATES = {key[0]: rate for key, rate in twtsim.macsim._CALIBRATED.items()}
+PHY_SETUP = re.sub(r"^standalone_mbps = (\S+)$",
+                   lambda m: f"phy_rate_mbps = {_RATES[float(m.group(1))]!r}",
+                   default_config_text(), flags=re.M)
+KEY_LINES = [i for i, line in enumerate(PHY_SETUP.splitlines())
+             if re.match(r"\w+ = ", line) and not line.startswith("format")]
+VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "5e-324", "1e-300", "1.7976931348623157e308", "inf", "-inf",
+                     "nan", str(2**62), str(2**63), "", "abc", "true", "1,5", "0x10"]),
+    st.floats().map(repr))
+
+# Building a session takes work in proportion to session_duration_s, to the
+# background streams, to the bursts per second and, under vbr, to the frames
+# per burst, round(ibt * frame_rate) (README, "Config format"); no key bounds
+# them.  Before building, the test caps these on the parsed template, and
+# nothing else: 8 streams per client, a session of at most 2 s, 100 CBR
+# intervals and 1000 VBR frame times, and a VBR burst of at most 1000 frames.
+def _bounded(tpl: ScenarioTemplate, model: str) -> ScenarioTemplate:
+    video = tpl.video
+    session = min(tpl.session_duration_s, 2.0)
+    if model == "cbr":
+        session = min(session, 100 * video.cbr_interval_s)
+    else:
+        # a lower frame rate still spans a frame in ibt_min_s
+        video = replace(video, frame_rate=min(video.frame_rate, 1000 / video.ibt_min_s))
+        top = 1000 / video.frame_rate  # >= ibt_min_s
+        if top < video.ibt_max_s:
+            # a normal of sd <= the window's width, its mean in the window,
+            # hits it with probability >= erf(1 / sqrt(2)) / 2 = 0.34
+            video = replace(video, ibt_max_s=top, ibt_mean_s=min(video.ibt_mean_s, top),
+                            ibt_var_s2=min(video.ibt_var_s2, (top - video.ibt_min_s) ** 2))
+        session = min(session, 1000 / video.frame_rate)
+    return replace(tpl, video=video, session_duration_s=session,
+                   background_streams=min(tpl.background_streams, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(["cbr", "vbr"]),
+       edits=st.lists(st.tuples(st.sampled_from(KEY_LINES), VALUES), min_size=1, max_size=2,
+                      unique_by=lambda edit: edit[0]))
+def test_an_edited_config_parses_and_runs_or_names_a_line(model, edits):
+    lines = PHY_SETUP.replace("model = cbr", f"model = {model}").splitlines()
+    for i, value in edits:
+        lines[i] = f"{lines[i].split(' = ')[0]} = {value}"
+    text = "\n".join(lines) + "\n"
+    try:
+        cfg = parse(text)
+    except ConfigError as exc:
+        assert exc.line is not None and 1 <= exc.line <= len(lines), exc
+        return
+    sc = replace(cfg, template=_bounded(cfg.template, cfg.model)).scenario()
+    run_sim(replace(sc, duration_s=1.0))

@@ -18,8 +18,6 @@ from twtsim import (
     Scenario,
     Station,
     VideoParams,
-    back_solve_phy_rate,
-    backoff_draw,
     generate_cbr_bursts,
     generate_vbr_bursts,
     paper_setup,
@@ -29,17 +27,18 @@ from twtsim import (
 )
 from twtsim.macsim import (
     COLLISION_ID,
-    SimTrace,
     _Client,
     _Engine,
     _FlowState,
-    ack_airtime_ns,
     aggregate_ns,
+    back_solve_phy_rate,
+    backoff_draw,
     mpdu_airtime_ns,
     seed_state,
 )
 from twtsim.pcg64 import PCG64
 from twtsim.qos import burst_service, compute_qos
+from twtsim.transport import MAX_TIME_S
 
 MAC = MacParams()
 
@@ -153,6 +152,13 @@ def test_cw_values_must_be_powers_of_two_minus_one():
         MacParams(cw_min=31, cw_max=15)
 
 
+def test_txop_limit_is_at_most_802_11s_longest():
+    # with an overhead just below it, what starts before a run's end ends inside int64 ns
+    MacParams(txop_limit_us=65535 * 32, per_frame_overhead_us=65535 * 32 - 1)
+    with pytest.raises(ValueError, match="^txop_limit_us must be at most 2097120"):
+        MacParams(txop_limit_us=65535 * 32 + 1)
+
+
 # -------------------------------------------------------------- aggregate ---
 
 # aggregate_ns(t_mpdu_ns, budget_ns, overhead_ns, max_ampdu, queued_segments)
@@ -213,7 +219,7 @@ def test_back_solve_reproduces_standalone_figure():
 
 
 def test_bundled_rates_are_pinned():
-    # recorded before back-solving reused the runs of equal airtimes
+    # the rates bisection gives the bundled clients, kept in macsim._CALIBRATED
     rates = {s.id: s.phy_rate_mbps for s in paper_setup().stations if s.role == "client"}
     assert rates == {"client1": 71.7596078068018, "client2": 85.37158116698265,
                      "client3": 194.12763938307762, "client4": 107.01004639267921}
@@ -233,6 +239,13 @@ def test_calibration_table_is_recomputed(monkeypatch):
     assert [r.hex() for r in got.values()] == [r.hex() for r in table.values()], (
         f"bisection disagrees with the table; after a labelled model change, "
         f"set in macsim.py\n_CALIBRATED = {{\n{entries}}}")
+
+
+@pytest.mark.parametrize("figure", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_back_solve_refuses_a_figure_that_is_not_finite_and_positive(monkeypatch, figure):
+    monkeypatch.setattr(twtsim.macsim, "run_sim", _no_run)
+    with pytest.raises(ValueError, match="^standalone_mbps must be finite and > 0"):
+        back_solve_phy_rate(figure, MAC, CAL)
 
 
 class _Ran(Exception):
@@ -268,36 +281,6 @@ def test_renamed_calibration_stream_hits_the_table(monkeypatch):
     monkeypatch.setattr(twtsim.macsim, "run_sim", _no_run)
     assert back_solve_phy_rate(63.5, MacParams(), replace(CAL, id="x", dst="laptop")) \
         == 71.7596078068018
-
-
-def test_back_solve_runs_each_distinct_calibration_once(monkeypatch):
-    monkeypatch.setattr(twtsim.macsim, "_CALIBRATED", {})
-    runs = []
-    real = twtsim.macsim.run_sim
-    monkeypatch.setattr(twtsim.macsim, "run_sim", lambda sc: runs.append(sc) or real(sc))
-    assert back_solve_phy_rate(63.5, MacParams(), CAL) == 71.7596078068018
-    # the probe of the upper bound and 24 bisection steps are 25 rates
-    assert len(runs) < 25
-
-
-def test_back_solve_reuses_a_run_only_if_each_timed_ack_airtime_matches(monkeypatch):
-    # a stand-in engine that times returns of a million ACK records: their
-    # airtime tells apart rates that share an MPDU airtime
-    runs = []
-
-    def fake_run_sim(sc):
-        rate = sc.stations[1].phy_rate_mbps
-        runs.append(rate)
-        tr = SimTrace(duration_s=1.0, dut_flow_id=None, wake_windows_s=None,
-                      ack_airtime_ns={"c": {10**6: ack_airtime_ns(MAC, 10**6, rate)}})
-        tr.delivered_bytes["cal"] = round(rate * 1e5)  # 0.8 of the rate
-        return tr
-
-    monkeypatch.setattr(twtsim.macsim, "_CALIBRATED", {})
-    monkeypatch.setattr(twtsim.macsim, "run_sim", fake_run_sim)
-    back_solve_phy_rate(63.5, MAC, CAL)
-    # some rates share an MPDU airtime, yet each of the 25 ran
-    assert len({mpdu_airtime_ns(r) for r in runs}) < len(runs) == 25
 
 
 def test_throughput_splits_between_clients():
@@ -479,6 +462,28 @@ def test_station_rate_must_be_finite_and_positive(rate):
 def test_scenario_duration_must_be_finite_and_positive(duration):
     with pytest.raises(ValueError, match="^duration_s must be finite and > 0"):
         two_station_scenario(duration_s=duration)
+
+
+def test_station_role_is_named_first():
+    # config reports the message at the role's line
+    with pytest.raises(ValueError, match="^role must be 'ap' or 'client', got 'router'"):
+        Station(id="x", role="router")
+
+
+def test_times_past_the_engine_clock_are_refused():
+    two_station_scenario(duration_s=MAX_TIME_S)
+    with pytest.raises(ValueError, match="^duration_s must be at most 4.612e[+]09"):
+        two_station_scenario(duration_s=1e300)
+
+
+def test_flow_times_at_the_clock_end_run():
+    # a segment that takes the clock's range to reach the AP never arrives
+    slow = Flow(id="f1", dst="sta", kind="saturated", base_rtt_s=MAX_TIME_S)
+    assert run_sim(two_station_scenario(flows=(slow,), duration_s=0.5)).delivered_bytes == {"f1": 0}
+    # a saturated sender never idles, so no restart time changes its run
+    lazy = replace(two_station_scenario().flows[0], idle_restart_s=MAX_TIME_S)
+    assert (run_sim(two_station_scenario(flows=(lazy,), duration_s=0.5)).delivered_bytes
+            == run_sim(two_station_scenario(duration_s=0.5)).delivered_bytes)
 
 
 def test_scenario_rejects_a_negative_seed():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twtsim import VideoParams, derive_seed, generate_vbr_bursts
+from twtsim import VideoParams, generate_vbr_bursts
+from twtsim.macsim import seed_state
 from twtsim.pcg64 import PCG64
 
 DRAWS = 40_000
@@ -54,7 +55,7 @@ def test_seeded_state_and_words_are_numpys(seed):
 
 @pytest.mark.parametrize("k", [0.5, 0.8099, 1.0, 3.0])
 def test_weibull_is_numpys_bit_for_bit_on_every_ziggurat_path(k):
-    seed = derive_seed(1, 0x7BA)
+    seed = seed_state((1, 0x7BA))
     rng = PCG64(seed)
     got, seen = traced(rng, lambda: rng.weibull(k), DRAWS, lambda w: w >> 3 & 0xFF)
     want = np.random.default_rng(seed).weibull(k, DRAWS)
@@ -63,7 +64,7 @@ def test_weibull_is_numpys_bit_for_bit_on_every_ziggurat_path(k):
 
 
 def test_normal_is_numpys_bit_for_bit_on_every_ziggurat_path():
-    seed = derive_seed(2, 0x7BA)
+    seed = seed_state((2, 0x7BA))
     rng = PCG64(seed)
     got, seen = traced(rng, lambda: rng.normal(6.0, 1.8**0.5), DRAWS, lambda w: w & 0xFF)
     want = np.random.default_rng(seed).normal(6.0, 1.8**0.5, DRAWS)
@@ -73,7 +74,7 @@ def test_normal_is_numpys_bit_for_bit_on_every_ziggurat_path():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_vbr_bursts_are_numpys(seed):
-    rng_seed = derive_seed(seed, 0x7BA)
+    rng_seed = seed_state((seed, 0x7BA))
     got = generate_vbr_bursts(VideoParams(), 120.0, PCG64(rng_seed))
     want = generate_vbr_bursts(VideoParams(), 120.0, np.random.default_rng(rng_seed))
     assert [astuple(b) for b in got] == [astuple(b) for b in want]

@@ -12,7 +12,6 @@ from twtsim import (
     ScenarioTemplate,
     Station,
     VideoParams,
-    derive_seed,
     phase1_min_duty,
     phase2_select_mf,
     phase3_validate,
@@ -56,12 +55,6 @@ def test_template_rejects_a_negative_master_seed():
 def test_template_times_must_be_finite_and_positive(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
         replace(small_template(), **{name: value})
-
-
-def test_derive_seed_is_stable_and_sensitive():
-    assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-    assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
-    assert derive_seed(1, 2, 3) != derive_seed(3, 2, 1)
 
 
 def test_phase1_returns_smallest_sufficient_duty():

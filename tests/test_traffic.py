@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twtsim import (
-    VideoParams,
-    generate_cbr_bursts,
-    generate_vbr_bursts,
-    sample_frame_size,
-    sample_inter_burst_time,
-)
+from twtsim import VideoParams, generate_cbr_bursts, generate_vbr_bursts
+from twtsim.pcg64 import PCG64
+from twtsim.traffic import _EXP_MAX, sample_frame_size, sample_inter_burst_time
 
 # Frozen oracles, computed by numerical quadrature (see tests/oracles.py):
 #   E[Weibull(k, lam=1)] = integral_0^inf x * (k/1) * x^(k-1) * exp(-x^k) dx
@@ -124,3 +120,82 @@ def test_video_params_reject_nonpositive_sizes_and_intervals():
     # a VBR burst of round(ibt * frame_rate) = 0 frames would be empty
     with pytest.raises(ValueError, match="ibt_min_s"):
         VideoParams(bitrate_mbps=15.6, ibt_mean_s=0.02, ibt_min_s=0.005, ibt_max_s=0.04)
+
+
+VIDEO_FIELDS = ["bitrate_mbps", "frame_rate", "weibull_k", "ibt_mean_s", "ibt_min_s", "ibt_max_s",
+                "cbr_interval_s"]
+
+
+@pytest.mark.parametrize("name", VIDEO_FIELDS)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_video_params_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        VideoParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan, 1e12])
+def test_inter_burst_variance_must_leave_the_window_drawable(value):
+    # 1e12 hits [2, 10] s with probability 3.2e-6: about 300,000 draws a burst
+    with pytest.raises(ValueError, match="^ibt_var_s2 "):
+        VideoParams(ibt_var_s2=value)
+
+
+def test_a_window_the_normal_never_hits_is_refused_but_a_point_mass_is_drawn():
+    with pytest.raises(ValueError, match=r"^ibt_var_s2 1.8 .* probability 0,"):
+        VideoParams(ibt_min_s=6.0, ibt_max_s=6.0)
+    point = VideoParams(ibt_min_s=6.0, ibt_max_s=6.0, ibt_var_s2=0.0)
+    bursts = generate_vbr_bursts(point, 60.0, np.random.default_rng(1))
+    assert {b.inter_burst_time_s for b in bursts} == {6.0}
+
+
+class _CountingRng:
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def normal(self, loc, scale):
+        self.draws += 1
+        return self.rng.normal(loc, scale)
+
+
+def test_the_inter_burst_floor_bounds_the_rejection_draws():
+    # a variance that hits [2, 10] s with probability 2e-3 is taken; the
+    # sampler then makes about 500 draws a burst, fewer than the floor's 1000
+    rng = _CountingRng(np.random.default_rng(9))
+    for _ in range(40):
+        sample_inter_burst_time(VideoParams(ibt_var_s2=2.5e6), rng)
+    assert 250 < rng.draws / 40 < 1000
+    with pytest.raises(ValueError, match=r"^ibt_var_s2 .* probability 0.000498, below 0.001"):
+        VideoParams(ibt_var_s2=4.1e7)
+
+
+def _tail_draw(rng: PCG64) -> int:
+    """The PCG64 output that takes the exponential's ziggurat tail (layer 0)
+    with the largest uniform, 1 - 2**-53."""
+    return (2**64 - 1) & ~(0xFF << 3)
+
+
+def test_the_largest_exponential_is_pcg64s_tail_at_its_largest_uniform():
+    rng = PCG64(1)
+    rng._next64 = _tail_draw.__get__(rng)
+    assert rng._standard_exponential() == _EXP_MAX
+
+
+def test_weibull_k_is_bounded_by_the_largest_burst():
+    with pytest.raises(ValueError, match="^weibull_k 1e-300 "):
+        VideoParams(weibull_k=1e-300)
+    # for the bundled stream the bound is 0.00548: below it the largest frame
+    # overflows a float, above it 300 of the largest frames do not
+    assert VideoParams().lambda_bytes * _EXP_MAX ** (1 / 0.0054) == math.inf
+    with pytest.raises(ValueError, match=r"^weibull_k 0.0054 .* must exceed 0.00548"):
+        VideoParams(weibull_k=0.0054)
+    video = VideoParams(weibull_k=0.0055)
+    rng = PCG64(1)
+    rng._next64 = _tail_draw.__get__(rng)
+    assert 1e300 < 300 * sample_frame_size(video, rng) < math.inf
+
+
+def test_a_stream_whose_bursts_overflow_is_refused_by_the_field_that_overflows():
+    with pytest.raises(ValueError, match="^bitrate_mbps 1e[+]303 makes a 6.0 s CBR burst of inf bytes"):
+        VideoParams(bitrate_mbps=1e303)
+    with pytest.raises(ValueError, match="^frame_rate 1e[+]306 .* overflows a VBR burst"):
+        VideoParams(frame_rate=1e306)

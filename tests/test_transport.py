@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twtsim import Flow, offer_load, on_ack, on_idle_restart, on_loss
+from twtsim import Flow
+from twtsim.transport import MAX_TIME_S, offer_load, on_ack, on_idle_restart, on_loss
 
 SEG = 1500
 
@@ -13,6 +14,22 @@ def make_flow(**kw) -> Flow:
     defaults = dict(id="f", dst="sta", kind="saturated")
     defaults.update(kw)
     return Flow(**defaults)
+
+
+@pytest.mark.parametrize("name", ["base_rtt_s", "idle_restart_s"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_flow_times_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        make_flow(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["base_rtt_s", "idle_restart_s"])
+def test_flow_times_fit_the_engine_clock(name):
+    # the engine counts integer ns, which its trace stores as int64
+    assert MAX_TIME_S == pytest.approx(146 * 365.25 * 86400, rel=1e-3)
+    make_flow(**{name: MAX_TIME_S})
+    with pytest.raises(ValueError, match=f"^{name} must be at most"):
+        make_flow(**{name: 1e300})
 
 
 def test_slow_start_grows_one_segment_per_ack():
