@@ -18,6 +18,7 @@ import statistics
 import sys
 from collections.abc import Iterable
 from dataclasses import replace
+from itertools import starmap
 from pathlib import Path
 
 from .config import ConfigError, ParsedConfig, default_config_text, parse
@@ -33,11 +34,14 @@ EXIT_NO_CONVERGENCE = 2
 OUT_DIR_ENV = "TWTSIM_OUT"
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
-    """Write the header, then one line per row as it is read."""
+def _write_csv(path: Path, header: list[str], columns: Iterable[Iterable]) -> None:
+    """Write the header, then line i from the i-th value of each column (one
+    column per header name), each value as ``str`` gives it: ``format`` with
+    an empty spec is ``str``."""
+    line = ",".join(["{}"] * len(header)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(starmap(line.format, zip(*columns)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -53,7 +57,7 @@ def _write_duty_curve(path: Path, curve) -> None:
     _write_csv(
         path,
         ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"],
-        [(p.duty_percent, p.mean_throughput_mbps, p.std_throughput_mbps) for p in curve],
+        zip(*[(p.duty_percent, p.mean_throughput_mbps, p.std_throughput_mbps) for p in curve]),
     )
 
 
@@ -61,28 +65,28 @@ def _write_mf_curve(path: Path, curve) -> None:
     _write_csv(
         path,
         ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"],
-        [(p.mf, p.mean_underrun_time_s, p.mean_underrun_events, p.mean_cv) for p in curve],
+        zip(*[(p.mf, p.mean_underrun_time_s, p.mean_underrun_events, p.mean_cv) for p in curve]),
     )
 
 
 def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
     """One numbered row per iteration, then the mean of each column."""
-    means = tuple(statistics.fmean(r[j] for r in rows) for j in range(len(header)))
-    numbered = [(i + 1, *row) for i, row in enumerate(rows)]
-    _write_csv(path, ["iteration", *header], numbered + [("mean", *means)])
+    columns = [[*col, statistics.fmean(col)] for col in zip(*rows)]
+    _write_csv(path, ["iteration", *header], [[*range(1, len(rows) + 1), "mean"], *columns])
 
 
 def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
     scenario = replace(cfg.scenario(), record_cwnd=True)  # cwnd.csv needs the series
     trace = run_sim(scenario)
-    _write_csv(out / "deliveries.csv", ["time_s", "station", "flow", "bytes"], trace.deliveries)
-    _write_csv(out / "airtime.csv", ["start_s", "end_s", "station"], trace.airtime)
+    _write_csv(out / "deliveries.csv", ["time_s", "station", "flow", "bytes"],
+               trace.deliveries.decoded())
+    _write_csv(out / "airtime.csv", ["start_s", "end_s", "station"], trace.airtime.decoded())
     _write_csv(
         out / "burst_serve.csv",
         ["burst_index", "serve_start_s", "serve_end_s"],
-        burst_service(trace, scenario.bursts),
+        zip(*burst_service(trace, scenario.bursts)),
     )
-    _write_csv(out / "cwnd.csv", ["time_s", "flow", "cwnd_segments"], trace.cwnd_series)
+    _write_csv(out / "cwnd.csv", ["time_s", "flow", "cwnd_segments"], trace.cwnd_series.decoded())
     _write_json(
         out / "summary.json",
         {
@@ -115,7 +119,7 @@ def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
     _write_csv(
         out / "instantaneous.csv",
         ["interval_start_s", "throughput_mbps"],
-        report.instantaneous_mbps,
+        zip(*report.instantaneous_mbps),
     )
     return EXIT_OK
 
@@ -138,7 +142,7 @@ def cmd_search(cfg: ParsedConfig, out: Path) -> int:
             "throughput_cv",
             "passed",
         ],
-        [
+        zip(*[
             (
                 s.model,
                 s.duty_percent,
@@ -151,7 +155,7 @@ def cmd_search(cfg: ParsedConfig, out: Path) -> int:
                 s.passed,
             )
             for s in result.sessions
-        ],
+        ]),
     )
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
-from .scenarios import ScenarioTemplate
+from .scenarios import ScenarioTemplate, check_model
 from .schedule import schedule_from
 from .traffic import VideoParams
 
@@ -191,8 +191,7 @@ class ParsedConfig:
     mf: int = 1
 
     def __post_init__(self) -> None:
-        if self.model not in ("cbr", "vbr"):
-            raise ValueError(f"model must be 'cbr' or 'vbr', got {self.model!r}")
+        check_model(self.model)
         schedule_from(self.duty_percent, self.mf)  # sweep-mf and table3 use both, TWT on or off
 
     @property

@@ -25,10 +25,13 @@ not on the heap, and the loop runs whichever of the slot and the heap's first
 event is earlier.  A contention cycle that no pending event precedes starts at
 once, off the heap.  A backoff draw looks its window and ``getrandbits`` width
 up in a per-stage table (``MacParams.backoff_stages``).  Time is tracked in
-integer nanoseconds, and so is the trace: each transmission and each delivery
-appends integers to ``array`` columns -- ns, station and flow indices and
-bytes -- which ``SimTrace.airtime`` and ``SimTrace.deliveries`` decode into
-rows of seconds and names on read (``Rows``).  All randomness comes from
+integer nanoseconds, and so is the trace: each transmission, delivery and
+recorded cwnd appends numbers to ``array`` columns -- ns, station or flow
+index, bytes or cwnd -- each in the narrowest type its values need, which
+``SimTrace.airtime``, ``SimTrace.deliveries`` and ``SimTrace.cwnd_series``
+decode into rows of seconds and names on read (``Rows``).  A delivery's
+station is its flow's destination and the wake windows follow from the
+schedule, so the trace stores neither.  All randomness comes from
 streams derived from the scenario seed, so a scenario replays
 byte-identically.  Contender i -- the AP as 0, then the clients in station
 order -- draws its backoffs from a ``random.Random`` seeded with
@@ -191,35 +194,49 @@ def _seconds(ns):
     return map(operator.truediv, ns, itertools.repeat(1e9))
 
 
-def _named(names: tuple[str, ...]):
+def _named(names: Sequence[str]):
     """Decoder of a column of indices into ``names``."""
     return partial(map, list(names).__getitem__)  # a list's is the faster call
 
 
-class Rows(Sequence):
-    """Read-only trace rows, kept as integer columns and decoded on read.
+def _index_typecode(count: int) -> str:
+    """The smallest unsigned ``array`` typecode that holds indices below ``count``."""
+    return next(code for code in "BHIQ" if count <= 1 << 8 * array(code).itemsize)
 
-    Each column is an ``array('q')`` that the engine appends to; its decoder
-    maps it to the values of that field (``_seconds``, ``_named`` or
-    ``iter``).  The rows iterate, index, slice (into a list), compare and print
-    as the list of their tuples does.
+
+def _bytes_typecode(sc: Scenario) -> str:
+    """``'i'`` when the largest delivery record the scenario allows fits it,
+    else ``'q'``.  A record is one flow's bytes in one A-MPDU: at most
+    ``max_ampdu_mpdus`` MPDUs and the flow's queue limit, a segment each."""
+    most = min(sc.mac.max_ampdu_mpdus, max((f.queue_limit_segments for f in sc.flows), default=0))
+    return "i" if most * Flow.segment_bytes < 1 << 8 * array("i").itemsize - 1 else "q"
+
+
+class Rows(Sequence):
+    """Read-only trace rows, kept as numeric columns and decoded on read.
+
+    The engine appends to the columns, one ``array`` per typecode given.  Each
+    field of a row is ``(column, decoder)``: the decoder maps that column to
+    the field's values (``_seconds``, ``_named`` or ``iter``), and two fields
+    may read one column.  The rows iterate, index, slice (into a list),
+    compare and print as the list of their tuples does.
     """
 
-    __slots__ = ("columns", "_decoders")
+    __slots__ = ("columns", "_fields")
 
-    def __init__(self, *decoders):
-        self.columns = tuple(array("q") for _ in decoders)
-        self._decoders = decoders
+    def __init__(self, typecodes: str, *fields):
+        self.columns = tuple(array(code) for code in typecodes)
+        self._fields = fields
 
     def _rows(self, columns):
-        return zip(*(decode(col) for decode, col in zip(self._decoders, columns)))
+        return zip(*(decode(columns[i]) for i, decode in self._fields))
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def decoded(self, i: int):
-        """An iterator over the decoded values of field ``i``, in row order."""
-        return self._decoders[i](self.columns[i])
+    def decoded(self) -> tuple:
+        """One iterator per field over its decoded values, in row order."""
+        return tuple(decode(self.columns[i]) for i, decode in self._fields)
 
     def __iter__(self):
         return self._rows(self.columns)
@@ -243,19 +260,30 @@ class Rows(Sequence):
 class SimTrace:
     """Everything observable from one run (times in seconds).
 
-    A run's airtime and deliveries are ``Rows``: integer columns decoded on
-    read into the tuples below.  A trace built by hand may hold lists of them.
+    A run's airtime, deliveries and cwnd series are ``Rows``: numeric columns
+    decoded on read into the tuples below.  A trace built by hand may hold
+    lists of them.  ``schedule`` is the gated client's TWT schedule, or None
+    when no client sleeps.
     """
 
     duration_s: float
     dut_flow_id: str | None
-    wake_windows_s: list[tuple[float, float]] | None
+    schedule: TwtSchedule | None
     deliveries: Sequence[tuple[float, str, str, int]] = field(default_factory=list)
     airtime: Sequence[tuple[float, float, str]] = field(default_factory=list)
-    cwnd_series: list[tuple[float, str, float]] = field(default_factory=list)
+    cwnd_series: Sequence[tuple[float, str, float]] = field(default_factory=list)
     delivered_bytes: dict[str, int] = field(default_factory=dict)
     drops: dict[str, int] = field(default_factory=dict)
     collisions: int = 0
+
+    @property
+    def wake_windows_s(self) -> list[tuple[float, float]] | None:
+        """The gated client's wake windows ``(start, end)`` in seconds, clipped
+        to the horizon, or None when no client sleeps; built on each read."""
+        if self.schedule is None:
+            return None
+        win_us = wake_windows(self.schedule, round(self.duration_s * 1e6))
+        return [(a / 1e6, b / 1e6) for a, b in win_us]
 
     def flow_throughput_mbps(self, flow_id: str) -> float:
         return 8.0 * self.delivered_bytes.get(flow_id, 0) / self.duration_s / 1e6
@@ -519,26 +547,33 @@ class _Engine:
         # the end event of the one transmission or collision on the channel
         self.tx_end: tuple | None = None
 
-        windows = None
         if sched is not None:
             self.sp = sched.sp_us * NS_PER_US
             self.period = sched.period_us * NS_PER_US
-            win_us = wake_windows(sched, round(sc.duration_s * 1e6))
-            windows = [(a / 1e6, b / 1e6) for a, b in win_us]
         # station indices: the contenders', then the collision pseudo-station
         names = (ap.id, *(c.sid for c in self.clients), COLLISION_ID)
         self.collision_idx = len(names) - 1
-        airtime = Rows(_seconds, _seconds, _named(names))  # start, end, station
-        # A-MPDU end, station, flow, bytes
-        deliveries = Rows(_seconds, _named(names), _named(tuple(f.id for f in sc.flows)), iter)
+        # start ns, end ns, station
+        airtime = Rows("qq" + _index_typecode(len(names)),
+                       (0, _seconds), (1, _seconds), (2, _named(names)))
+        # A-MPDU end ns, flow, bytes: a flow's deliveries leave its
+        # destination's queue, so the station field reads the flow column
+        flow_code = _index_typecode(len(sc.flows))
+        flow_ids = _named([f.id for f in sc.flows])
+        deliveries = Rows("q" + flow_code + _bytes_typecode(sc), (0, _seconds),
+                          (1, _named([f.dst for f in sc.flows])), (1, flow_ids), (2, iter))
+        # ns, flow, cwnd
+        cwnd = Rows("q" + flow_code + "d", (0, _seconds), (1, flow_ids), (2, iter))
         self.log_start, self.log_end, self.log_station = (col.append for col in airtime.columns)
         self.log_delivery = tuple(col.append for col in deliveries.columns)
+        self.log_cwnd = tuple(col.append for col in cwnd.columns)
         self.trace = SimTrace(
             duration_s=sc.duration_s,
             dut_flow_id=sc.dut_flow_id,
-            wake_windows_s=windows,
+            schedule=sched,
             deliveries=deliveries,
             airtime=airtime,
+            cwnd_series=cwnd,
         )
         for f in sc.flows:
             self.trace.delivered_bytes[f.id] = 0
@@ -546,7 +581,10 @@ class _Engine:
     # -- transport ------------------------------------------------------
     def _record_cwnd(self, t: int, fs: _FlowState) -> None:
         """Log the flow's window; callers check ``record_cwnd`` first."""
-        self.trace.cwnd_series.append((t / 1e9, fs.flow.id, fs.cwnd))
+        log_t, log_flow, log_cwnd = self.log_cwnd
+        log_t(t)
+        log_flow(fs.idx)
+        log_cwnd(fs.cwnd)
 
     def _try_send(self, t: int, fs: _FlowState) -> None:
         pending = fs.released - fs.sent
@@ -772,14 +810,13 @@ class _Engine:
                     break
             else:
                 records.append([fs, count, count * size])
-        log_end, log_station, log_flow, log_bytes = self.log_delivery
+        log_end, log_flow, log_bytes = self.log_delivery
         delivered = self.trace.delivered_bytes
         for record in records:
             fs, segs, nbytes = record
             fs.queued_segments -= segs
             delivered[fs.flow.id] += nbytes
             log_end(t)
-            log_station(c.idx)
             log_flow(fs.idx)
             log_bytes(nbytes)
             c.acks.append(record)

@@ -58,8 +58,8 @@ def _dut_deliveries(trace: SimTrace) -> Iterator[tuple[float, int]]:
     """
     rows, fid = trace.deliveries, trace.dut_flow_id
     if isinstance(rows, Rows):
-        keep = map(operator.eq, rows.decoded(2), repeat(fid))
-        return compress(zip(rows.decoded(0), rows.decoded(3)), keep)
+        t, _, flow, nbytes = rows.decoded()
+        return compress(zip(t, nbytes), map(operator.eq, flow, repeat(fid)))
     return ((t, nbytes) for t, _, flow, nbytes in rows if flow == fid)
 
 

@@ -19,6 +19,13 @@ from .transport import MAX_TIME_S, Flow, check_finite_positive
 DUT_STREAM = "dut-stream"  # id of the stream to the DUT, in phase 1 and in a session
 
 
+def check_model(model: str) -> None:
+    """Raise ValueError, its message led by ``model``, unless it names a
+    traffic model of a session: 'cbr' or 'vbr'."""
+    if model not in ("cbr", "vbr"):
+        raise ValueError(f"model must be 'cbr' or 'vbr', got {model!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioTemplate:
     """Everything the schedule search needs to instantiate simulations."""
@@ -40,10 +47,11 @@ class ScenarioTemplate:
     def __post_init__(self) -> None:
         for name in ("remote_rtt_s", "local_rtt_s", "phase1_duration_s", "session_duration_s"):
             check_finite_positive(name, getattr(self, name), MAX_TIME_S)
-        for name, least in (("background_streams", 0), ("seeds", 1), ("queue_limit_segments", 1),
-                            ("max_underruns", 0), ("master_seed", 0)):
+        for name, least in (("background_streams", 0), ("seeds", 1), ("max_underruns", 0),
+                            ("master_seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        self.local_flow("", "")  # its streams are Flows, which check queue_limit_segments
 
     @property
     def bitrate_mbps(self) -> float:
@@ -79,8 +87,7 @@ class ScenarioTemplate:
     def session_scenario(self, duty: int | None, mf: int, model: str, seed: int) -> Scenario:
         """A streaming session under peak background congestion; duty None
         disables TWT (always-awake baseline)."""
-        if model not in ("cbr", "vbr"):
-            raise ValueError(f"model must be 'cbr' or 'vbr', got {model!r}")
+        check_model(model)
         if model == "cbr":
             bursts = generate_cbr_bursts(self.video, self.session_duration_s)
         else:

@@ -53,7 +53,7 @@ class Flow:
         check_finite_positive("base_rtt_s", self.base_rtt_s, MAX_TIME_S)
         check_finite_positive("idle_restart_s", self.idle_restart_s, MAX_TIME_S)
         if self.queue_limit_segments < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit_segments}")
+            raise ValueError(f"queue_limit_segments must be >= 1, got {self.queue_limit_segments}")
 
 
 def on_ack(cwnd: float, ssthresh: float, acked_segments: int) -> float:

@@ -66,19 +66,20 @@ def test_layer_trace_installs_and_restores():
 
 
 # calls of each name the layer trace counts in twtsim.macsim, per pinned
-# scenario, recorded before the engine kept per-client state
+# scenario, recorded before the engine kept per-client state; wake_windows is
+# 0 since the trace derives the windows on read, which no run does
 PINNED_CALLS = {
     "drops": {"aggregate_ns": 606, "backoff_draw": 1100, "offer_load": 907, "on_ack": 903,
               "on_idle_restart": 0, "on_loss": 79, "wake_windows": 0},
     "cbr_mf64": {"aggregate_ns": 4194, "backoff_draw": 3834, "offer_load": 2115, "on_ack": 2109,
-                 "on_idle_restart": 0, "on_loss": 1, "wake_windows": 1},
+                 "on_idle_restart": 0, "on_loss": 1, "wake_windows": 0},
     "vbr_mf4": {"aggregate_ns": 1669, "backoff_draw": 2064, "offer_load": 1843, "on_ack": 1837,
-                "on_idle_restart": 0, "on_loss": 91, "wake_windows": 1},
+                "on_idle_restart": 0, "on_loss": 91, "wake_windows": 0},
     "gated_mid": {"aggregate_ns": 2274, "backoff_draw": 2700, "offer_load": 1577, "on_ack": 1564,
-                  "on_idle_restart": 2, "on_loss": 5, "wake_windows": 1},
+                  "on_idle_restart": 2, "on_loss": 5, "wake_windows": 0},
     # recorded before the transmission end left the event heap
     "bundled": {"aggregate_ns": 2944, "backoff_draw": 3869, "offer_load": 2270, "on_ack": 2244,
-                "on_idle_restart": 0, "on_loss": 30, "wake_windows": 1},
+                "on_idle_restart": 0, "on_loss": 30, "wake_windows": 0},
 }
 
 

@@ -665,11 +665,16 @@ def test_trace_rows_decode_their_integer_columns():
         stations = [s.id for s in sc.stations if s.role == "ap"]
         stations += [s.id for s in sc.stations if s.role == "client"] + [COLLISION_ID]
         flows = [f.id for f in sc.flows]
+        dst = {f.id: f.dst for f in sc.flows}  # a delivery's station is its flow's destination
         start, end, sid = tr.airtime.columns
         airtime = [(a / 1e9, b / 1e9, stations[i]) for a, b, i in zip(start, end, sid)]
-        t, dst, fid, nbytes = tr.deliveries.columns
-        deliveries = [(a / 1e9, stations[d], flows[f], n) for a, d, f, n in zip(t, dst, fid, nbytes)]
-        for view, rows in ((tr.airtime, airtime), (tr.deliveries, deliveries)):
+        t, fid, nbytes = tr.deliveries.columns
+        deliveries = [(a / 1e9, dst[flows[f]], flows[f], n) for a, f, n in zip(t, fid, nbytes)]
+        t, fid, cwnd = tr.cwnd_series.columns
+        cwnd_series = [(a / 1e9, flows[f], w) for a, f, w in zip(t, fid, cwnd)]
+        assert sc.record_cwnd, name
+        for view, rows in ((tr.airtime, airtime), (tr.deliveries, deliveries),
+                           (tr.cwnd_series, cwnd_series)):
             assert list(view) == rows, name
             assert repr(view) == repr(rows), name  # the same types, not just equal values
             assert len(view) == len(rows) > 40, name
@@ -689,6 +694,47 @@ def test_trace_rows_decode_their_integer_columns():
             assert compute_qos(hand, sc.bursts) == compute_qos(tr, sc.bursts), name
 
 
+def _assert_deliveries_decode(sc: Scenario, tr) -> None:
+    """Each delivery row names its flow's destination and the flow whose bytes
+    the engine counted."""
+    dst = {f.id: f.dst for f in sc.flows}
+    sums = dict.fromkeys(dst, 0)
+    for _, station, fid, nbytes in tr.deliveries:
+        assert station == dst[fid]
+        sums[fid] += nbytes
+    assert sums == tr.delivered_bytes
+
+
+def test_more_than_255_flows_take_a_wider_flow_column():
+    sc = Scenario(
+        stations=(Station(id="ap", role="ap"), Station(id="a", role="client", phy_rate_mbps=100.0),
+                  Station(id="b", role="client", phy_rate_mbps=150.0)),
+        flows=tuple(Flow(id=f"f{i}", dst="ab"[i % 2], kind="saturated", base_rtt_s=0.002,
+                         queue_limit_segments=2) for i in range(300)),
+        duration_s=0.3, seed=21)
+    tr = run_sim(sc)
+    assert tr.deliveries.columns[1].typecode == "H"
+    assert tr.airtime.columns[2].typecode == "B"
+    assert max(tr.deliveries.columns[1]) > 255  # a flow index a byte cannot hold
+    _assert_deliveries_decode(sc, tr)
+
+
+def test_records_beyond_int32_take_a_wider_byte_column():
+    # an A-MPDU of up to two million 12 ns MPDUs: the saturated flow's
+    # records double each round trip until one outgrows int32
+    sc = Scenario(
+        stations=(Station(id="ap", role="ap"), Station(id="sta", role="client", phy_rate_mbps=1e6)),
+        flows=(Flow(id="f", dst="sta", kind="saturated", base_rtt_s=0.002,
+                    queue_limit_segments=2_000_000),),
+        duration_s=0.1, seed=3, mac=MacParams(max_ampdu_mpdus=2_000_000, txop_limit_us=2_097_120))
+    tr = run_sim(sc)
+    assert tr.deliveries.columns[2].typecode == "q"
+    assert max(nbytes for *_, nbytes in tr.deliveries) == 2_000_000 * 1500 > 2**31
+    _assert_deliveries_decode(sc, tr)
+    # the default MAC and queue limit keep records to 64 segments: int32 holds them
+    assert run_sim(two_station_scenario(duration_s=0.1)).deliveries.columns[2].typecode == "i"
+
+
 def test_trace_rows_hold_a_few_bytes_each():
     template = paper_setup()
     # warm up on a shorter run: what a first run caches is not the trace's
@@ -703,9 +749,10 @@ def test_trace_rows_hold_a_few_bytes_each():
         tracemalloc.stop()
     rows = len(tr.airtime) + len(tr.deliveries)
     assert rows > 4000
-    # integer columns: 24 bytes per airtime row and 32 per delivery; a tuple
-    # of floats and strings per row took about 117 here
-    assert held <= 40 * rows
+    # narrow columns: 17 bytes per airtime row (two int64 ns and a one-byte
+    # station) and 13 per delivery (int64 ns, a one-byte flow and int32
+    # bytes); a tuple of floats and strings per row took about 117 here
+    assert held <= 20 * rows
 
 
 def test_finished_engine_is_freed_without_the_cyclic_collector():

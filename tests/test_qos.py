@@ -11,7 +11,7 @@ def make_trace(deliveries, duration=12.0):
     return SimTrace(
         duration_s=duration,
         dut_flow_id="stream",
-        wake_windows_s=None,
+        schedule=None,
         deliveries=[(t, "dut", "stream", nb) for t, nb in deliveries],
         delivered_bytes={"stream": sum(nb for _, nb in deliveries)},
     )
@@ -156,7 +156,7 @@ def test_requires_dut_flow():
     tr = SimTrace(
         duration_s=1.0,
         dut_flow_id=None,
-        wake_windows_s=None,
+        schedule=None,
     )
     with pytest.raises(ValueError):
         compute_qos(tr, cbr_bursts(1))

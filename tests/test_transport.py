@@ -32,6 +32,12 @@ def test_flow_times_fit_the_engine_clock(name):
         make_flow(**{name: 1e300})
 
 
+def test_queue_limit_is_refused_under_its_field_name():
+    # the config reports a message at the line of the key it starts with
+    with pytest.raises(ValueError, match="^queue_limit_segments must be >= 1, got 0$"):
+        make_flow(queue_limit_segments=0)
+
+
 def test_slow_start_grows_one_segment_per_ack():
     assert on_ack(10.0, math.inf, 4) == 14.0
 
