@@ -17,7 +17,7 @@ import os
 import statistics
 import sys
 from collections.abc import Iterable
-from dataclasses import replace
+from dataclasses import astuple, replace
 from itertools import starmap
 from pathlib import Path
 
@@ -34,14 +34,13 @@ EXIT_NO_CONVERGENCE = 2
 OUT_DIR_ENV = "TWTSIM_OUT"
 
 
-def _write_csv(path: Path, header: list[str], columns: Iterable[Iterable]) -> None:
-    """Write the header, then line i from the i-th value of each column (one
-    column per header name), each value as ``str`` gives it: ``format`` with
-    an empty spec is ``str``."""
+def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write the header, then one line per row (one value per header name),
+    each value as ``str`` gives it: ``format`` with an empty spec is ``str``."""
     line = ",".join(["{}"] * len(header)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(starmap(line.format, zip(*columns)))
+        fh.writelines(starmap(line.format, rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -53,40 +52,28 @@ def _bg_aggregate_mbps(trace) -> float:
     return 8 * total / trace.duration_s / 1e6
 
 
-def _write_duty_curve(path: Path, curve) -> None:
-    _write_csv(
-        path,
-        ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"],
-        zip(*[(p.duty_percent, p.mean_throughput_mbps, p.std_throughput_mbps) for p in curve]),
-    )
-
-
-def _write_mf_curve(path: Path, curve) -> None:
-    _write_csv(
-        path,
-        ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"],
-        zip(*[(p.mf, p.mean_underrun_time_s, p.mean_underrun_events, p.mean_cv) for p in curve]),
-    )
+# the fields of a DutyPoint and of an MfPoint, in order
+_DUTY_HEADER = ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"]
+_MF_HEADER = ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"]
 
 
 def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
     """One numbered row per iteration, then the mean of each column."""
-    columns = [[*col, statistics.fmean(col)] for col in zip(*rows)]
-    _write_csv(path, ["iteration", *header], [[*range(1, len(rows) + 1), "mean"], *columns])
+    mean = ("mean", *map(statistics.fmean, zip(*rows)))
+    _write_csv(path, ["iteration", *header], [*((i, *row) for i, row in enumerate(rows, 1)), mean])
 
 
 def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
     scenario = replace(cfg.scenario(), record_cwnd=True)  # cwnd.csv needs the series
     trace = run_sim(scenario)
-    _write_csv(out / "deliveries.csv", ["time_s", "station", "flow", "bytes"],
-               trace.deliveries.decoded())
-    _write_csv(out / "airtime.csv", ["start_s", "end_s", "station"], trace.airtime.decoded())
+    _write_csv(out / "deliveries.csv", ["time_s", "station", "flow", "bytes"], trace.deliveries)
+    _write_csv(out / "airtime.csv", ["start_s", "end_s", "station"], trace.airtime)
     _write_csv(
         out / "burst_serve.csv",
         ["burst_index", "serve_start_s", "serve_end_s"],
-        zip(*burst_service(trace, scenario.bursts)),
+        burst_service(trace, scenario.bursts),
     )
-    _write_csv(out / "cwnd.csv", ["time_s", "flow", "cwnd_segments"], trace.cwnd_series.decoded())
+    _write_csv(out / "cwnd.csv", ["time_s", "flow", "cwnd_segments"], trace.cwnd_series)
     _write_json(
         out / "summary.json",
         {
@@ -119,7 +106,7 @@ def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
     _write_csv(
         out / "instantaneous.csv",
         ["interval_start_s", "throughput_mbps"],
-        zip(*report.instantaneous_mbps),
+        report.instantaneous_mbps,
     )
     return EXIT_OK
 
@@ -127,8 +114,8 @@ def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
 def cmd_search(cfg: ParsedConfig, out: Path) -> int:
     result = run_full_search(cfg.template)
     _write_json(out / "search_result.json", result.to_dict())
-    _write_duty_curve(out / "phase1_curve.csv", result.phase1_curve)
-    _write_mf_curve(out / "phase2_curve.csv", result.phase2_curve)
+    _write_csv(out / "phase1_curve.csv", _DUTY_HEADER, map(astuple, result.phase1_curve))
+    _write_csv(out / "phase2_curve.csv", _MF_HEADER, map(astuple, result.phase2_curve))
     _write_csv(
         out / "sessions.csv",
         [
@@ -142,7 +129,7 @@ def cmd_search(cfg: ParsedConfig, out: Path) -> int:
             "throughput_cv",
             "passed",
         ],
-        zip(*[
+        (
             (
                 s.model,
                 s.duty_percent,
@@ -155,7 +142,7 @@ def cmd_search(cfg: ParsedConfig, out: Path) -> int:
                 s.passed,
             )
             for s in result.sessions
-        ]),
+        ),
     )
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -164,15 +151,16 @@ def cmd_sweep_duty(cfg: ParsedConfig, out: Path) -> int:
     try:
         _, curve = phase1_min_duty(cfg.template)
     except InfeasibleTargetError as exc:
-        _write_duty_curve(out / "duty_sweep.csv", exc.curve)  # the curve shows the shortfall
+        # the curve shows the shortfall
+        _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, exc.curve))
         raise
-    _write_duty_curve(out / "duty_sweep.csv", curve)
+    _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, curve))
     return EXIT_OK
 
 
 def cmd_sweep_mf(cfg: ParsedConfig, out: Path) -> int:
     _, curve = phase2_select_mf(cfg.template, cfg.duty_percent)
-    _write_mf_curve(out / "mf_sweep.csv", curve)
+    _write_csv(out / "mf_sweep.csv", _MF_HEADER, map(astuple, curve))
     return EXIT_OK
 
 

@@ -212,14 +212,13 @@ def _bytes_typecode(sc: Scenario) -> str:
     return "i" if most * Flow.segment_bytes < 1 << 8 * array("i").itemsize - 1 else "q"
 
 
-class Rows(Sequence):
+class Rows:
     """Read-only trace rows, kept as numeric columns and decoded on read.
 
     The engine appends to the columns, one ``array`` per typecode given.  Each
     field of a row is ``(column, decoder)``: the decoder maps that column to
     the field's values (``_seconds``, ``_named`` or ``iter``), and two fields
-    may read one column.  The rows iterate, index, slice (into a list),
-    compare and print as the list of their tuples does.
+    may read one column.  The rows count and iterate as tuples.
     """
 
     __slots__ = ("columns", "_fields")
@@ -227,9 +226,6 @@ class Rows(Sequence):
     def __init__(self, typecodes: str, *fields):
         self.columns = tuple(array(code) for code in typecodes)
         self._fields = fields
-
-    def _rows(self, columns):
-        return zip(*(decode(columns[i]) for i, decode in self._fields))
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -239,39 +235,25 @@ class Rows(Sequence):
         return tuple(decode(self.columns[i]) for i, decode in self._fields)
 
     def __iter__(self):
-        return self._rows(self.columns)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._rows([col[i] for col in self.columns]))
-        i = range(len(self))[i]
-        return next(self._rows([col[i:i + 1] for col in self.columns]))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, Rows)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+        return zip(*self.decoded())
 
 
 @dataclass
 class SimTrace:
     """Everything observable from one run (times in seconds).
 
-    A run's airtime, deliveries and cwnd series are ``Rows``: numeric columns
-    decoded on read into the tuples below.  A trace built by hand may hold
-    lists of them.  ``schedule`` is the gated client's TWT schedule, or None
-    when no client sleeps.
+    The airtime, deliveries and cwnd series are ``Rows``: numeric columns
+    decoded on read into rows ``(start, end, station)``, ``(time, station,
+    flow, bytes)`` and ``(time, flow, cwnd segments)``.  ``schedule`` is the
+    gated client's TWT schedule, or None when no client sleeps.
     """
 
     duration_s: float
     dut_flow_id: str | None
     schedule: TwtSchedule | None
-    deliveries: Sequence[tuple[float, str, str, int]] = field(default_factory=list)
-    airtime: Sequence[tuple[float, float, str]] = field(default_factory=list)
-    cwnd_series: Sequence[tuple[float, str, float]] = field(default_factory=list)
+    deliveries: Rows
+    airtime: Rows
+    cwnd_series: Rows
     delivered_bytes: dict[str, int] = field(default_factory=dict)
     drops: dict[str, int] = field(default_factory=dict)
     collisions: int = 0

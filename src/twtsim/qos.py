@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 
-from .macsim import Rows, SimTrace
+from .macsim import SimTrace
 from .traffic import Burst
 
 INTERVAL_S = 1.0  # width of an instantaneous-throughput bin
@@ -53,14 +53,11 @@ class QosReport:
 def _dut_deliveries(trace: SimTrace) -> Iterator[tuple[float, int]]:
     """An iterator over (time, bytes) of each delivery of the DUT flow, in order.
 
-    A run's ``Rows`` are filtered column by column without building a row
-    tuple for any other flow; a trace built by hand may hold a list of rows.
+    The deliveries are filtered column by column, without building a row
+    tuple for any other flow.
     """
-    rows, fid = trace.deliveries, trace.dut_flow_id
-    if isinstance(rows, Rows):
-        t, _, flow, nbytes = rows.decoded()
-        return compress(zip(t, nbytes), map(operator.eq, flow, repeat(fid)))
-    return ((t, nbytes) for t, _, flow, nbytes in rows if flow == fid)
+    t, _, flow, nbytes = trace.deliveries.decoded()
+    return compress(zip(t, nbytes), map(operator.eq, flow, repeat(trace.dut_flow_id)))
 
 
 def _served(dut: Iterable[tuple[float, int]],

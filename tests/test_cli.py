@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import statistics
@@ -55,6 +56,32 @@ def cfg_path(tmp_path):
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+# SHA-256 of every file each command writes on SHORT, the same under Python 3.10-3.13
+SHORT_DIGESTS = {
+    "search": {
+        "phase1_curve.csv": "350ef85fdef4cb5eb449ceab1d9ba84a8535e6ec4a712269ed26696c14a95356",
+        "phase2_curve.csv": "831fe7f6efbb706022bd2259490f05beed8153bd49e574480cf45fe002c3ff8c",
+        "search_result.json": "64e84ebb804643ce8528224ad840a2e2558de8a62ee0ce5ba5ad6c6ef979fe61",
+        "sessions.csv": "873b0be0a2066ee1b8f890ab35e798ab16c933259805162e7e42169ebe011c45",
+    },
+    "sweep-duty": {
+        "duty_sweep.csv": "350ef85fdef4cb5eb449ceab1d9ba84a8535e6ec4a712269ed26696c14a95356",
+    },
+    "sweep-mf": {
+        "mf_sweep.csv": "cf2a2c1c0ee0293cfb8d411db23330b5d495ce16017ec8540d7d0624718efc54",
+    },
+    "table3": {"table3.csv": "9a2763bfbf3c431d5708334b125b5bafb0a386d8ec3e8342520caeea7f37584f"},
+    "table4": {"table4.csv": "1e53ca1c63ab06cf3eaba992d2e676c6f5a072801dc63b6dcda197548cc75fc8"},
+    "table5": {"table5.csv": "1b9034baafc3a1eb33a13b1bfb41da9c4ec6a8fd91a5f734fdc894d134c20a49"},
+}
+
+
+def assert_pinned(out: Path, command: str) -> None:
+    """The command wrote exactly its pinned files, byte for byte."""
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == SHORT_DIGESTS[command]
 
 
 def test_simulate_writes_artifacts(cfg_path, tmp_path):
@@ -143,6 +170,7 @@ def test_sweep_duty_csv(cfg_path, tmp_path):
     lines = (out / "duty_sweep.csv").read_text().splitlines()
     assert lines[0] == "duty_percent,mean_throughput_mbps,std_throughput_mbps"
     assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(5, 101, 5))
+    assert_pinned(out, "sweep-duty")
 
 
 def test_sweep_mf_csv(cfg_path, tmp_path):
@@ -153,6 +181,7 @@ def test_sweep_mf_csv(cfg_path, tmp_path):
     assert len(lines) >= 3
     assert lines[1].startswith("1,")
     assert lines[2].startswith("2,")
+    assert_pinned(out, "sweep-mf")
 
 
 def test_table3_csv(cfg_path, tmp_path):
@@ -165,6 +194,7 @@ def test_table3_csv(cfg_path, tmp_path):
     assert len(lines) == 4  # 2 iterations + mean
     assert lines[-1].startswith("mean,")
     assert_mean_row(lines)
+    assert_pinned(out, "table3")
 
 
 def test_table4_csv(cfg_path, tmp_path):
@@ -178,6 +208,7 @@ def test_table4_csv(cfg_path, tmp_path):
     sessions = judged_sessions(cfg.template, cfg.duty_percent, cfg.mf, cfg.model, 40)
     assert lines[1:3] == [f"{i},{s.report.avg_throughput_mbps},{s.report.underrun_events}"
                           for i, s in enumerate(sessions, 1)]
+    assert_pinned(out, "table4")
 
 
 def test_table5_csv(cfg_path, tmp_path):
@@ -187,6 +218,13 @@ def test_table5_csv(cfg_path, tmp_path):
     assert lines[0].startswith("iteration,cbr_qos1")
     assert len(lines) == 4
     assert_mean_row(lines)
+    assert_pinned(out, "table5")
+
+
+def test_search_artifacts(cfg_path, tmp_path):
+    out = tmp_path / "s"
+    assert run_cli("--config", cfg_path, "--command", "search", "--out", out) == 0
+    assert_pinned(out, "search")
 
 
 def test_out_dir_env_var(cfg_path, tmp_path, monkeypatch):

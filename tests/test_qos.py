@@ -2,19 +2,17 @@ import math
 
 import pytest
 
+from hand_trace import hand_trace
 from twtsim import Burst, QosReport, VideoParams, compute_qos, generate_cbr_bursts, qos_pass
-from twtsim.macsim import SimTrace
 from twtsim.qos import burst_service
 
 
-def make_trace(deliveries, duration=12.0):
-    return SimTrace(
-        duration_s=duration,
-        dut_flow_id="stream",
-        schedule=None,
-        deliveries=[(t, "dut", "stream", nb) for t, nb in deliveries],
-        delivered_bytes={"stream": sum(nb for _, nb in deliveries)},
-    )
+def make_trace(deliveries, duration=12.0, background=()):
+    """A trace of the DUT flow's (time, bytes) deliveries, and of the
+    background flow's, in time order."""
+    rows = [(t, "dut", "stream", nb) for t, nb in deliveries]
+    rows += [(t, "bg", "noise", nb) for t, nb in background]
+    return hand_trace(duration, deliveries=sorted(rows))
 
 
 def cbr_bursts(n, size=1_000_000, ibt=6.0):
@@ -25,8 +23,8 @@ def cbr_bursts(n, size=1_000_000, ibt=6.0):
 def test_burst_service_follows_the_cumulative_bytes():
     bursts = [Burst(index=i, release_time_s=0.0, size_bytes=size, inter_burst_time_s=1.0)
               for i, size in enumerate((1000, 2000, 500, 700))]
-    tr = make_trace([(0.1, 600), (0.2, 1400), (0.3, 1000), (0.4, 100), (0.5, 400), (0.6, 300)])
-    tr.deliveries.insert(1, (0.15, "bg", "noise", 5000))  # other flows do not count
+    tr = make_trace([(0.1, 600), (0.2, 1400), (0.3, 1000), (0.4, 100), (0.5, 400), (0.6, 300)],
+                    background=[(0.15, 5000)])  # other flows do not count
     assert burst_service(tr, bursts) == [
         (0, 0.1, 0.2),  # 0.2 ends burst 0 and starts burst 1
         (1, 0.2, 0.3),  # 0.3 lands exactly on burst 1's end: burst 2 has not started
@@ -153,10 +151,6 @@ def test_due_load_counts_bursts_whose_deadline_is_within_the_horizon():
 
 
 def test_requires_dut_flow():
-    tr = SimTrace(
-        duration_s=1.0,
-        dut_flow_id=None,
-        schedule=None,
-    )
+    tr = hand_trace(1.0, dut_flow_id=None)
     with pytest.raises(ValueError):
         compute_qos(tr, cbr_bursts(1))
