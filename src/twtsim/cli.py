@@ -189,9 +189,8 @@ def cmd_table3(cfg: ParsedConfig, out: Path) -> int:
 
 
 def _qos_rows(cfg: ParsedConfig, model: str, phase: int) -> list[tuple]:
-    duty = cfg.duty_percent if cfg.twt_enabled else None
     return [(s.report.avg_throughput_mbps, s.report.underrun_events)
-            for s in judged_sessions(cfg.template, duty, cfg.mf, model, phase)]
+            for s in judged_sessions(cfg.template, cfg.session_duty, cfg.mf, model, phase)]
 
 
 def cmd_table4(cfg: ParsedConfig, out: Path) -> int:

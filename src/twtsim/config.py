@@ -199,9 +199,13 @@ class ParsedConfig:
         """The run's seed: the master seed of every seeded repetition."""
         return self.template.master_seed
 
+    @property
+    def session_duty(self) -> int | None:
+        """The duty of a session: None runs it without TWT."""
+        return self.duty_percent if self.twt_enabled else None
+
     def scenario(self) -> Scenario:
-        duty = self.duty_percent if self.twt_enabled else None
-        return self.template.session_scenario(duty, self.mf, self.model, self.seed)
+        return self.template.session_scenario(self.session_duty, self.mf, self.model, self.seed)
 
 
 def _stations(sections: dict[str, dict[str, _Entry]],

@@ -11,10 +11,8 @@ widens the duty in 5-point steps until every session passes QoS.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 from .macsim import run_sim
 from .qos import QosReport, compute_qos, qos_pass
@@ -93,25 +91,9 @@ class SearchResult:
         }
 
 
-def _stdev(values: list[float]) -> float:
-    """Sample standard deviation as ``statistics.stdev`` gives it from Python
-    3.11 on: the correctly rounded square root of the exact variance."""
-    mean = sum(map(Fraction, values)) / len(values)
-    var = sum((Fraction(v) - mean) ** 2 for v in values) / (len(values) - 1)
-    # the root rounded to odd at 109 bits rounds once, correctly, to a float's 53
-    num, den = var.numerator, var.denominator
-    q = (num.bit_length() - den.bit_length() - 109) // 2
-    if q >= 0:
-        den <<= 2 * q
-    else:
-        num <<= -2 * q
-    root = math.isqrt(num // den)
-    return math.ldexp(root | (root * root * den != num), q)
-
-
 def _mean_std(values: list[float]) -> tuple[float, float]:
     mean = statistics.fmean(values)
-    std = _stdev(values) if len(values) > 1 else 0.0
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std
 
 

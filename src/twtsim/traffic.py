@@ -27,6 +27,8 @@ _IBT_HIT_FLOOR = 1e-3
 # frame is at most that to the 1/k times the Weibull scale
 _EXP_MAX = 7.6971174701310497140446280481 + 53 * math.log(2)
 _LOG_FLOAT_MAX = 709.0  # just below the log of the largest double, 709.78
+# log Γ(1 + 1/k) of the paper's shape: a Weibull(k) draw of scale 1 has mean Γ(1 + 1/k)
+_LGAMMA_BUNDLED = math.lgamma(1.0 + 1.0 / 0.8099)
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class VideoParams:
 
     It refuses a stream it cannot draw: an inter-burst window that a normal
     draw hits less often than ``_IBT_HIT_FLOOR``, and a ``weibull_k`` so small
-    that the largest VBR burst, ``round(ibt_max_s * frame_rate)`` frames of
-    the largest Weibull frame, would overflow a float."""
+    that the Weibull scale underflows to 0 or the largest VBR burst, ``round(ibt_max_s
+    * frame_rate)`` frames of the largest Weibull frame, would overflow a float."""
 
     bitrate_mbps: float = 15.6
     frame_rate: float = 30.0
@@ -69,14 +71,16 @@ class VideoParams:
                     f"[{self.ibt_min_s}, {self.ibt_max_s}] s with probability {hit:.3g}, "
                     f"below {_IBT_HIT_FLOOR}")
         frames = self.ibt_max_s * self.frame_rate + 1  # no burst has more, round(ibt * frame_rate)
+        if not self.lambda_bytes > 0:
+            raise ValueError(f"weibull_k {self.weibull_k} at frame_rate {self.frame_rate} makes "
+                             f"the Weibull scale of a VBR frame underflow to 0 bytes")
         room = _LOG_FLOAT_MAX - math.log(self.lambda_bytes * frames)
         if not room > 0:
             raise ValueError(f"frame_rate {self.frame_rate} over ibt_max_s {self.ibt_max_s} s "
                              f"at bitrate_mbps {self.bitrate_mbps} overflows a VBR burst")
         if self.weibull_k * room <= math.log(_EXP_MAX):
             raise ValueError(f"weibull_k {self.weibull_k} lets a VBR burst of {frames - 1:.4g} "
-                             f"frames overflow a float; here it must exceed "
-                             f"{math.log(_EXP_MAX) / room:.4g}")
+                             f"frames overflow a float")
         if round(self.ibt_min_s * self.frame_rate) < 1:
             raise ValueError(
                 f"ibt_min_s must span at least one frame at {self.frame_rate} fps, "
@@ -85,8 +89,10 @@ class VideoParams:
 
     @property
     def lambda_bytes(self) -> float:
-        """Weibull scale: 6950 * bitrate / 2 bytes."""
-        return 6950.0 * self.bitrate_mbps / 2.0
+        """Weibull scale: 6950 * bitrate / 2 bytes (the paper's, at 30 fps and shape 0.8099)
+        times 30 / frame_rate and Γ(1 + 1/0.8099) / Γ(1 + 1/weibull_k): the same mean load."""
+        return (6950.0 * self.bitrate_mbps / 2.0 * (30.0 / self.frame_rate)
+                * math.exp(_LGAMMA_BUNDLED - math.lgamma(1.0 + 1.0 / self.weibull_k)))
 
     @property
     def cbr_burst_bytes(self) -> int:

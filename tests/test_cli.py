@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -58,8 +59,19 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
-# SHA-256 of every file each command writes on SHORT, the same under Python 3.10-3.13
+# SHA-256 of every file each command writes on SHORT, the same under Python 3.11-3.13
 SHORT_DIGESTS = {
+    "simulate": {
+        "airtime.csv": "b7130df2bd99d76f21bfeb394c51f1b258130b405072a350fa7a1e75dc46b32e",
+        "burst_serve.csv": "69624cfe7b21dabeb17cabedd156010e23a9cacbde8b529d9f53f24202063637",
+        "cwnd.csv": "80ad20e1764ce85fc65a760b6803dc2cbaba29a8bcb858dd9589a4129fea9bac",
+        "deliveries.csv": "ee7dbcd66aaa06c02ee7da859745026927ca740a61e5a13142ed1745841c0413",
+        "summary.json": "72c42c625b4069724543583fed90f199c5f09ef011734f33fa53d11c447dd7af",
+    },
+    "qos": {
+        "instantaneous.csv": "daa09b67e5ad3ec17d6fd995aa8847ce3257b55988e2a9fad24842d9207209a0",
+        "qos_report.json": "07d07ddafe3fe00ea6743677292032f331dd0bb75db4f5cd5bb0304d70a16d5b",
+    },
     "search": {
         "phase1_curve.csv": "350ef85fdef4cb5eb449ceab1d9ba84a8535e6ec4a712269ed26696c14a95356",
         "phase2_curve.csv": "831fe7f6efbb706022bd2259490f05beed8153bd49e574480cf45fe002c3ff8c",
@@ -95,6 +107,7 @@ def test_simulate_writes_artifacts(cfg_path, tmp_path):
     assert "dut-stream" in summary["flow_throughput_mbps"]
     header = (out / "deliveries.csv").read_text().splitlines()[0]
     assert header == "time_s,station,flow,bytes"
+    assert_pinned(out, "simulate")
 
 
 def test_rerun_is_byte_identical(cfg_path, tmp_path):
@@ -144,6 +157,67 @@ def test_commands_never_import_numpy(cfg_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# the interpreters the bytes are checked under: every other installed Python
+# that pyproject.toml admits (3.11 on), each printed as its real path
+PROBE = "import os, sys; print(sys.version_info >= (3, 11) and os.path.realpath(sys.executable))"
+
+
+def other_interpreters() -> list[str]:
+    """Every other admitted interpreter next to this one in a versions
+    directory (as pyenv lays them out), or on PATH as ``python3.N``."""
+    candidates = [*map(str, Path(sys.base_prefix).parent.glob("*/bin/python3")),
+                  *filter(None, (shutil.which(f"python3.{minor}") for minor in range(11, 20)))]
+    found = {os.path.realpath(sys.executable)}
+    others = []
+    for exe in candidates:
+        probe = subprocess.run([exe, "-S", "-c", PROBE], capture_output=True, text=True)
+        real = probe.stdout.strip()
+        if probe.returncode == 0 and real not in ("False", *found):
+            found.add(real)
+            others.append(exe)
+    return others
+
+
+# each command on SHORT, then perfbench's first cli round: simulate and qos on
+# the bundled config at seed 1
+ALL_COMMANDS = """\
+import sys
+from twtsim.cli import main
+cfg, out, *commands = sys.argv[1:]
+for command in commands:
+    assert main(["--config", cfg, "--command", command, "--out", f"{out}/{command}"]) == 0
+for command in ("simulate", "qos"):
+    assert main(["--command", command, "--seed", "1", "--out", f"{out}/r0/{command}"]) == 0
+"""
+
+
+def test_every_admitted_interpreter_writes_the_pinned_bytes(cfg_path, tmp_path):
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other Python >= 3.11 is installed next to this one or on PATH")
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    src = str(Path(twtsim.__file__).parents[1])
+    runs = []
+    for i, exe in enumerate(others):
+        # only src on the path (-S drops site-packages); the first run hashes
+        # str keys with a random seed, the others with a fixed one
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONHASHSEED": "random" if i == 0 else str(i)}
+        env.pop("TWTSIM_OUT", None)
+        out = tmp_path / str(i)
+        runs.append((exe, out, subprocess.Popen(
+            [exe, "-S", "-c", ALL_COMMANDS, str(cfg_path), str(out), *SHORT_DIGESTS],
+            env=env, stderr=subprocess.PIPE, text=True)))
+    errors = [proc.communicate(timeout=600)[1] for _, _, proc in runs]
+    for (exe, out, proc), err in zip(runs, errors):
+        assert proc.returncode == 0, (exe, err)
+        written = {name: {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in (out / name).iterdir()}
+                   for name in [*SHORT_DIGESTS, "r0/simulate", "r0/qos"]}
+        assert written == {**SHORT_DIGESTS, "r0/simulate": golden["cli"]["r0/simulate"],
+                           "r0/qos": golden["cli"]["r0/qos"]}, exe
+
+
 def test_qos_report(cfg_path, tmp_path):
     out = tmp_path / "q"
     assert run_cli("--config", cfg_path, "--command", "qos", "--out", out) == 0
@@ -154,6 +228,7 @@ def test_qos_report(cfg_path, tmp_path):
     lines = (out / "instantaneous.csv").read_text().splitlines()
     assert lines[0] == "interval_start_s,throughput_mbps"
     assert len(lines) == 17  # 16 one-second bins
+    assert_pinned(out, "qos")
 
 
 def assert_mean_row(lines):

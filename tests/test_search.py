@@ -17,7 +17,7 @@ from twtsim import (
     phase3_validate,
     run_full_search,
 )
-from twtsim.search import _stdev, judged_sessions
+from twtsim.search import _mean_std, judged_sessions
 
 
 def small_template(bitrate=10.0, seeds=2) -> ScenarioTemplate:
@@ -169,5 +169,6 @@ def test_search_is_deterministic():
 
 
 def test_phase1_std_is_the_correctly_rounded_root_of_the_exact_variance():
-    # Python 3.10's statistics.stdev rounds twice and gives ...638 here
-    assert _stdev([14.495, 16.516, 17.887, 10.939, 10.283]) == 3.3491409346278633
+    # statistics.stdev rounds once from Python 3.11 on (3.10 rounds twice and gives ...638)
+    samples = [14.495, 16.516, 17.887, 10.939, 10.283]
+    assert _mean_std(samples)[1] == statistics.stdev(samples) == 3.3491409346278633

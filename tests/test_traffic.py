@@ -49,11 +49,15 @@ def test_frame_size_mean_matches_oracle():
 
 
 def test_frame_size_exponential_degenerate_case():
-    p = VideoParams(bitrate_mbps=1000 / 3475, weibull_k=1.0)  # lambda = 1000 bytes
+    # lambda = 1000 bytes at shape 0.8099, so the bundled shape's mean frame,
+    # 1000 * Γ(1 + 1/0.8099) bytes, is the exponential scale and mean
+    p = VideoParams(bitrate_mbps=1000 / 3475, weibull_k=1.0)
+    expected = 1000 * WEIBULL_UNIT_MEAN_K08099
+    assert p.lambda_bytes == pytest.approx(expected, rel=1e-9)
     rng = np.random.default_rng(11)
     n = 100_000  # the tolerance below is at least 5 standard errors of the mean
     mean = float(np.mean([sample_frame_size(p, rng) for _ in range(n)]))
-    assert abs(mean - 1000.0) / 1000.0 < 0.02
+    assert abs(mean - expected) / expected < 0.02
 
 
 def test_inter_burst_time_bounds_and_mean():
@@ -101,6 +105,23 @@ def test_vbr_bursts_follow_the_frame_model():
     per_s = total / span
     expected = p.lambda_bytes * WEIBULL_UNIT_MEAN_K08099 * p.frame_rate
     assert abs(per_s - expected) / expected < 0.1
+
+
+def test_vbr_offered_load_follows_the_bitrate_at_any_frame_rate_and_shape():
+    def offered_mbps(video: VideoParams) -> float:
+        bursts = generate_vbr_bursts(video, 3600.0, np.random.default_rng(12345))
+        span = bursts[-1].release_time_s + bursts[-1].inter_burst_time_s
+        return 8 * sum(b.size_bytes for b in bursts) / span / 1e6
+
+    # the bundled stream offers about 94% of its bitrate, 14.6 of 15.6 Mbit/s
+    bundled = offered_mbps(VideoParams())
+    assert 14.4 < bundled < 14.8
+    # within 2% of it: over seeds 1-5 these streams differed by at most 0.4%,
+    # where a rate following frame_rate and shape differed by -20% to +100%
+    for fps in (24, 30, 60):
+        for k in (0.6, 0.8099, 1.2):
+            got = offered_mbps(VideoParams(frame_rate=fps, weibull_k=k))
+            assert abs(got / bundled - 1) < 0.02, (fps, k, got)
 
 
 def test_vbr_reproducible_per_seed():
@@ -183,19 +204,26 @@ def test_the_largest_exponential_is_pcg64s_tail_at_its_largest_uniform():
 def test_weibull_k_is_bounded_by_the_largest_burst():
     with pytest.raises(ValueError, match="^weibull_k 1e-300 "):
         VideoParams(weibull_k=1e-300)
-    # for the bundled stream the bound is 0.00548: below it the largest frame
-    # overflows a float, above it 300 of the largest frames do not
-    assert VideoParams().lambda_bytes * _EXP_MAX ** (1 / 0.0054) == math.inf
-    with pytest.raises(ValueError, match=r"^weibull_k 0.0054 .* must exceed 0.00548"):
-        VideoParams(weibull_k=0.0054)
-    video = VideoParams(weibull_k=0.0055)
+    # the Weibull scale is divided by Γ(1 + 1/k), and below k = 0.00563 that
+    # factor underflows to 0 at any bitrate; above it, the largest frame of the
+    # bundled stream is about e^-58 bytes, floored to 1
+    with pytest.raises(ValueError, match=r"^weibull_k 0.0056 at frame_rate 30.0 .* to 0 bytes"):
+        VideoParams(weibull_k=0.0056)
+    video = VideoParams(weibull_k=0.0057)
     rng = PCG64(1)
     rng._next64 = _tail_draw.__get__(rng)
-    assert 1e300 < 300 * sample_frame_size(video, rng) < math.inf
+    assert 0 < video.lambda_bytes < 1e-300 and sample_frame_size(video, rng) == 1
+    # so the largest draw, _EXP_MAX ** (1 / k), is finite; a large enough scale
+    # still overflows the largest burst
+    assert VideoParams(bitrate_mbps=1e299, cbr_interval_s=1e-10).lambda_bytes > 1e302
+    with pytest.raises(ValueError, match=r"^weibull_k 0.8099 lets a VBR burst of 300 frames "):
+        VideoParams(bitrate_mbps=1e300, cbr_interval_s=1e-10)
 
 
 def test_a_stream_whose_bursts_overflow_is_refused_by_the_field_that_overflows():
     with pytest.raises(ValueError, match="^bitrate_mbps 1e[+]303 makes a 6.0 s CBR burst of inf bytes"):
         VideoParams(bitrate_mbps=1e303)
-    with pytest.raises(ValueError, match="^frame_rate 1e[+]306 .* overflows a VBR burst"):
-        VideoParams(frame_rate=1e306)
+    # a frame's scale falls as 1 / frame_rate, so only a frame count past the
+    # largest double overflows the burst
+    with pytest.raises(ValueError, match="^frame_rate 1e[+]308 .* overflows a VBR burst"):
+        VideoParams(frame_rate=1e308)
