@@ -18,24 +18,29 @@ from the deliveries (``qos.burst_service``).
 Each client's state -- its queue, its ACK records, its contender -- is one
 object that events and queue runs carry, as they carry each flow's state; a
 count of the ungated clients with a backlog tells whether the AP contends.
-Each event carries the handler it fires, as ``(t, seq, handler, args)``;
-``seq`` breaks time ties in push order.  The channel carries at most one
-transmission or collision, so its end event waits in one slot of the engine,
-not on the heap, and the loop runs whichever of the slot and the heap's first
-event is earlier.  A contention cycle that no pending event precedes starts at
-once, off the heap.  A backoff draw looks its window and ``getrandbits`` width
-up in a per-stage table (``MacParams.backoff_stages``).  Time is tracked in
-integer nanoseconds, and so is the trace: each transmission, delivery and
-recorded cwnd appends numbers to ``array`` columns -- ns, station or flow
-index, bytes or cwnd -- each in the narrowest type its values need, which
-``SimTrace.airtime``, ``SimTrace.deliveries`` and ``SimTrace.cwnd_series``
-decode into rows of seconds and names on read (``Rows``).  A delivery's
-station is its flow's destination and the wake windows follow from the
-schedule, so the trace stores neither.  All randomness comes from
-streams derived from the scenario seed, so a scenario replays
-byte-identically.  Contender i -- the AP as 0, then the clients in station
-order -- draws its backoffs from a ``random.Random`` seeded with
-``seed_state(seed, (i,))``: the first word of the i-th child of numpy's
+Each event carries the handler it fires and one payload, as ``(t, seq,
+handler, payload)``, and the loop calls ``handler(t, payload)``; the handler
+unpacks it: ``(client, n)`` for an A-MPDU end, the client for an ACK end, the
+ACK record for a server ACK, ``(flow state, bytes)`` for an arrival or a
+burst, None for the rest.  It is not ``handler(t, *args)``, because CPython
+3.11 specializes a call of fixed arity and not a star call, which took about
+three times as long.  ``seq`` breaks time ties in push order.  The channel
+carries at most one transmission or collision, so its end event waits in one
+slot of the engine, not on the heap, and the loop runs whichever of the slot
+and the heap's first event is earlier.  A contention cycle that no pending
+event precedes starts at once, off the heap.  A backoff draw looks its window
+and ``getrandbits`` width up in a per-stage table
+(``MacParams.backoff_stages``).  Time is tracked in integer nanoseconds, and
+so is the trace: each transmission, delivery and recorded cwnd appends numbers
+to ``array`` columns -- ns, station or flow index, bytes or cwnd -- each in
+the narrowest type its values need, which ``SimTrace.airtime``,
+``SimTrace.deliveries`` and ``SimTrace.cwnd_series`` decode into rows of
+seconds and names on read (``Rows``).  A delivery's station is its flow's
+destination and the wake windows follow from the schedule, so the trace stores
+neither.  All randomness comes from streams derived from the scenario seed, so
+a scenario replays byte-identically.  Contender i -- the AP as 0, then the
+clients in station order -- draws its backoffs from a ``random.Random`` seeded
+with ``seed_state(seed, (i,))``: the first word of the i-th child of numpy's
 ``SeedSequence(seed)``, hashed without numpy.
 """
 
@@ -591,16 +596,18 @@ class _Engine:
         fs.last_send_ns = t
         heappush(self.heap, (t + fs.half_rtt_ns, self.next_seq(), self._on_arrive, (fs, offer)))
 
-    def _on_arrive(self, t: int, fs: _FlowState, nbytes: int) -> None:
+    def _on_arrive(self, t: int, load: tuple[_FlowState, int]) -> None:
         """Queue the full segments, then the tail, up to the flow's limit; drop the rest."""
+        fs, nbytes = load
         seg = fs.flow.segment_bytes
-        full, tail = divmod(nbytes, seg)
+        full = nbytes // seg
+        tail = nbytes - full * seg
         room = fs.flow.queue_limit_segments - fs.queued_segments  # never negative
         c = fs.dst
         if full + (tail > 0) <= room:  # all of it fits
             took, took_tail = full, 1 if tail else 0
         else:
-            took = min(full, room)
+            took = room if room < full else full
             took_tail = 1 if tail and room > full else 0
         accepted = took + took_tail
         if accepted:
@@ -625,14 +632,16 @@ class _Engine:
         if self.race is None and t >= self.busy_until:  # _kick
             self._contend(t)
 
-    def _on_server_ack(self, t: int, fs: _FlowState, segs: int, nbytes: int) -> None:
+    def _on_server_ack(self, t: int, record: list) -> None:
+        fs, segs, nbytes = record
         fs.in_flight -= nbytes
         fs.cwnd = on_ack(fs.cwnd, fs.ssthresh, segs)
         if self.record_cwnd:
             self._record_cwnd(t, fs)
         self._try_send(t, fs)
 
-    def _on_burst(self, t: int, fs: _FlowState, size: int) -> None:
+    def _on_burst(self, t: int, load: tuple[_FlowState, int]) -> None:
+        fs, size = load
         fs.released += size
         self._try_send(t, fs)
 
@@ -660,7 +669,9 @@ class _Engine:
             return True
         g = self.gated
         if g is not None and g.qsegs:
-            budget = min(self.txop, self.sp - t % self.period - self.difs)
+            # one MPDU fits the TXOP (check_mpdu_fits), so only the window can
+            # leave no room for one: the budget needs no TXOP clamp here
+            budget = self.sp - t % self.period - self.difs
             if budget > 0 and aggregate_ns(g.t_mpdu, budget, self.overhead,
                                            self.mac.max_ampdu_mpdus, g.qsegs) >= 1:
                 return True
@@ -672,8 +683,10 @@ class _Engine:
         Returns a selection whenever ``_ap_pending(t)`` holds."""
         g = self.gated
         if g is not None and g.qsegs:
-            n = aggregate_ns(g.t_mpdu, min(self.txop, self.sp - t % self.period),
-                             self.overhead, self.mac.max_ampdu_mpdus, g.qsegs)
+            budget = self.sp - t % self.period
+            if budget > self.txop:
+                budget = self.txop
+            n = aggregate_ns(g.t_mpdu, budget, self.overhead, self.mac.max_ampdu_mpdus, g.qsegs)
             if n >= 1:
                 return (g, n, self.overhead + n * g.t_mpdu)
         for c in self.rr[self.rr_ptr]:
@@ -684,7 +697,7 @@ class _Engine:
                 return (c, n, self.overhead + n * c.t_mpdu)
         return None
 
-    def _kick(self, t: int) -> None:
+    def _kick(self, t: int, _=None) -> None:
         """Resolve the next contention cycle if the channel is idle."""
         if self.race is None and t >= self.busy_until:
             self._contend(t)
@@ -715,9 +728,9 @@ class _Engine:
         if start < self.horizon and self.tx_end is None and (not heap or heap[0][0] > start):
             self._on_tx_start(start)
         else:
-            heappush(heap, (start, self.next_seq(), self._on_tx_start, ()))
+            heappush(heap, (start, self.next_seq(), self._on_tx_start, None))
 
-    def _on_tx_start(self, t: int) -> None:
+    def _on_tx_start(self, t: int, _=None) -> None:
         racers, min_bo = self.race
         self.race = None
         g = self.gated
@@ -747,15 +760,15 @@ class _Engine:
                 w.stage = min(w.stage + 1, max_stage)
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
             self.trace.collisions += 1
-            idx, handler, args = self.collision_idx, self._kick, ()
+            idx, handler, payload = self.collision_idx, self._kick, None
         else:
             if w.is_ap:
                 c, n, dur = self._select_ap_tx(t)
-                handler, args = self._on_ampdu_end, (c, n)
+                handler, payload = self._on_ampdu_end, (c, n)
             else:
                 c = w
                 dur = c.ack_ns.get(len(c.acks)) or self._ack_duration(c)
-                handler, args = self._on_ack_end, (c,)
+                handler, payload = self._on_ack_end, c
             if c is g and dur > self.sp - t % self.period:
                 raise RuntimeError("gated transmission would cross window end")
             w.bo = None
@@ -768,11 +781,12 @@ class _Engine:
         self.log_start(t)
         self.log_end(end)
         self.log_station(idx)
-        self.tx_end = (end, self.next_seq(), handler, args)
+        self.tx_end = (end, self.next_seq(), handler, payload)
 
     # the channel is idle when a transmission ends: only a cycle scheduled by
     # an event of the same instant can stand in the way of the next one
-    def _on_ampdu_end(self, t: int, c: _Client, n: int) -> None:
+    def _on_ampdu_end(self, t: int, ampdu: tuple[_Client, int]) -> None:
+        c, n = ampdu
         left = c.qsegs - n
         if n < 1 or left < 0:
             raise RuntimeError(f"A-MPDU of {n} MPDUs to station {c.sid!r} "
@@ -816,13 +830,13 @@ class _Engine:
     def _on_ack_end(self, t: int, c: _Client) -> None:
         records, c.acks = c.acks, []
         on_server_ack = self._on_server_ack
-        for record in records:  # each record is the server ACK's args
+        for record in records:  # each record is the server ACK's payload
             heappush(self.heap, (t + record[0].half_rtt_ns, self.next_seq(), on_server_ack, record))
         if self.race is None:
             self._contend(t)
 
-    def _on_wake(self, t: int) -> None:
-        heappush(self.heap, (t + self.period, self.next_seq(), self._on_wake, ()))
+    def _on_wake(self, t: int, _) -> None:
+        heappush(self.heap, (t + self.period, self.next_seq(), self._on_wake, None))
         self._kick(t)
 
     # -- main loop ------------------------------------------------------
@@ -835,7 +849,7 @@ class _Engine:
                 heappush(heap, (round(b.release_time_s * 1e9), self.next_seq(), self._on_burst,
                                 (self.flows[sc.dut_flow_id], b.size_bytes)))
             if self.gated is not None:
-                heappush(heap, (0, self.next_seq(), self._on_wake, ()))
+                heappush(heap, (0, self.next_seq(), self._on_wake, None))
             for fs in self.flows.values():
                 if fs.flow.kind == "saturated":
                     self._try_send(0, fs)
@@ -846,14 +860,14 @@ class _Engine:
                 end = self.tx_end
                 if end is not None and (not heap or end < heap[0]):
                     self.tx_end = None
-                    t, _, handler, args = end
+                    t, _, handler, payload = end
                 elif heap:
-                    t, _, handler, args = heappop(heap)
+                    t, _, handler, payload = heappop(heap)
                 else:
                     break
                 if t >= horizon:
                     break
-                handler(t, *args)
+                handler(t, payload)
         finally:
             # pending events hold bound methods of this engine, queued runs and
             # ACK records hold flow states that point at their client: drop
@@ -875,7 +889,14 @@ def aggregate_ns(t_mpdu_ns: int, budget_ns: int, overhead_ns: int, max_ampdu: in
     avail = budget_ns - overhead_ns
     if avail < t_mpdu_ns:
         return 0
-    return min(max_ampdu, queued_segments, avail // t_mpdu_ns)
+    # min(max_ampdu, queued_segments, avail // t_mpdu_ns) without the builtin call
+    n = max_ampdu
+    if queued_segments < n:
+        n = queued_segments
+    fit = avail // t_mpdu_ns
+    if fit < n:
+        n = fit
+    return n
 
 
 def run_sim(scenario: Scenario) -> SimTrace:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .transport import check_finite_positive
@@ -87,10 +88,11 @@ class VideoParams:
                 f"got {self.ibt_min_s}"
             )
 
-    @property
+    @cached_property
     def lambda_bytes(self) -> float:
         """Weibull scale: 6950 * bitrate / 2 bytes (the paper's, at 30 fps and shape 0.8099)
-        times 30 / frame_rate and Γ(1 + 1/0.8099) / Γ(1 + 1/weibull_k): the same mean load."""
+        times 30 / frame_rate and Γ(1 + 1/0.8099) / Γ(1 + 1/weibull_k): the same mean load.
+        Computed once: every VBR frame reads it."""
         return (6950.0 * self.bitrate_mbps / 2.0 * (30.0 / self.frame_rate)
                 * math.exp(_LGAMMA_BUNDLED - math.lgamma(1.0 + 1.0 / self.weibull_k)))
 

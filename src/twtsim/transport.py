@@ -65,11 +65,13 @@ def on_ack(cwnd: float, ssthresh: float, acked_segments: int) -> float:
     if acked_segments < 1:
         raise ValueError(f"acked_segments must be >= 1, got {acked_segments}")
     # slow start until cwnd reaches ssthresh; as cwnd only grows, the rest
-    # of the segments are all congestion avoidance
+    # of the segments are all congestion avoidance, where most calls start,
+    # so the outer test spares them the loop's
     left = acked_segments
-    while left and cwnd < ssthresh:
-        cwnd += 1.0
-        left -= 1
+    if cwnd < ssthresh:
+        while left and cwnd < ssthresh:
+            cwnd += 1.0
+            left -= 1
     for _ in range(left):
         cwnd += 1.0 / cwnd
     return cwnd
@@ -98,7 +100,13 @@ def offer_load(flow: Flow, cwnd: float, pending_bytes: float, in_flight_bytes: i
     headroom = int(cwnd) * flow.segment_bytes - in_flight_bytes
     if headroom <= 0:
         return 0
-    admissible = min(pending_bytes, headroom, flow.queue_limit_segments * flow.segment_bytes)
+    # min(pending_bytes, headroom, queue limit in bytes) without the builtin call
+    admissible = pending_bytes
+    if headroom < admissible:
+        admissible = headroom
+    limit = flow.queue_limit_segments * flow.segment_bytes
+    if limit < admissible:
+        admissible = limit
     segments = int(admissible // flow.segment_bytes)
     # a burst tail smaller than one segment still needs to travel
     if segments == 0 and 0 < pending_bytes < flow.segment_bytes:

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twtsim.macsim
@@ -191,6 +191,48 @@ def test_aggregate_caps_by_queue():
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 1) == 1
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 2) == 2
     assert aggregate_ns(t_mpdu, TXOP_NS, OVERHEAD_NS, 64, 0) == 0
+
+
+def min_aggregate_ns(t_mpdu_ns, budget_ns, overhead_ns, max_ampdu, queued_segments):
+    """The reference: ``aggregate_ns`` written with the builtin ``min``."""
+    if queued_segments <= 0:
+        return 0
+    avail = budget_ns - overhead_ns
+    if avail < t_mpdu_ns:
+        return 0
+    return min(max_ampdu, queued_segments, avail // t_mpdu_ns)
+
+
+@st.composite
+def aggregate_args(draw):
+    t_mpdu = draw(st.integers(1, 10**6))
+    overhead = draw(st.integers(0, 10**6))
+    # budgets below, at and past the overhead, by up to 300 MPDUs and a part of one
+    budget = overhead + draw(st.integers(-2, 300)) * t_mpdu + draw(st.integers(0, t_mpdu - 1))
+    if draw(st.booleans()):
+        budget = float(budget)  # the result's type follows min's choice among ties
+    return t_mpdu, budget, overhead, draw(st.integers(1, 256)), draw(st.integers(-1, 300))
+
+
+@given(aggregate_args())
+# a budget at, and just below, the overhead; zero and negative queues
+@example((120_000, OVERHEAD_NS, OVERHEAD_NS, 64, 10))
+@example((120_000, OVERHEAD_NS + 119_999, OVERHEAD_NS, 64, 10))
+@example((120_000, OVERHEAD_NS - 1, OVERHEAD_NS, 64, 10))
+@example((120_000, TXOP_NS, OVERHEAD_NS, 64, 0))
+@example((120_000, TXOP_NS, OVERHEAD_NS, 64, -1))
+# each cap binding alone: the A-MPDU limit, the queue, what fits the budget
+@example((100, 10**6, 0, 64, 100))
+@example((120_000, TXOP_NS, OVERHEAD_NS, 64, 10))
+@example((120_000, TXOP_NS, OVERHEAD_NS, 64, 100))
+# ties among the A-MPDU cap, the queue and what fits, in int and float
+@example((100, 6400, 0, 64, 64))
+@example((100, 6400.0, 0, 64, 64))
+@example((100, 6400.0, 0, 64, 65))
+@example((100, 6400.0, 0, 65, 64))
+def test_aggregate_ns_is_the_min_rule(args):
+    got, want = aggregate_ns(*args), min_aggregate_ns(*args)
+    assert got == want and type(got) is type(want)
 
 
 # ----------------------------------------------------------- steady state ---
@@ -421,20 +463,20 @@ def test_ampdu_beyond_the_queue_raises_naming_the_station():
     engine = _Engine(two_station_scenario())
     (sta,) = engine.clients
     with pytest.raises(RuntimeError, match="'sta'"):
-        engine._on_ampdu_end(0, sta, 1)  # nothing queued
-    engine._on_arrive(0, engine.flows["f1"], 4 * 1500 + 700)  # four segments and a tail
+        engine._on_ampdu_end(0, (sta, 1))  # nothing queued
+    engine._on_arrive(0, (engine.flows["f1"], 4 * 1500 + 700))  # four segments and a tail
     assert sta.qsegs == 5
     with pytest.raises(RuntimeError, match="'sta'.* 5 queued"):
-        engine._on_ampdu_end(0, sta, 6)
+        engine._on_ampdu_end(0, (sta, 6))
     assert sta.qsegs == 5  # the failed dequeue took nothing
-    engine._on_ampdu_end(0, sta, 5)
+    engine._on_ampdu_end(0, (sta, 5))
     assert sta.qsegs == 0
     assert list(engine.trace.deliveries) == [(0.0, "sta", "f1", 6700)]
 
 
 def test_a_transmission_on_a_busy_channel_raises():
     engine = _Engine(two_station_scenario())
-    engine._on_arrive(0, engine.flows["f1"], 4 * 1500)  # the idle channel starts an A-MPDU
+    engine._on_arrive(0, (engine.flows["f1"], 4 * 1500))  # the idle channel starts an A-MPDU
     end = engine.tx_end[0]
     engine.ap_cont.bo = 0
     engine.race = ([engine.ap_cont], 0)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twtsim import Flow
@@ -104,6 +104,52 @@ def test_offer_load_sends_partial_tail():
     f = make_flow()
     assert offer_load(f, 10.0, pending_bytes=700, in_flight_bytes=0) == 700
     assert offer_load(f, 10.0, pending_bytes=0, in_flight_bytes=0) == 0
+
+
+def min_offer_load(flow, cwnd, pending_bytes, in_flight_bytes):
+    """The reference: ``offer_load`` written with the builtin ``min``."""
+    if pending_bytes < 0 or in_flight_bytes < 0:
+        raise ValueError("pending_bytes and in_flight_bytes must be >= 0")
+    headroom = int(cwnd) * flow.segment_bytes - in_flight_bytes
+    if headroom <= 0:
+        return 0
+    admissible = min(pending_bytes, headroom, flow.queue_limit_segments * flow.segment_bytes)
+    segments = int(admissible // flow.segment_bytes)
+    if segments == 0 and 0 < pending_bytes < flow.segment_bytes:
+        return int(pending_bytes)
+    return segments * flow.segment_bytes
+
+
+@st.composite
+def offer_args(draw):
+    limit = draw(st.integers(1, 300))
+    cwnd = draw(st.floats(1.0, 400.0, allow_nan=False))
+    in_flight = draw(st.integers(0, int(cwnd) * SEG + SEG))
+    headroom = int(cwnd) * SEG - in_flight
+    # a burst's backlog is a float (bytes released less bytes sent), a
+    # saturated source's is inf; some ties the headroom or the queue limit
+    pending = draw(st.one_of(
+        st.integers(0, 10**6), st.floats(0.0, 1e6, allow_nan=False), st.just(math.inf),
+        st.integers(0, SEG - 1).map(float), st.sampled_from([max(headroom, 0), limit * SEG])))
+    return limit, cwnd, pending, in_flight
+
+
+@given(offer_args())
+@example((10, 10.0, 10 * SEG, 0))  # the backlog ties the headroom and the queue limit
+@example((20, 10.0, 6 * SEG, 4 * SEG))  # the backlog ties the headroom
+@example((20, 10.0, 6.0 * SEG, 4 * SEG))
+@example((4, 10.0, 4.0 * SEG, 0))  # the backlog ties the queue limit
+@example((256, 10.0, math.inf, 0))
+@example((2, 10.0, math.inf, 0))
+@example((256, 10.0, 700.0, 0))  # a burst tail shorter than one segment
+@example((256, 10.0, 700.0, 9 * SEG + 800))  # ...that ties the headroom left
+@example((256, 10.0, 0.0, 0))
+@example((256, 10.0, 3 * SEG, 10 * SEG))  # no headroom
+def test_offer_load_is_the_min_rule(args):
+    limit, cwnd, pending, in_flight = args
+    f = make_flow(queue_limit_segments=limit)
+    got, want = offer_load(f, cwnd, pending, in_flight), min_offer_load(f, cwnd, pending, in_flight)
+    assert got == want and type(got) is type(want)
 
 
 def test_fractional_cwnd_truncates():
