@@ -258,10 +258,11 @@ def main(argv: list[str] | None = None) -> int:
             text = default_config_text()
         else:
             path = Path(args.config)
-            if not path.is_file():
-                print(_error_json("config-not-found", str(path)))
+            try:
+                text = path.read_text()
+            except OSError as exc:
+                print(_error_json("config-not-found", f"{path}: {exc.strerror or exc}"))
                 return EXIT_VALIDATION
-            text = path.read_text()
         cfg = parse(text)
         if args.seed is not None:
             cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))

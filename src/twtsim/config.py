@@ -84,13 +84,14 @@ _SECTION_KEYS = {
 
 @dataclass
 class _Entry:
-    value: object  # the text as read; the converted value after _convert
+    value: object  # the text as converted by its key's converter
     line: int
     key: str  # the key as the config names it
 
 
 def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
-    """Sections -> key -> (value, line).  Validates structure, not content."""
+    """Sections -> key -> (value, line).  Checks the structure and converts
+    each value at its own line, so the first faulty line is the one reported."""
     sections: dict[str, dict[str, _Entry]] = {}
     current: str | None = None
     saw_format = False
@@ -140,7 +141,10 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
             )
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = _Entry(value, lineno, key)
+        try:
+            sections[current][key] = _Entry(_SECTION_KEYS[base][key](value), lineno, key)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from exc
     if not sections:
         raise ConfigError(
             "empty config; required: a 'format = 1' header and sections "
@@ -149,17 +153,6 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     if not saw_format:
         raise ConfigError("missing 'format = 1' header line")
     return sections
-
-
-def _convert(sections: dict[str, dict[str, _Entry]]) -> None:
-    """Replace every entry's text by its converted value, in place."""
-    for name, section in sections.items():
-        converters = _SECTION_KEYS[name.split(".", 1)[0]]
-        for key, entry in section.items():
-            try:
-                entry.value = converters[key](entry.value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}", entry.line) from exc
 
 
 def _values(entries: dict[str, _Entry]) -> dict:
@@ -273,7 +266,6 @@ def parse(text: str) -> ParsedConfig:
         missing.append("traffic")
     if missing:
         raise ConfigError("missing required sections: " + ", ".join(missing))
-    _convert(sections)
 
     mac_sec = sections.get("mac", {})
     mac = _checked(mac_sec, MacParams, **_values(mac_sec))

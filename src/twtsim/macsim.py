@@ -36,12 +36,12 @@ to ``array`` columns -- ns, station or flow index, bytes or cwnd -- each in
 the narrowest type its values need, which ``SimTrace.airtime``,
 ``SimTrace.deliveries`` and ``SimTrace.cwnd_series`` decode into rows of
 seconds and names on read (``Rows``).  A delivery's station is its flow's
-destination and the wake windows follow from the schedule, so the trace stores
-neither.  All randomness comes from streams derived from the scenario seed, so
-a scenario replays byte-identically.  Contender i -- the AP as 0, then the
-clients in station order -- draws its backoffs from a ``random.Random`` seeded
-with ``seed_state(seed, (i,))``: the first word of the i-th child of numpy's
-``SeedSequence(seed)``, hashed without numpy.
+destination and the wake windows follow from ``Scenario.twt``, so the trace
+stores neither.  All randomness comes from streams derived from the scenario
+seed, so a scenario replays byte-identically.  Contender i -- the AP as 0,
+then the clients in station order -- draws its backoffs from a
+``random.Random`` seeded with ``seed_state(seed, (i,))``: the first word of
+the i-th child of numpy's ``SeedSequence(seed)``, hashed without numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +57,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from heapq import heappop, heappush
 
-from .schedule import TwtSchedule, wake_windows
+from .schedule import TwtSchedule
+# perfbench's layer trace wraps this name here; the engine does not call it
+from .schedule import wake_windows  # noqa: F401
 from .traffic import Burst
 from .transport import (MAX_TIME_S, Flow, check_finite_positive, offer_load, on_ack,
                         on_idle_restart, on_loss)
@@ -249,28 +251,18 @@ class SimTrace:
 
     The airtime, deliveries and cwnd series are ``Rows``: numeric columns
     decoded on read into rows ``(start, end, station)``, ``(time, station,
-    flow, bytes)`` and ``(time, flow, cwnd segments)``.  ``schedule`` is the
-    gated client's TWT schedule, or None when no client sleeps.
+    flow, bytes)`` and ``(time, flow, cwnd segments)``.  The wake windows are
+    not kept: they follow from the scenario's ``twt`` schedule.
     """
 
     duration_s: float
     dut_flow_id: str | None
-    schedule: TwtSchedule | None
     deliveries: Rows
     airtime: Rows
     cwnd_series: Rows
     delivered_bytes: dict[str, int] = field(default_factory=dict)
     drops: dict[str, int] = field(default_factory=dict)
     collisions: int = 0
-
-    @property
-    def wake_windows_s(self) -> list[tuple[float, float]] | None:
-        """The gated client's wake windows ``(start, end)`` in seconds, clipped
-        to the horizon, or None when no client sleeps; built on each read."""
-        if self.schedule is None:
-            return None
-        win_us = wake_windows(self.schedule, round(self.duration_s * 1e6))
-        return [(a / 1e6, b / 1e6) for a, b in win_us]
 
     def flow_throughput_mbps(self, flow_id: str) -> float:
         return 8.0 * self.delivered_bytes.get(flow_id, 0) / self.duration_s / 1e6
@@ -563,7 +555,6 @@ class _Engine:
         self.trace = SimTrace(
             duration_s=sc.duration_s,
             dut_flow_id=sc.dut_flow_id,
-            schedule=sched,
             deliveries=deliveries,
             airtime=airtime,
             cwnd_series=cwnd,

@@ -355,6 +355,20 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert err["error"] == "config-not-found"
 
 
+def test_unreadable_config_exit_code(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "locked.cfg"
+    cfg.write_text(SHORT)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert run_cli("--config", cfg, "--command", "qos", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "config-not-found"
+    assert err["detail"] == f"{cfg}: Permission denied"
+
+
 @pytest.fixture()
 def infeasible_cfg_path(tmp_path):
     p = tmp_path / "hard.cfg"

@@ -399,6 +399,17 @@ def test_bad_value_reports_line():
         parse(MINIMAL + "\n[twt]\nduty_percent = soon\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("format = 1\n[sim]\nseed = x\n[mac]\nbogus = 1\n", 3, "bad value for 'seed'"),
+    ("format = 1\n[station.ap]\nrole = ap\n[station.c1]\nphy_rate_mbps = x\ndut = true\n",
+     5, "bad value for 'phy_rate_mbps'"),
+], ids=["before-an-unknown-key", "in-a-config-without-traffic"])
+def test_the_first_faulty_line_is_reported(text, line, message):
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
 def test_station_needs_some_rate():
     text = MINIMAL.replace("phy_rate_mbps = 100\n", "")
     with pytest.raises(ConfigError, match="phy_rate_mbps or standalone_mbps"):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twtsim.macsim
+from hand_trace import wake_windows_s
 from twtsim import (
     Flow,
     MacParams,
@@ -23,7 +24,6 @@ from twtsim import (
     paper_setup,
     run_sim,
     schedule_from,
-    wake_windows,
 )
 from twtsim.macsim import (
     COLLISION_ID,
@@ -406,18 +406,20 @@ def gated_scenario(duty: int, mf: int, seed: int = 5, duration_s: float = 6.0) -
 
 def test_no_dut_delivery_outside_wake_windows():
     for seed in (5, 6, 7):
-        tr = run_sim(gated_scenario(duty=25, mf=4, seed=seed))
-        assert tr.wake_windows_s
+        sc = gated_scenario(duty=25, mf=4, seed=seed)
+        tr, windows = run_sim(sc), wake_windows_s(sc)
+        assert windows
         for t, _station, flow, _nb in tr.deliveries:
             if flow == "stream":
-                assert any(a <= t <= b for a, b in tr.wake_windows_s), (seed, t)
+                assert any(a <= t <= b for a, b in windows), (seed, t)
 
 
 def test_dut_airtime_inside_wake_windows():
-    tr = run_sim(gated_scenario(duty=20, mf=2))
+    sc = gated_scenario(duty=20, mf=2)
+    tr, windows = run_sim(sc), wake_windows_s(sc)
 
     def inside(a, b):
-        return any(w0 <= a and b <= w1 + 1e-12 for w0, w1 in tr.wake_windows_s)
+        return any(w0 <= a and b <= w1 + 1e-12 for w0, w1 in windows)
 
     # the AP's A-MPDU to the DUT ends at the delivery time it produced
     ap_start = {b: a for a, b, station in tr.airtime if station == "ap"}
@@ -426,14 +428,6 @@ def test_dut_airtime_inside_wake_windows():
     assert dut_rx and dut_tx
     for a, b in dut_rx + dut_tx:
         assert inside(a, b), (a, b)
-
-
-def test_wake_windows_match_schedule_math():
-    sc = gated_scenario(duty=25, mf=4, duration_s=3.0)
-    tr = run_sim(sc)
-    sched = schedule_from(25, 4)
-    expected = [(a / 1e6, b / 1e6) for a, b in wake_windows(sched, 3_000_000)]
-    assert tr.wake_windows_s == pytest.approx(expected)
 
 
 def test_gating_throttles_throughput():
@@ -454,7 +448,6 @@ def test_full_duty_equals_twt_disabled():
         assert list(ta.deliveries) == list(tb.deliveries), name
         assert list(ta.airtime) == list(tb.airtime), name
         assert ta.drops == tb.drops, name
-        assert ta.wake_windows_s is None and tb.wake_windows_s is None, name
 
 
 # ------------------------------------------------------------- validation ---
