@@ -182,9 +182,9 @@ class Scenario:
                 raise ValueError("a burst-driven flow requires a burst list")
             if self.twt is not None and burst_flows[0].dst != self.twt[0]:
                 raise ValueError("the burst-driven flow must target the TWT station")
-            for i, b in enumerate(self.bursts):
-                if b.index != i:
-                    raise ValueError("burst indices must be contiguous from 0")
+            # the engine releases bursts in time order and qos reads them in list order
+            if any(b.release_time_s < a.release_time_s for a, b in itertools.pairwise(self.bursts)):
+                raise ValueError("burst release times must not decrease along the list")
         elif self.bursts:
             raise ValueError("bursts supplied without a burst-driven flow")
 

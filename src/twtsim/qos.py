@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 
 from .macsim import SimTrace
@@ -26,17 +26,35 @@ INTERVAL_S = 1.0  # width of an instantaneous-throughput bin
 
 @dataclass(frozen=True)
 class QosReport:
-    """QoS of one streaming session."""
+    """QoS of one streaming session: what was measured, and the figures derived from it."""
 
     duration_s: float
     delivered_bytes: int
-    avg_throughput_mbps: float
     instantaneous_mbps: list[tuple[float, float]]
-    underrun_events: int
-    underrun_time_s: float
-    throughput_variation: float
     due_bytes: int  # bytes of the bursts whose deadline is within the horizon
-    late_bursts: list[tuple[int, float]] = field(default_factory=list)
+    late_bursts: list[tuple[int, float]]  # (burst index, lateness s) of each underrun
+
+    @property
+    def avg_throughput_mbps(self) -> float:
+        return 8.0 * self.delivered_bytes / self.duration_s / 1e6
+
+    @property
+    def underrun_events(self) -> int:
+        return len(self.late_bursts)
+
+    @property
+    def underrun_time_s(self) -> float:
+        return _sum_left(lateness for _, lateness in self.late_bursts)
+
+    @property
+    def throughput_variation(self) -> float:
+        """Population coefficient of variation of the instantaneous series."""
+        values = [v for _, v in self.instantaneous_mbps]
+        mean = _sum_left(values) / len(values) if values else 0.0
+        if mean > 0:
+            var = _sum_left((v - mean) ** 2 for v in values) / len(values)
+            return math.sqrt(var) / mean
+        return 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -71,7 +89,7 @@ def _served(dut: Iterable[tuple[float, int]],
         while len(starts) < len(bursts) and edges[len(starts)] < delivered:
             starts.append(t)
         while len(served) < len(starts) and edges[len(served) + 1] <= delivered:
-            served.append((bursts[len(served)].index, starts[len(served)], t))
+            served.append((len(served), starts[len(served)], t))
     return served
 
 
@@ -99,8 +117,6 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
         raise ValueError("trace has no DUT stream to score")
 
     duration = trace.duration_s
-    fid = trace.dut_flow_id
-    total = trace.delivered_bytes.get(fid, 0)
 
     nbins = math.ceil(duration / INTERVAL_S)
     bins = [0] * nbins
@@ -118,12 +134,10 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
     due_bytes = sum(b.size_bytes for b in bursts
                     if b.release_time_s + b.inter_burst_time_s <= duration)
 
-    events = 0
-    late_time = 0.0
     late: list[tuple[int, float]] = []
-    for b in bursts:
+    for i, b in enumerate(bursts):
         deadline = b.release_time_s + b.inter_burst_time_s
-        end = serve_end.get(b.index)
+        end = serve_end.get(i)
         if end is None:
             if duration > deadline:
                 lateness = duration - deadline
@@ -132,26 +146,12 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
         else:
             lateness = end - deadline
         if lateness > 0:
-            events += 1
-            late_time += lateness
-            late.append((b.index, lateness))
-
-    values = [v for _, v in series]
-    mean = _sum_left(values) / len(values) if values else 0.0
-    if mean > 0:
-        var = _sum_left((v - mean) ** 2 for v in values) / len(values)
-        cv = math.sqrt(var) / mean
-    else:
-        cv = 0.0
+            late.append((i, lateness))
 
     return QosReport(
         duration_s=duration,
-        delivered_bytes=total,
-        avg_throughput_mbps=trace.flow_throughput_mbps(fid),
+        delivered_bytes=trace.delivered_bytes.get(trace.dut_flow_id, 0),
         instantaneous_mbps=series,
-        underrun_events=events,
-        underrun_time_s=late_time,
-        throughput_variation=cv,
         due_bytes=due_bytes,
         late_bursts=late,
     )

@@ -59,14 +59,20 @@ class SessionRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
-    converged: bool
     duty_percent: int | None
     mf: int
-    schedule: TwtSchedule | None
     phase1_duty_percent: int
     phase1_curve: tuple[DutyPoint, ...]
     phase2_curve: tuple[MfPoint, ...]
     sessions: tuple[SessionRecord, ...] = field(default=())
+
+    @property
+    def converged(self) -> bool:
+        return self.duty_percent is not None
+
+    @property
+    def schedule(self) -> TwtSchedule | None:
+        return schedule_from(self.duty_percent, self.mf) if self.converged else None
 
     def to_dict(self) -> dict:
         return {
@@ -185,15 +191,12 @@ def run_full_search(template: ScenarioTemplate) -> SearchResult:
     phase1_duty, phase1_curve = phase1_min_duty(template)
     mf, phase2_curve = phase2_select_mf(template, phase1_duty)
     cbr_duty, sessions = phase3_validate(template, phase1_duty, mf)
-    converged = cbr_duty is not None
-    if converged:
+    if cbr_duty is not None:
         # The VBR model is replayed at the schedule the CBR search settled on.
         sessions += judged_sessions(template, cbr_duty, mf, "vbr", 4, cbr_duty)
     return SearchResult(
-        converged=converged,
         duty_percent=cbr_duty,
         mf=mf,
-        schedule=schedule_from(cbr_duty, mf) if converged else None,
         phase1_duty_percent=phase1_duty,
         phase1_curve=phase1_curve,
         phase2_curve=phase2_curve,

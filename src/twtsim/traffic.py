@@ -93,8 +93,12 @@ class VideoParams:
         """Weibull scale: 6950 * bitrate / 2 bytes (the paper's, at 30 fps and shape 0.8099)
         times 30 / frame_rate and Γ(1 + 1/0.8099) / Γ(1 + 1/weibull_k): the same mean load.
         Computed once: every VBR frame reads it."""
+        try:
+            shape = math.lgamma(1.0 + 1.0 / self.weibull_k)
+        except OverflowError:  # log Γ(1 + 1/k) past the largest double: the scale is 0
+            return 0.0
         return (6950.0 * self.bitrate_mbps / 2.0 * (30.0 / self.frame_rate)
-                * math.exp(_LGAMMA_BUNDLED - math.lgamma(1.0 + 1.0 / self.weibull_k)))
+                * math.exp(_LGAMMA_BUNDLED - shape))
 
     @property
     def cbr_burst_bytes(self) -> int:
@@ -103,9 +107,8 @@ class VideoParams:
 
 @dataclass(frozen=True)
 class Burst:
-    """One video segment pushed by the server."""
+    """One video segment pushed by the server; its index is its place in the list."""
 
-    index: int
     release_time_s: float
     size_bytes: int
     inter_burst_time_s: float
@@ -141,14 +144,8 @@ def generate_cbr_bursts(params: VideoParams, duration_s: float) -> list[Burst]:
     bursts = []
     i = 0
     while i * interval < duration_s:
-        bursts.append(
-            Burst(
-                index=i,
-                release_time_s=i * interval,
-                size_bytes=size,
-                inter_burst_time_s=interval,
-            )
-        )
+        bursts.append(Burst(release_time_s=i * interval, size_bytes=size,
+                            inter_burst_time_s=interval))
         i += 1
     return bursts
 
@@ -161,19 +158,10 @@ def generate_vbr_bursts(
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
     bursts = []
     release = 0.0
-    i = 0
     while release < duration_s:
         ibt = sample_inter_burst_time(params, rng)
         frames = int(round(ibt * params.frame_rate))
         size = sum(sample_frame_size(params, rng) for _ in range(frames))
-        bursts.append(
-            Burst(
-                index=i,
-                release_time_s=release,
-                size_bytes=size,
-                inter_burst_time_s=ibt,
-            )
-        )
+        bursts.append(Burst(release_time_s=release, size_bytes=size, inter_burst_time_s=ibt))
         release += ibt
-        i += 1
     return bursts

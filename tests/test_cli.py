@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import twtsim
 from twtsim.cli import main
-from twtsim.config import parse
+from twtsim.config import default_config_text, parse
 from twtsim.search import judged_sessions
 
 SHORT = """\
@@ -347,6 +348,17 @@ def test_config_value_error_carries_its_line(extra, key, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"] == "config"
     assert err["line"] == text.count("\n", 0, text.rindex(key)) + 1
+
+
+def test_a_weibull_k_whose_gamma_overflows_is_a_config_error(tmp_path, capsys):
+    # log Γ(1 + 1/k) overflows a float: a JSON error at the key's line, not a traceback
+    text = re.sub(r"^weibull_k = .*$", "weibull_k = 1e-306", default_config_text(), flags=re.M)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run_cli("--config", bad, "--command", "qos", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "config"
+    assert err["line"] == text.count("\n", 0, text.index("weibull_k = 1e-306")) + 1
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

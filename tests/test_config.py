@@ -2,7 +2,7 @@ import re
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twtsim.macsim
@@ -258,7 +258,8 @@ def _edited(text: str, **values: str) -> str:
     ({"ibt_var_s2": "1e12"}, "ibt_var_s2"),  # hits [2, 10] s with probability 3.2e-6
     ({"ibt_min_s": "6", "ibt_max_s": "6"}, "ibt_var_s2"),  # probability 0
     ({"weibull_k": "1e-300"}, "weibull_k"),  # 44.4 ** 1e300 overflows
-], ids=["rare draw", "zero-width window", "tiny weibull_k"])
+    ({"weibull_k": "1e-306"}, "weibull_k"),  # log Γ(1 + 1e306) overflows: the scale is 0
+], ids=["rare draw", "zero-width window", "tiny weibull_k", "tinier weibull_k"])
 def test_traffic_that_cannot_be_drawn_is_refused_at_its_line(values, key):
     text = _edited(EVERY_KEY, model="vbr", **values)
     with pytest.raises(ConfigError) as exc:
@@ -487,7 +488,12 @@ def _bounded(tpl: ScenarioTemplate, model: str) -> ScenarioTemplate:
                    background_streams=min(tpl.background_streams, 8))
 
 
+# the bundled weibull_k's line: at 1e-306, log Γ(1 + 1/k) overflows a float
+WEIBULL_K_LINE = next(i for i in KEY_LINES if PHY_SETUP.splitlines()[i].startswith("weibull_k = "))
+
+
 @settings(max_examples=200, deadline=None)
+@example(model="cbr", edits=[(WEIBULL_K_LINE, "1e-306")])
 @given(model=st.sampled_from(["cbr", "vbr"]),
        edits=st.lists(st.tuples(st.sampled_from(KEY_LINES), VALUES), min_size=1, max_size=2,
                       unique_by=lambda edit: edit[0]))

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 import twtsim.macsim
 from hand_trace import wake_windows_s
 from twtsim import (
+    Burst,
     Flow,
     MacParams,
     Scenario,
     Station,
     VideoParams,
+    compute_qos,
     generate_cbr_bursts,
     generate_vbr_bursts,
     paper_setup,
@@ -551,6 +553,23 @@ def test_scenario_burst_flow_must_target_the_twt_client():
     with pytest.raises(ValueError, match="^the burst-driven flow must target the TWT station"):
         replace(sc, twt=("bg", sc.twt[1]))
     assert replace(sc, twt=None).dut_flow_id == "stream"  # without TWT it may go anywhere
+
+
+def test_scenario_refuses_bursts_out_of_release_order():
+    # the engine queues burst bytes in release order and qos reads the bursts
+    # in list order: accepted, this list would charge the first 100 kB to the
+    # 3 MB burst and report the 100 kB one 0.57 s late
+    flows = (Flow(id="stream", dst="sta", kind="burst"),)
+    big = Burst(release_time_s=3.0, size_bytes=3_000_000, inter_burst_time_s=3.0)
+    small = Burst(release_time_s=0.0, size_bytes=100_000, inter_burst_time_s=3.0)
+    with pytest.raises(ValueError, match="^burst release times must not decrease along the list"):
+        two_station_scenario(flows=flows, bursts=(big, small))
+    sc = two_station_scenario(flows=flows, bursts=(small, big))
+    tr = run_sim(sc)
+    assert [i for i, _, _ in burst_service(tr, sc.bursts)] == [0, 1]
+    assert compute_qos(tr, sc.bursts).late_bursts == []
+    # equal release times are in order: the engine keeps their list order
+    two_station_scenario(flows=flows, bursts=(small, replace(big, release_time_s=0.0)))
 
 
 def test_scenario_rejects_flow_to_unknown_station():

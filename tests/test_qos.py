@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -16,13 +17,13 @@ def make_trace(deliveries, duration=12.0, background=()):
 
 
 def cbr_bursts(n, size=1_000_000, ibt=6.0):
-    return [Burst(index=i, release_time_s=i * ibt, size_bytes=size, inter_burst_time_s=ibt)
+    return [Burst(release_time_s=i * ibt, size_bytes=size, inter_burst_time_s=ibt)
             for i in range(n)]
 
 
 def test_burst_service_follows_the_cumulative_bytes():
-    bursts = [Burst(index=i, release_time_s=0.0, size_bytes=size, inter_burst_time_s=1.0)
-              for i, size in enumerate((1000, 2000, 500, 700))]
+    bursts = [Burst(release_time_s=0.0, size_bytes=size, inter_burst_time_s=1.0)
+              for size in (1000, 2000, 500, 700)]
     tr = make_trace([(0.1, 600), (0.2, 1400), (0.3, 1000), (0.4, 100), (0.5, 400), (0.6, 300)],
                     background=[(0.15, 5000)])  # other flows do not count
     assert burst_service(tr, bursts) == [
@@ -112,17 +113,27 @@ def test_unserved_burst_with_deadline_beyond_horizon_is_ignored():
 
 
 def report(delivered_bytes, due_bytes, underruns=3):
-    return QosReport(
-        duration_s=120.0,
-        delivered_bytes=delivered_bytes,
-        avg_throughput_mbps=8 * delivered_bytes / 120.0 / 1e6,
-        instantaneous_mbps=[],
-        underrun_events=underruns,
-        underrun_time_s=1.0,
-        throughput_variation=0.1,
-        due_bytes=due_bytes,
-        late_bursts=[],
-    )
+    return QosReport(duration_s=120.0, delivered_bytes=delivered_bytes, instantaneous_mbps=[],
+                     due_bytes=due_bytes, late_bursts=[(i, 0.5) for i in range(underruns)])
+
+
+def test_a_report_derives_its_figures_from_what_was_measured():
+    assert [f.name for f in fields(QosReport)] == [
+        "duration_s", "delivered_bytes", "instantaneous_mbps", "due_bytes", "late_bursts"]
+    rep = QosReport(duration_s=4.0, delivered_bytes=6_000_000,
+                    instantaneous_mbps=[(0.0, 6.0), (1.0, 18.0), (2.0, 0.0), (3.0, 0.0)],
+                    due_bytes=0, late_bursts=[(1, 0.1), (4, 0.2), (7, 0.3)])
+    assert rep.avg_throughput_mbps == 8.0 * 6_000_000 / 4.0 / 1e6
+    assert rep.underrun_events == 3
+    assert rep.underrun_time_s == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)  # left to right
+    assert rep.throughput_variation == math.sqrt((0 + 144 + 36 + 36) / 4) / 6.0
+    for name in ("avg_throughput_mbps", "underrun_events", "underrun_time_s",
+                 "throughput_variation"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 0)
+    assert list(rep.to_dict()) == ["duration_s", "delivered_bytes", "avg_throughput_mbps",
+                                   "underrun_events", "underrun_time_s",
+                                   "throughput_variation", "late_bursts"]
 
 
 def test_qos_pass_thresholds():

@@ -1,7 +1,7 @@
 import json
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,12 +10,14 @@ from twtsim import (
     MacParams,
     MfPoint,
     ScenarioTemplate,
+    SearchResult,
     Station,
     VideoParams,
     phase1_min_duty,
     phase2_select_mf,
     phase3_validate,
     run_full_search,
+    schedule_from,
 )
 from twtsim.search import _mean_std, judged_sessions
 
@@ -160,6 +162,18 @@ def test_full_search_that_does_not_converge_reports_every_failed_duty():
     assert len(res.sessions) == 7 * tpl.seeds
     d = json.loads(json.dumps(res.to_dict()))
     assert d["converged"] is False and d["duty_percent"] is None and d["schedule"] is None
+
+
+def test_convergence_and_schedule_follow_the_duty():
+    names = {f.name for f in fields(SearchResult)}
+    assert "converged" not in names and "schedule" not in names
+    res = SearchResult(duty_percent=30, mf=4, phase1_duty_percent=20, phase1_curve=(),
+                       phase2_curve=())
+    assert res.converged is True and res.schedule == schedule_from(30, 4)
+    assert res.to_dict()["schedule"] == schedule_from(30, 4).to_dict()
+    failed = replace(res, duty_percent=None)
+    assert failed.converged is False and failed.schedule is None
+    assert failed.to_dict()["converged"] is False and failed.to_dict()["schedule"] is None
 
 
 def test_search_is_deterministic():

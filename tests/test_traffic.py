@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from twtsim import VideoParams, generate_cbr_bursts, generate_vbr_bursts
+from twtsim import Burst, VideoParams, generate_cbr_bursts, generate_vbr_bursts
 from twtsim.pcg64 import PCG64
 from twtsim.traffic import _EXP_MAX, sample_frame_size, sample_inter_burst_time
 
@@ -85,6 +86,12 @@ def test_cbr_burst_sizes_and_timing():
     assert all(b.inter_burst_time_s == 6.0 for b in bursts)
     total_rate = 8 * sum(b.size_bytes for b in bursts) / 120.0 / 1e6
     assert total_rate == pytest.approx(15.6)
+
+
+def test_a_burst_stores_no_index():
+    # a burst's index is its place in the session's list
+    assert [f.name for f in fields(Burst)] == ["release_time_s", "size_bytes",
+                                               "inter_burst_time_s"]
 
 
 def test_vbr_bursts_follow_the_frame_model():
@@ -204,6 +211,11 @@ def test_the_largest_exponential_is_pcg64s_tail_at_its_largest_uniform():
 def test_weibull_k_is_bounded_by_the_largest_burst():
     with pytest.raises(ValueError, match="^weibull_k 1e-300 "):
         VideoParams(weibull_k=1e-300)
+    # below about 3.6e-306, log Γ(1 + 1/k) overflows a float (down to the
+    # smallest normal and past it, until 1/k is inf): the scale is 0
+    for k in (1e-306, 2.2250738585072014e-308, 5e-309):
+        with pytest.raises(ValueError, match=rf"^weibull_k {k} at frame_rate 30.0 .* to 0 bytes"):
+            VideoParams(weibull_k=k)
     # the Weibull scale is divided by Γ(1 + 1/k), and below k = 0.00563 that
     # factor underflows to 0 at any bitrate; above it, the largest frame of the
     # bundled stream is about e^-58 bytes, floored to 1
