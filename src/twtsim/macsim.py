@@ -24,7 +24,16 @@ unpacks it: ``(client, n)`` for an A-MPDU end, the client for an ACK end, the
 ACK record for a server ACK, ``(flow state, bytes)`` for an arrival or a
 burst, None for the rest.  It is not ``handler(t, *args)``, because CPython
 3.11 specializes a call of fixed arity and not a star call, which took about
-three times as long.  ``seq`` breaks time ties in push order.  The channel
+three times as long.  Three more rules keep the per-event sites specialized
+(``tests/specialization.py`` lists the generic ones).  One type per site:
+the AP and the clients are all ``_Contender``.  No per-event read of a name
+that the class also defines, as a dataclass default, a ClassVar or a
+``cached_property``: 3.12 and later specialize none of them, 3.11 none of a
+``cached_property``.  So the engine copies the MAC and flow constants it
+reads, and ``MacParams.backoff_stages`` is a plain attribute.  No call of a
+method held in a slot (``next(self.seq)``, not a ``count.__next__`` slot),
+and no load of a method that is not called: the handlers that events carry
+are bound once, into slots.  ``seq`` breaks time ties in push order.  The channel
 carries at most one transmission or collision, so its end event waits in one
 slot of the engine, not on the heap, and the loop runs whichever of the slot
 and the heap's first event is earlier.  A contention cycle that no pending
@@ -54,15 +63,15 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from heapq import heappop, heappush
 
 from .schedule import TwtSchedule
 # perfbench's layer trace wraps this name here; the engine does not call it
 from .schedule import wake_windows  # noqa: F401
 from .traffic import Burst
-from .transport import (MAX_TIME_S, Flow, check_finite_positive, offer_load, on_ack,
-                        on_idle_restart, on_loss)
+from .transport import (MAX_TIME_S, SEGMENT_BYTES, Flow, check_finite_positive, offer_load,
+                        on_ack, on_idle_restart, on_loss)
 
 NS_PER_US = 1000
 TCP_ACK_BYTES = 64
@@ -73,7 +82,12 @@ _TXOP_LIMIT_MAX_US = 65535 * 32  # 802.11's TXOP Limit field: 16 bits of 32 us u
 
 @dataclass(frozen=True)
 class MacParams:
-    """802.11 MAC constants (microseconds unless noted)."""
+    """802.11 MAC constants (microseconds unless noted).
+
+    ``max_stage``, the last backoff stage, and ``backoff_stages`` are set
+    from the fields.  Per stage, ``backoff_stages`` holds ``(cw, bits)``: the
+    window ``min(cw_max, (cw_min+1)*2^stage - 1)`` and the ``getrandbits``
+    width ``(cw + 1).bit_length()`` that ``random.randint(0, cw)`` asks for."""
 
     slot_us: int = 9
     difs_us: int = 34
@@ -99,19 +113,11 @@ class MacParams:
         if self.txop_limit_us > _TXOP_LIMIT_MAX_US:
             raise ValueError(f"txop_limit_us must be at most {_TXOP_LIMIT_MAX_US}, "
                              f"802.11's longest TXOP, got {self.txop_limit_us}")
-
-    @cached_property
-    def max_stage(self) -> int:
-        return ((self.cw_max + 1) // (self.cw_min + 1)).bit_length() - 1
-
-    @cached_property
-    def backoff_stages(self) -> tuple[tuple[int, int], ...]:
-        """Per backoff stage, ``(cw, bits)``: the window
-        ``min(cw_max, (cw_min+1)*2^stage - 1)`` and the ``getrandbits`` width
-        ``(cw + 1).bit_length()`` that ``random.randint(0, cw)`` asks for."""
-        cws = (min(self.cw_max, ((self.cw_min + 1) << stage) - 1)
-               for stage in range(self.max_stage + 1))
-        return tuple((cw, (cw + 1).bit_length()) for cw in cws)
+        # not fields, nor properties: backoff_draw reads the table per event
+        max_stage = ((self.cw_max + 1) // (self.cw_min + 1)).bit_length() - 1
+        cws = (min(self.cw_max, ((self.cw_min + 1) << stage) - 1) for stage in range(max_stage + 1))
+        object.__setattr__(self, "max_stage", max_stage)
+        object.__setattr__(self, "backoff_stages", tuple((cw, (cw + 1).bit_length()) for cw in cws))
 
 
 @dataclass(frozen=True)
@@ -433,29 +439,24 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, flow: Flow) -> f
 
 
 class _Contender:
-    __slots__ = ("idx", "is_ap", "bo", "stage", "rng")
+    """One station's engine state and CSMA/CA contender: the AP's, as index 0,
+    or client i's.  A client holds its downlink FIFO of runs ``[flow state,
+    segments, bytes per segment]`` (``qsegs`` segments in all), the ACK records
+    ``[flow state, segments, bytes]`` it has yet to return, and the airtime of
+    n records for each n timed; the AP's stay empty."""
 
-    def __init__(self, idx: int, rng: random.Random):
+    __slots__ = ("idx", "is_ap", "bo", "stage", "rng", "sid", "rate", "t_mpdu", "queue", "qsegs",
+                 "acks", "ack_ns", "lane", "rr_next")
+
+    def __init__(self, st: Station, idx: int, rng: random.Random):
         self.idx = idx  # its station index in the trace: 0 for the AP, i for client i
         self.is_ap = not idx
         self.bo: int | None = None
         self.stage = 0
         self.rng = rng
-
-
-class _Client(_Contender):
-    """One client's engine state, itself the contender that returns its ACKs:
-    the downlink FIFO of runs ``[flow state, segments, bytes per segment]``
-    holding ``qsegs`` segments, the ACK records ``[flow state, segments,
-    bytes]`` yet to return, and the airtime of n records for each n timed."""
-
-    __slots__ = ("sid", "rate", "t_mpdu", "queue", "qsegs", "acks", "ack_ns", "lane", "rr_next")
-
-    def __init__(self, st: Station, idx: int, rng: random.Random):
-        super().__init__(idx, rng)
         self.sid = st.id
         self.rate = st.phy_rate_mbps
-        self.t_mpdu = mpdu_airtime_ns(st.phy_rate_mbps)
+        self.t_mpdu = None if self.is_ap else mpdu_airtime_ns(st.phy_rate_mbps)
         self.queue: deque = deque()
         self.qsegs = 0
         self.acks: list = []
@@ -467,13 +468,14 @@ class _Client(_Contender):
 class _FlowState:
     """The running state of one flow; its TCP window state lives here only."""
 
-    __slots__ = ("flow", "idx", "dst", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns", "released",
-                 "sent", "in_flight", "queued_segments", "last_send_ns")
+    __slots__ = ("flow", "idx", "dst", "limit", "cwnd", "ssthresh", "half_rtt_ns", "idle_ns",
+                 "released", "sent", "in_flight", "queued_segments", "last_send_ns")
 
-    def __init__(self, flow: Flow, idx: int, dst: _Client):
+    def __init__(self, flow: Flow, idx: int, dst: _Contender):
         self.flow = flow
         self.idx = idx  # its flow index in the trace
         self.dst = dst
+        self.limit = flow.queue_limit_segments
         self.cwnd = flow.cwnd_init_segments
         self.ssthresh = math.inf
         self.half_rtt_ns = round(flow.base_rtt_s * 1e9 / 2)
@@ -487,10 +489,12 @@ class _FlowState:
 
 class _Engine:
     # slotted: one more attribute in a dict this size cost ~6% per session on CPython 3.11
-    __slots__ = ("sc", "mac", "horizon", "slot", "difs", "overhead", "txop", "ap_cont", "clients",
-                 "gated", "backlog", "rr", "rr_ptr", "flows", "heap", "next_seq", "busy_until",
-                 "race", "record_cwnd", "tx_end", "sp", "period", "collision_idx", "log_start",
-                 "log_end", "log_station", "log_delivery", "log_cwnd", "trace", "__weakref__")
+    __slots__ = ("sc", "mac", "horizon", "slot", "difs", "overhead", "txop", "cw_max",
+                 "max_ampdu", "ap_cont", "clients", "gated", "backlog", "rr", "rr_ptr", "flows",
+                 "heap", "seq", "h_arrive", "h_tx_start", "h_kick", "h_ampdu_end",
+                 "h_ack_end", "h_server_ack", "h_wake", "busy_until", "race", "record_cwnd",
+                 "tx_end", "sp", "period", "collision_idx", "log_airtime", "log_delivery",
+                 "log_cwnd", "trace", "__weakref__")
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -500,11 +504,14 @@ class _Engine:
         self.difs = sc.mac.difs_us * NS_PER_US
         self.overhead = sc.mac.per_frame_overhead_us * NS_PER_US
         self.txop = sc.mac.txop_limit_us * NS_PER_US
+        # copies: a field's default is also a class attribute of MacParams
+        self.cw_max = sc.mac.cw_max
+        self.max_ampdu = sc.mac.max_ampdu_mpdus
 
         ap = next(s for s in sc.stations if s.role == "ap")
         stations = [s for s in sc.stations if s.role == "client"]
-        self.ap_cont = _Contender(0, random.Random(seed_state(sc.seed, (0,))))
-        self.clients = [_Client(s, i, random.Random(seed_state(sc.seed, (i,))))
+        self.ap_cont = _Contender(ap, 0, random.Random(seed_state(sc.seed, (0,))))
+        self.clients = [_Contender(s, i, random.Random(seed_state(sc.seed, (i,))))
                         for i, s in enumerate(stations, 1)]
         by_id = {c.sid: c for c in self.clients}
         # the gated client: the TWT agreement's, unless its schedule never
@@ -525,7 +532,13 @@ class _Engine:
                                              for i, f in enumerate(sc.flows)}
 
         self.heap: list = []
-        self.next_seq = itertools.count().__next__
+        self.seq = itertools.count()
+        # the handlers events carry, bound once: 3.11 specializes no load of a
+        # method that is not called.  run() unbinds them, so the engine is freed
+        self.h_arrive, self.h_tx_start, self.h_kick, self.h_ampdu_end = (
+            self._on_arrive, self._on_tx_start, self._kick, self._on_ampdu_end)
+        self.h_ack_end, self.h_server_ack, self.h_wake = (
+            self._on_ack_end, self._on_server_ack, self._on_wake)
         self.busy_until = 0
         self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
         self.record_cwnd = sc.record_cwnd
@@ -549,7 +562,7 @@ class _Engine:
                           (1, _named([f.dst for f in sc.flows])), (1, flow_ids), (2, iter))
         # ns, flow, cwnd
         cwnd = Rows("q" + flow_code + "d", (0, _seconds), (1, flow_ids), (2, iter))
-        self.log_start, self.log_end, self.log_station = (col.append for col in airtime.columns)
+        self.log_airtime = tuple(col.append for col in airtime.columns)
         self.log_delivery = tuple(col.append for col in deliveries.columns)
         self.log_cwnd = tuple(col.append for col in cwnd.columns)
         self.trace = SimTrace(
@@ -585,17 +598,17 @@ class _Engine:
         fs.sent += offer
         fs.in_flight += offer
         fs.last_send_ns = t
-        heappush(self.heap, (t + fs.half_rtt_ns, self.next_seq(), self._on_arrive, (fs, offer)))
+        heappush(self.heap, (t + fs.half_rtt_ns, next(self.seq), self.h_arrive, (fs, offer)))
 
     def _on_arrive(self, t: int, load: tuple[_FlowState, int]) -> None:
         """Queue the full segments, then the tail, up to the flow's limit; drop the rest."""
         fs, nbytes = load
-        seg = fs.flow.segment_bytes
-        full = nbytes // seg
-        tail = nbytes - full * seg
-        room = fs.flow.queue_limit_segments - fs.queued_segments  # never negative
+        full = nbytes // SEGMENT_BYTES
+        tail = nbytes - full * SEGMENT_BYTES
+        segs = full + 1 if tail else full
+        room = fs.limit - fs.queued_segments  # never negative
         c = fs.dst
-        if full + (tail > 0) <= room:  # all of it fits
+        if segs <= room:  # all of it fits
             took, took_tail = full, 1 if tail else 0
         else:
             took = room if room < full else full
@@ -603,17 +616,17 @@ class _Engine:
         accepted = took + took_tail
         if accepted:
             if took:
-                c.queue.append([fs, took, seg])
+                c.queue.append([fs, took, SEGMENT_BYTES])
             if took_tail:
                 c.queue.append([fs, 1, tail])
             if not c.qsegs and c.lane is not None:
                 self.backlog[c.lane] += 1
             c.qsegs += accepted
             fs.queued_segments += accepted
-        dropped = full + (1 if tail else 0) - accepted
+        dropped = segs - accepted
         if dropped:
             fid = fs.flow.id
-            dbytes = nbytes - took * seg - took_tail * tail
+            dbytes = nbytes - took * SEGMENT_BYTES - took_tail * tail
             fs.in_flight -= dbytes
             fs.sent -= dbytes
             self.trace.drops[fid] = self.trace.drops.get(fid, 0) + dropped
@@ -640,7 +653,7 @@ class _Engine:
     # What is left of the gated client's wake window at t is
     # ``self.sp - t % self.period``: at most 0 while it sleeps, which every
     # test of it below treats as no room.
-    def _ack_duration(self, c: _Client) -> int:
+    def _ack_duration(self, c: _Contender) -> int:
         n = len(c.acks)
         dur = c.ack_ns.get(n)
         if dur is None:
@@ -663,30 +676,31 @@ class _Engine:
             # one MPDU fits the TXOP (check_mpdu_fits), so only the window can
             # leave no room for one: the budget needs no TXOP clamp here
             budget = self.sp - t % self.period - self.difs
-            if budget > 0 and aggregate_ns(g.t_mpdu, budget, self.overhead,
-                                           self.mac.max_ampdu_mpdus, g.qsegs) >= 1:
+            if budget > 0 and aggregate_ns(g.t_mpdu, budget, self.overhead, self.max_ampdu,
+                                           g.qsegs) >= 1:
                 return True
         return self.backlog[0] > 0
 
     def _select_ap_tx(self, t: int):
-        """Pick (client, n_mpdus, duration) or None; DUT first inside windows.
+        """Pick (client, n_mpdus, duration); DUT first inside windows.
 
-        Returns a selection whenever ``_ap_pending(t)`` holds."""
+        Call it only when ``_ap_pending(t)`` holds."""
         g = self.gated
         if g is not None and g.qsegs:
             budget = self.sp - t % self.period
             if budget > self.txop:
                 budget = self.txop
-            n = aggregate_ns(g.t_mpdu, budget, self.overhead, self.mac.max_ampdu_mpdus, g.qsegs)
+            n = aggregate_ns(g.t_mpdu, budget, self.overhead, self.max_ampdu, g.qsegs)
             if n >= 1:
                 return (g, n, self.overhead + n * g.t_mpdu)
         for c in self.rr[self.rr_ptr]:
             if c is g or not c.qsegs:
                 continue  # the gated client is handled above (or asleep)
-            n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.mac.max_ampdu_mpdus, c.qsegs)
+            n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.max_ampdu, c.qsegs)
             if n >= 1:
                 return (c, n, self.overhead + n * c.t_mpdu)
-        return None
+        raise RuntimeError(f"the AP won the channel at {t} ns with nothing it can send: "
+                           f"_ap_pending and _select_ap_tx disagree")
 
     def _kick(self, t: int, _=None) -> None:
         """Resolve the next contention cycle if the channel is idle."""
@@ -703,7 +717,7 @@ class _Engine:
         if not racers:
             return
         mac = self.mac
-        min_bo = mac.cw_max  # no counter exceeds it
+        min_bo = self.cw_max  # no counter exceeds it
         for c in racers:
             bo = c.bo
             if bo is None:
@@ -719,7 +733,7 @@ class _Engine:
         if start < self.horizon and self.tx_end is None and (not heap or heap[0][0] > start):
             self._on_tx_start(start)
         else:
-            heappush(heap, (start, self.next_seq(), self._on_tx_start, None))
+            heappush(heap, (start, next(self.seq), self.h_tx_start, None))
 
     def _on_tx_start(self, t: int, _=None) -> None:
         racers, min_bo = self.race
@@ -746,20 +760,23 @@ class _Engine:
             # every winner is pending, so each duration is at least the overhead
             dur = 0
             max_stage = self.mac.max_stage
-            for w in winners:
-                dur = max(dur, self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w))
-                w.stage = min(w.stage + 1, max_stage)
+            for w in winners:  # max and min without the builtin calls, which 3.11 leaves generic
+                d = self._select_ap_tx(t)[2] if w.is_ap else self._ack_duration(w)
+                if d > dur:
+                    dur = d
+                if w.stage < max_stage:
+                    w.stage += 1
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
             self.trace.collisions += 1
-            idx, handler, payload = self.collision_idx, self._kick, None
+            idx, handler, payload = self.collision_idx, self.h_kick, None
         else:
             if w.is_ap:
                 c, n, dur = self._select_ap_tx(t)
-                handler, payload = self._on_ampdu_end, (c, n)
+                handler, payload = self.h_ampdu_end, (c, n)
             else:
                 c = w
                 dur = c.ack_ns.get(len(c.acks)) or self._ack_duration(c)
-                handler, payload = self._on_ack_end, c
+                handler, payload = self.h_ack_end, c
             if c is g and dur > self.sp - t % self.period:
                 raise RuntimeError("gated transmission would cross window end")
             w.bo = None
@@ -769,14 +786,15 @@ class _Engine:
             raise RuntimeError("a transmission started while another was on the channel")
         end = t + dur
         self.busy_until = end
-        self.log_start(t)
-        self.log_end(end)
-        self.log_station(idx)
-        self.tx_end = (end, self.next_seq(), handler, payload)
+        log_start, log_end, log_station = self.log_airtime
+        log_start(t)
+        log_end(end)
+        log_station(idx)
+        self.tx_end = (end, next(self.seq), handler, payload)
 
     # the channel is idle when a transmission ends: only a cycle scheduled by
     # an event of the same instant can stand in the way of the next one
-    def _on_ampdu_end(self, t: int, ampdu: tuple[_Client, int]) -> None:
+    def _on_ampdu_end(self, t: int, ampdu: tuple[_Contender, int]) -> None:
         c, n = ampdu
         left = c.qsegs - n
         if n < 1 or left < 0:
@@ -818,16 +836,16 @@ class _Engine:
         if self.race is None:
             self._contend(t)
 
-    def _on_ack_end(self, t: int, c: _Client) -> None:
+    def _on_ack_end(self, t: int, c: _Contender) -> None:
         records, c.acks = c.acks, []
-        on_server_ack = self._on_server_ack
+        on_server_ack = self.h_server_ack
         for record in records:  # each record is the server ACK's payload
-            heappush(self.heap, (t + record[0].half_rtt_ns, self.next_seq(), on_server_ack, record))
+            heappush(self.heap, (t + record[0].half_rtt_ns, next(self.seq), on_server_ack, record))
         if self.race is None:
             self._contend(t)
 
     def _on_wake(self, t: int, _) -> None:
-        heappush(self.heap, (t + self.period, self.next_seq(), self._on_wake, None))
+        heappush(self.heap, (t + self.period, next(self.seq), self.h_wake, None))
         self._kick(t)
 
     # -- main loop ------------------------------------------------------
@@ -837,10 +855,10 @@ class _Engine:
         horizon = self.horizon
         try:
             for b in sc.bursts:
-                heappush(heap, (round(b.release_time_s * 1e9), self.next_seq(), self._on_burst,
+                heappush(heap, (round(b.release_time_s * 1e9), next(self.seq), self._on_burst,
                                 (self.flows[sc.dut_flow_id], b.size_bytes)))
             if self.gated is not None:
-                heappush(heap, (0, self.next_seq(), self._on_wake, None))
+                heappush(heap, (0, next(self.seq), self.h_wake, None))
             for fs in self.flows.values():
                 if fs.flow.kind == "saturated":
                     self._try_send(0, fs)
@@ -860,11 +878,14 @@ class _Engine:
                     break
                 handler(t, payload)
         finally:
-            # pending events hold bound methods of this engine, queued runs and
-            # ACK records hold flow states that point at their client: drop
-            # them so a finished engine is freed without the cyclic collector
+            # the engine holds its bound handlers, as do pending events, and
+            # queued runs and ACK records hold flow states that point at their
+            # client: drop them so a finished engine is freed without the
+            # cyclic collector
             heap.clear()
             self.tx_end = None
+            self.h_arrive = self.h_tx_start = self.h_kick = self.h_ampdu_end = None
+            self.h_ack_end = self.h_server_ack = self.h_wake = None
             for c in self.clients:
                 c.queue.clear()
                 c.acks.clear()

@@ -24,6 +24,8 @@ FlowKind = Literal["saturated", "burst"]
 # inside int64, as no transmission lasts longer than a TXOP
 MAX_TIME_S = 2**62 / 1e9
 
+SEGMENT_BYTES = 1500  # one MPDU carries one segment; per-event code reads this, not Flow's
+
 
 def check_finite_positive(name: str, value: float | None, most: float = math.inf) -> None:
     """Raise ValueError, its message led by ``name``, unless ``value`` is a
@@ -42,7 +44,7 @@ class Flow:
     dst: str
     kind: FlowKind
     base_rtt_s: float = 0.030
-    segment_bytes: ClassVar[int] = 1500  # one MPDU carries one segment
+    segment_bytes: ClassVar[int] = SEGMENT_BYTES
     queue_limit_segments: int = 256
     cwnd_init_segments: ClassVar[float] = 10.0  # the initial and the idle-restart window
     idle_restart_s: float = 1.0
@@ -97,18 +99,18 @@ def offer_load(flow: Flow, cwnd: float, pending_bytes: float, in_flight_bytes: i
     """
     if pending_bytes < 0 or in_flight_bytes < 0:
         raise ValueError("pending_bytes and in_flight_bytes must be >= 0")
-    headroom = int(cwnd) * flow.segment_bytes - in_flight_bytes
+    headroom = int(cwnd) * SEGMENT_BYTES - in_flight_bytes
     if headroom <= 0:
         return 0
     # min(pending_bytes, headroom, queue limit in bytes) without the builtin call
     admissible = pending_bytes
     if headroom < admissible:
         admissible = headroom
-    limit = flow.queue_limit_segments * flow.segment_bytes
+    limit = flow.queue_limit_segments * SEGMENT_BYTES
     if limit < admissible:
         admissible = limit
-    segments = int(admissible // flow.segment_bytes)
+    segments = int(admissible // SEGMENT_BYTES)
     # a burst tail smaller than one segment still needs to travel
-    if segments == 0 and 0 < pending_bytes < flow.segment_bytes:
+    if segments == 0 and 0 < pending_bytes < SEGMENT_BYTES:
         return int(pending_bytes)
-    return segments * flow.segment_bytes
+    return segments * SEGMENT_BYTES

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import math
 import random
 import tracemalloc
@@ -29,7 +30,7 @@ from twtsim import (
 )
 from twtsim.macsim import (
     COLLISION_ID,
-    _Client,
+    _Contender,
     _Engine,
     _FlowState,
     aggregate_ns,
@@ -479,6 +480,53 @@ def test_a_transmission_on_a_busy_channel_raises():
         engine._on_tx_start(end - 1)
 
 
+def test_an_ap_with_nothing_to_send_raises_instead_of_selecting_none():
+    # _ap_pending and _select_ap_tx must agree; if they do not, the collision
+    # path would index the missing selection
+    engine = _Engine(two_station_scenario())
+    with pytest.raises(RuntimeError, match="at 0 ns with nothing it can send"):
+        engine._select_ap_tx(0)
+
+
+def _queued_engine(**kw) -> _Engine:
+    """An engine whose AP holds four segments for 'sta' and whose backoff
+    counter is 0, so the next cycle starts DIFS after it is resolved."""
+    engine = _Engine(two_station_scenario(**kw))
+    engine.busy_until = engine.horizon  # an arrival on a busy channel starts no cycle
+    engine._on_arrive(0, (engine.flows["f1"], 4 * 1500))
+    engine.busy_until = 0
+    engine.ap_cont.bo = 0
+    return engine
+
+
+def test_an_event_due_at_a_cycle_start_runs_before_the_transmission():
+    engine = _queued_engine()
+    start = engine.difs
+    due = (start, next(engine.seq), engine._kick, None)
+    engine.heap.append(due)
+    engine._contend(0)
+    assert engine.tx_end is None
+    assert len(engine.trace.airtime) == 0  # the cycle waits on the heap, behind the event
+    assert heapq.heappop(engine.heap) is due
+    assert heapq.heappop(engine.heap)[:3:2] == (start, engine._on_tx_start)
+
+
+def test_a_cycle_starting_at_the_horizon_logs_no_airtime():
+    engine = _queued_engine()
+    engine._contend(engine.horizon - engine.difs)
+    assert engine.tx_end is None
+    assert len(engine.trace.airtime) == 0
+    assert engine.heap[0][0] == engine.horizon  # the loop stops there without running it
+
+
+def test_the_ap_and_every_client_contend_as_one_type():
+    # the racer loops read every contender's fields at one site, which CPython
+    # keeps specialized only while it sees one type there
+    engine = _Engine(_pinned_scenarios()["bundled"])
+    assert len(engine.clients) == 4
+    assert {type(c) for c in (engine.ap_cont, *engine.clients)} == {_Contender}
+
+
 def test_scenario_requires_exactly_one_ap():
     with pytest.raises(ValueError):
         Scenario(
@@ -801,7 +849,7 @@ def test_finished_engine_is_freed_without_the_cyclic_collector():
     # pending events hold bound methods of the engine, and queued runs and ACK
     # records hold flow states that point at their client; run() must drop them
     def alive() -> int:
-        return sum(isinstance(o, (_Client, _FlowState)) for o in gc.get_objects())
+        return sum(isinstance(o, (_Contender, _FlowState)) for o in gc.get_objects())
 
     gc.disable()
     try:
