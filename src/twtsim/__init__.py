@@ -9,8 +9,8 @@ from .search import (
     DutyPoint,
     InfeasibleTargetError,
     MfPoint,
+    Run,
     SearchResult,
-    SessionRecord,
     phase1_min_duty,
     phase2_select_mf,
     phase3_validate,
@@ -31,10 +31,10 @@ __all__ = [
     "MfPoint",
     "ParsedConfig",
     "QosReport",
+    "Run",
     "Scenario",
     "ScenarioTemplate",
     "SearchResult",
-    "SessionRecord",
     "SimTrace",
     "Station",
     "TwtSchedule",

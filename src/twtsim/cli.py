@@ -24,8 +24,8 @@ from pathlib import Path
 from .config import ConfigError, ParsedConfig, default_config_text, parse
 from .macsim import run_sim
 from .qos import burst_service, compute_qos, qos_pass
-from .search import (InfeasibleTargetError, judged_sessions, phase1_min_duty,
-                     phase2_select_mf, run_full_search)
+from .search import (InfeasibleTargetError, duty_point, mf_point, phase1_min_duty,
+                     phase2_select_mf, points, run_full_search, seeded_runs)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -149,18 +149,18 @@ def cmd_search(cfg: ParsedConfig, out: Path) -> int:
 
 def cmd_sweep_duty(cfg: ParsedConfig, out: Path) -> int:
     try:
-        _, curve = phase1_min_duty(cfg.template)
+        _, runs = phase1_min_duty(cfg.template)
     except InfeasibleTargetError as exc:
         # the curve shows the shortfall
         _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, exc.curve))
         raise
-    _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, curve))
+    _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, points(runs, duty_point)))
     return EXIT_OK
 
 
 def cmd_sweep_mf(cfg: ParsedConfig, out: Path) -> int:
-    _, curve = phase2_select_mf(cfg.template, cfg.duty_percent)
-    _write_csv(out / "mf_sweep.csv", _MF_HEADER, map(astuple, curve))
+    _, runs = phase2_select_mf(cfg.template, cfg.duty_percent)
+    _write_csv(out / "mf_sweep.csv", _MF_HEADER, map(astuple, points(runs, mf_point)))
     return EXIT_OK
 
 
@@ -189,8 +189,8 @@ def cmd_table3(cfg: ParsedConfig, out: Path) -> int:
 
 
 def _qos_rows(cfg: ParsedConfig, model: str, phase: int) -> list[tuple]:
-    return [(s.report.avg_throughput_mbps, s.report.underrun_events)
-            for s in judged_sessions(cfg.template, cfg.session_duty, cfg.mf, model, phase)]
+    return [(r.throughput_mbps, r.report.underrun_events)
+            for r in seeded_runs(cfg.template, (phase,), cfg.session_duty, cfg.mf, model)]
 
 
 def cmd_table4(cfg: ParsedConfig, out: Path) -> int:

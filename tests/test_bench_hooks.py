@@ -115,11 +115,12 @@ def test_layer_trace_books_each_search_run_to_its_phase():
     metrics, _ = _traced(lambda: results.append(twtsim.search.run_full_search(template)))
     (result,) = results
     seeds = template.seeds
+    kept = Counter(run.key[0] for run in result.runs)  # the search's records per phase
     assert result.converged
-    assert metrics["search.phase1.runs"] == 20 * seeds
-    assert metrics["search.phase2.runs"] == seeds * len(result.phase2_curve)
+    assert metrics["search.phase1.runs"] == kept[1] == 20 * seeds
+    assert metrics["search.phase2.runs"] == kept[2] == seeds * len(result.phase2_curve)
     phase3 = metrics["search.phase3.runs"]
     assert phase3 > 0 and phase3 % seeds == 0
-    assert phase3 == sum(s.model == "cbr" for s in result.sessions)
+    assert phase3 == kept[3] == sum(s.model == "cbr" for s in result.sessions)
     # the VBR replay runs under run_full_search itself, after phase 3
-    assert metrics["search.vbr.runs"] == seeds
+    assert metrics["search.vbr.runs"] == kept[4] == seeds

@@ -13,7 +13,7 @@ import pytest
 import twtsim
 from twtsim.cli import main
 from twtsim.config import default_config_text, parse
-from twtsim.search import judged_sessions
+from twtsim.search import seeded_runs
 
 SHORT = """\
 format = 1
@@ -281,9 +281,9 @@ def test_table4_csv(cfg_path, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "mean"]
     assert_mean_row(lines)
     cfg = parse(SHORT)
-    sessions = judged_sessions(cfg.template, cfg.duty_percent, cfg.mf, cfg.model, 40)
-    assert lines[1:3] == [f"{i},{s.report.avg_throughput_mbps},{s.report.underrun_events}"
-                          for i, s in enumerate(sessions, 1)]
+    runs = seeded_runs(cfg.template, (40,), cfg.duty_percent, cfg.mf, cfg.model)
+    assert lines[1:3] == [f"{i},{r.report.avg_throughput_mbps},{r.report.underrun_events}"
+                          for i, r in enumerate(runs, 1)]
     assert_pinned(out, "table4")
 
 

@@ -31,6 +31,9 @@ def test_burst_service_follows_the_cumulative_bytes():
         (1, 0.2, 0.3),  # 0.3 lands exactly on burst 1's end: burst 2 has not started
         (2, 0.4, 0.5),
     ]  # burst 3 started at 0.6 but is unfinished
+    # bytes past the last burst's end start no burst
+    tr = make_trace([(0.1, 1000), (0.2, 500)])
+    assert burst_service(tr, bursts[:1]) == [(0, 0.1, 0.1)]
 
 
 def test_average_and_instantaneous_series():
@@ -86,6 +89,9 @@ def test_on_time_bursts_are_not_underruns():
     assert rep.underrun_events == 0
     assert rep.underrun_time_s == 0.0
     assert rep.late_bursts == []
+    # a last byte exactly at the deadline is on time: 6.0, then 12.0, the horizon
+    tr = make_trace([(6.0, 1_000_000), (12.0, 1_000_000)], duration=12.0)
+    assert compute_qos(tr, cbr_bursts(2)).late_bursts == []
 
 
 def test_late_burst_counts_and_accumulates_lateness():

@@ -73,6 +73,11 @@ def test_wake_windows_clip_at_the_horizon():
     assert ws == [(0, 100), (1000, 1050)]
     ws = wake_windows(s, 70)
     assert ws == [(0, 70)]
+    awake = schedule_from(100, 1)
+    assert awake.wi_us == 0 and wake_windows(awake, 70) == [(0, 70)]
+    for horizon in (0, -1):  # nothing to enumerate, asleep or awake
+        assert wake_windows(s, horizon) == []
+        assert wake_windows(awake, horizon) == []
 
 
 def test_schedule_dict_round_trips_duty():
