@@ -22,35 +22,37 @@ Each event carries the handler it fires and one payload, as ``(t, seq,
 handler, payload)``, and the loop calls ``handler(t, payload)``; the handler
 unpacks it: ``(client, n)`` for an A-MPDU end, the client for an ACK end, the
 ACK record for a server ACK, ``(flow state, bytes)`` for an arrival or a
-burst, None for the rest.  It is not ``handler(t, *args)``, because CPython
-3.11 specializes a call of fixed arity and not a star call, which took about
-three times as long.  Three more rules keep the per-event sites specialized
-(``tests/specialization.py`` lists the generic ones).  One type per site:
-the AP and the clients are all ``_Contender``.  No per-event read of a name
-that the class also defines, as a dataclass default, a ClassVar or a
-``cached_property``: 3.12 and later specialize none of them, 3.11 none of a
-``cached_property``.  So the engine copies the MAC and flow constants it
-reads, and ``MacParams.backoff_stages`` is a plain attribute.  No call of a
-method held in a slot (``next(self.seq)``, not a ``count.__next__`` slot),
-and no load of a method that is not called: the handlers that events carry
-are bound once, into slots.  ``seq`` breaks time ties in push order.  The channel
-carries at most one transmission or collision, so its end event waits in one
-slot of the engine, not on the heap, and the loop runs whichever of the slot
-and the heap's first event is earlier.  A contention cycle that no pending
-event precedes starts at once, off the heap.  A backoff draw looks its window
-and ``getrandbits`` width up in a per-stage table
-(``MacParams.backoff_stages``).  Time is tracked in integer nanoseconds, and
-so is the trace: each transmission, delivery and recorded cwnd appends numbers
-to ``array`` columns -- ns, station or flow index, bytes or cwnd -- each in
-the narrowest type its values need, which ``SimTrace.airtime``,
-``SimTrace.deliveries`` and ``SimTrace.cwnd_series`` decode into rows of
-seconds and names on read (``Rows``).  A delivery's station is its flow's
-destination and the wake windows follow from ``Scenario.twt``, so the trace
-stores neither.  All randomness comes from streams derived from the scenario
-seed, so a scenario replays byte-identically.  Contender i -- the AP as 0,
-then the clients in station order -- draws its backoffs from a
-``random.Random`` seeded with ``seed_state(seed, (i,))``: the first word of
-the i-th child of numpy's ``SeedSequence(seed)``, hashed without numpy.
+burst, ``(racers, min_bo)`` for a deferred cycle start, None for the rest.  It
+is not ``handler(t, *args)``, because CPython 3.11 specializes a call of fixed
+arity and not a star call, which took about three times as long.  Three more
+rules keep the per-event sites specialized (``tests/specialization.py`` lists
+the generic ones).  One type per site: the AP and the clients are all
+``_Contender``.  No per-event read of a name that the class also defines, as a
+dataclass default, a ClassVar or a ``cached_property``: 3.12 and later
+specialize none of them, 3.11 none of a ``cached_property``.  So the engine
+copies the MAC and flow constants it reads, and ``MacParams.backoff_stages``
+is a plain attribute.  No call of a method held in a slot (``next(self.seq)``,
+not a ``count.__next__`` slot), and no load of a method that is not called:
+the handlers that events carry are bound once, into slots.  ``seq`` breaks
+time ties in push order.  The channel carries at most one transmission or
+collision, so its end event waits in one slot of the engine, not on the heap,
+and the loop runs whichever of the slot and the heap's first event is earlier.
+One handler, ``_Engine._contend``, builds, defers and resumes each contention
+cycle: a start that no pending event precedes runs at once, off the heap; any
+other waits there with its race.  A backoff draw looks its window and
+``getrandbits`` width up in a per-stage table (``MacParams.backoff_stages``).
+Time is tracked in integer nanoseconds, and so is the trace: each
+transmission, delivery and recorded cwnd appends numbers to ``array`` columns
+-- ns, station or flow index, bytes or cwnd -- each in the narrowest type its
+values need, which ``SimTrace.airtime``, ``SimTrace.deliveries`` and
+``SimTrace.cwnd_series`` decode into rows of seconds and names on read
+(``Rows``).  A delivery's station is its flow's destination and the wake
+windows follow from ``Scenario.twt``, so the trace stores neither.  All
+randomness comes from streams derived from the scenario seed, so a scenario
+replays byte-identically.  Contender i -- the AP as 0, then the clients in
+station order -- draws its backoffs from a ``random.Random`` seeded with
+``seed_state(seed, (i,))``: the first word of the i-th child of numpy's
+``SeedSequence(seed)``, hashed without numpy.
 """
 
 from __future__ import annotations
@@ -491,7 +493,7 @@ class _Engine:
     # slotted: one more attribute in a dict this size cost ~6% per session on CPython 3.11
     __slots__ = ("sc", "mac", "horizon", "slot", "difs", "overhead", "txop", "cw_max",
                  "max_ampdu", "ap_cont", "clients", "gated", "backlog", "rr", "rr_ptr", "flows",
-                 "heap", "seq", "h_arrive", "h_tx_start", "h_kick", "h_ampdu_end",
+                 "heap", "seq", "h_arrive", "h_contend", "h_ampdu_end",
                  "h_ack_end", "h_server_ack", "h_wake", "busy_until", "race", "record_cwnd",
                  "tx_end", "sp", "period", "collision_idx", "log_airtime", "log_delivery",
                  "log_cwnd", "trace", "__weakref__")
@@ -535,12 +537,12 @@ class _Engine:
         self.seq = itertools.count()
         # the handlers events carry, bound once: 3.11 specializes no load of a
         # method that is not called.  run() unbinds them, so the engine is freed
-        self.h_arrive, self.h_tx_start, self.h_kick, self.h_ampdu_end = (
-            self._on_arrive, self._on_tx_start, self._kick, self._on_ampdu_end)
+        self.h_arrive, self.h_contend, self.h_ampdu_end = (
+            self._on_arrive, self._contend, self._on_ampdu_end)
         self.h_ack_end, self.h_server_ack, self.h_wake = (
             self._on_ack_end, self._on_server_ack, self._on_wake)
         self.busy_until = 0
-        self.race: tuple | None = None  # (contender list, min_bo) of the scheduled cycle
+        self.race: tuple | None = None  # the scheduled cycle's (racers, min_bo), until it runs
         self.record_cwnd = sc.record_cwnd
         # the end event of the one transmission or collision on the channel
         self.tx_end: tuple | None = None
@@ -633,8 +635,7 @@ class _Engine:
             fs.cwnd = fs.ssthresh = on_loss(fs.cwnd)
             if self.record_cwnd:
                 self._record_cwnd(t, fs)
-        if self.race is None and t >= self.busy_until:  # _kick
-            self._contend(t)
+        self._contend(t)
 
     def _on_server_ack(self, t: int, record: list) -> None:
         fs, segs, nbytes = record
@@ -702,60 +703,61 @@ class _Engine:
         raise RuntimeError(f"the AP won the channel at {t} ns with nothing it can send: "
                            f"_ap_pending and _select_ap_tx disagree")
 
-    def _kick(self, t: int, _=None) -> None:
-        """Resolve the next contention cycle if the channel is idle."""
-        if self.race is None and t >= self.busy_until:
-            self._contend(t)
+    def _contend(self, t: int, race: tuple | None = None) -> None:
+        """Build, start and resolve a contention cycle at ``t``, or resume ``race``.
 
-    def _contend(self, t: int) -> None:
-        """Resolve the next contention cycle; the channel is idle and no cycle is scheduled."""
-        racers = [self.ap_cont] if self._ap_pending(t) else []
+        A cycle is built only on an idle channel with none scheduled.  A start
+        that an earlier event precedes waits on the heap, as this handler's
+        event with the race as payload.  A cycle whose claims are all stale is
+        followed by a new one at its start."""
         g = self.gated
-        for c in self.clients:  # racer order does not matter: each draws from its own stream
-            if c.acks and (c is not g or self._gated_acks_fit(t)):
-                racers.append(c)
-        if not racers:
-            return
-        mac = self.mac
-        min_bo = self.cw_max  # no counter exceeds it
-        for c in racers:
-            bo = c.bo
-            if bo is None:
-                bo = c.bo = backoff_draw(mac, c.stage, c.rng)
-            if bo < min_bo:
-                min_bo = bo
-        self.race = (racers, min_bo)
-        start = t + self.difs + min_bo * self.slot
-        # every caller ends with this call, so when the channel holds no
-        # transmission and no pending event is due by the start, the start is
-        # the next event: run it now, off the heap
-        heap = self.heap
-        if start < self.horizon and self.tx_end is None and (not heap or heap[0][0] > start):
-            self._on_tx_start(start)
-        else:
-            heappush(heap, (start, next(self.seq), self.h_tx_start, None))
-
-    def _on_tx_start(self, t: int, _=None) -> None:
-        racers, min_bo = self.race
-        self.race = None
-        g = self.gated
-        w = None  # the first winner; a second makes the list of all of them
-        winners = None
-        for c in racers:
-            c.bo -= min_bo
-            if not c.bo:
-                if self._ap_pending(t) if c.is_ap else (c is not g or self._gated_acks_fit(t)):
-                    if w is None:
-                        w = c
-                    elif winners is None:
-                        winners = [w, c]
+        while True:
+            if race is None:
+                if self.race is not None or t < self.busy_until:
+                    return
+                racers = [self.ap_cont] if self._ap_pending(t) else []
+                for c in self.clients:  # racer order does not matter: each draws its own
+                    if c.acks and (c is not g or self._gated_acks_fit(t)):
+                        racers.append(c)
+                if not racers:
+                    return
+                mac = self.mac
+                min_bo = self.cw_max  # no counter exceeds it
+                for c in racers:
+                    bo = c.bo
+                    if bo is None:
+                        bo = c.bo = backoff_draw(mac, c.stage, c.rng)
+                    if bo < min_bo:
+                        min_bo = bo
+                start = t + self.difs + min_bo * self.slot
+                # every caller ends with this call, so a start that no pending event
+                # precedes, on a channel with no transmission, is the next event
+                heap = self.heap
+                if (start >= self.horizon or heap and heap[0][0] <= start
+                        or self.tx_end is not None):
+                    self.race = race = (racers, min_bo)
+                    heappush(heap, (start, next(self.seq), self.h_contend, race))
+                    return
+                t = start
+            else:
+                racers, min_bo = race
+                self.race = race = None
+            w = None  # the first winner; a second makes the list of all of them
+            winners = None
+            for c in racers:
+                c.bo -= min_bo
+                if not c.bo:
+                    if self._ap_pending(t) if c.is_ap else (c is not g or self._gated_acks_fit(t)):
+                        if w is None:
+                            w = c
+                        elif winners is None:
+                            winners = [w, c]
+                        else:
+                            winners.append(c)
                     else:
-                        winners.append(c)
-                else:
-                    c.bo = None  # stale claim; redraw when pending again
-        if w is None:
-            self._contend(t)
-            return
+                        c.bo = None  # stale claim; redraw when pending again
+            if w is not None:
+                break
         if winners is not None:
             # every winner is pending, so each duration is at least the overhead
             dur = 0
@@ -768,7 +770,7 @@ class _Engine:
                     w.stage += 1
                 w.bo = backoff_draw(self.mac, w.stage, w.rng)
             self.trace.collisions += 1
-            idx, handler, payload = self.collision_idx, self.h_kick, None
+            idx, handler, payload = self.collision_idx, self.h_contend, None
         else:
             if w.is_ap:
                 c, n, dur = self._select_ap_tx(t)
@@ -792,8 +794,6 @@ class _Engine:
         log_station(idx)
         self.tx_end = (end, next(self.seq), handler, payload)
 
-    # the channel is idle when a transmission ends: only a cycle scheduled by
-    # an event of the same instant can stand in the way of the next one
     def _on_ampdu_end(self, t: int, ampdu: tuple[_Contender, int]) -> None:
         c, n = ampdu
         left = c.qsegs - n
@@ -833,20 +833,18 @@ class _Engine:
             c.acks.append(record)
         if c is not self.gated:  # only the round robin serves the other clients
             self.rr_ptr = c.rr_next
-        if self.race is None:
-            self._contend(t)
+        self._contend(t)
 
     def _on_ack_end(self, t: int, c: _Contender) -> None:
         records, c.acks = c.acks, []
         on_server_ack = self.h_server_ack
         for record in records:  # each record is the server ACK's payload
             heappush(self.heap, (t + record[0].half_rtt_ns, next(self.seq), on_server_ack, record))
-        if self.race is None:
-            self._contend(t)
+        self._contend(t)
 
     def _on_wake(self, t: int, _) -> None:
         heappush(self.heap, (t + self.period, next(self.seq), self.h_wake, None))
-        self._kick(t)
+        self._contend(t)
 
     # -- main loop ------------------------------------------------------
     def run(self) -> SimTrace:
@@ -862,7 +860,7 @@ class _Engine:
             for fs in self.flows.values():
                 if fs.flow.kind == "saturated":
                     self._try_send(0, fs)
-            self._kick(0)
+            self._contend(0)
             while True:
                 # the next event is the transmission end or the heap's first,
                 # whichever is earlier as (t, seq)
@@ -884,7 +882,7 @@ class _Engine:
             # cyclic collector
             heap.clear()
             self.tx_end = None
-            self.h_arrive = self.h_tx_start = self.h_kick = self.h_ampdu_end = None
+            self.h_arrive = self.h_contend = self.h_ampdu_end = None
             self.h_ack_end = self.h_server_ack = self.h_wake = None
             for c in self.clients:
                 c.queue.clear()

@@ -56,8 +56,8 @@ def schedule_from(duty_percent: float, mf: int) -> TwtSchedule:
     """
     if not (0 < duty_percent <= 100):
         raise ValueError(f"duty_percent must be in (0, 100], got {duty_percent}")
-    if mf < 1 or (mf & (mf - 1)) != 0:
-        raise ValueError(f"mf must be a power of two >= 1, got {mf}")
+    if mf < 1 or mf > SP_CAP_US or (mf & (mf - 1)) != 0:
+        raise ValueError(f"mf must be a power of two in [1, {SP_CAP_US}], got {mf}")
     sp1 = SP_CAP_US
     wi1 = round(SP_CAP_US * (100.0 - duty_percent) / duty_percent)
     return TwtSchedule(sp_us=sp1 // mf, wi_us=wi1 // mf)

@@ -1,4 +1,4 @@
-"""Boundary mutants: each comparison operator of a module, swapped one at a time.
+"""Boundary mutants: each comparison, ``and`` and ``or`` of a module, swapped one at a time.
 
 Run directly::
 
@@ -7,19 +7,20 @@ Run directly::
 FILE is a module under ``src/`` and TEST a pytest argument, both relative to
 the repo root.  The script copies ``src/``, ``tests/`` and ``perfbench/`` (the
 bench-hook tests read its layer trace) into a temporary directory and never
-edits the repo.  It finds every ``<``, ``<=``, ``>``, ``>=``, ``==`` and
-``!=`` of each FILE with ``ast`` and swaps it for its boundary twin (``<``
-and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``) in the copy's source text,
-so every other line keeps its number.  Each mutant runs ``pytest -x`` on the
-TESTs, killed at the timeout.  A mutant that passes them survives and is
-printed to stdout as ``file:line op -> op``, then the comparison it is in;
-progress goes to stderr.
+edits the repo.  It finds every ``<``, ``<=``, ``>``, ``>=``, ``==``, ``!=``,
+``and`` and ``or`` of each FILE with ``ast`` and swaps it for its twin
+(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``and`` and ``or``)
+in the copy's source text, so every other line keeps its number.  Each
+mutant runs ``pytest -x`` on the TESTs, killed at the timeout.  A mutant that
+passes them survives and is printed to stdout as ``file:line:column op -> op``,
+then the comparison or boolean expression it is in; progress goes to stderr.
 Mutants listed in ``EQUIVALENT`` are skipped and printed with their reason.
 
 Exit status: 0 when no mutant survived, 1 when one did, 2 when the TESTs
 fail on the unmutated copy.  It uses only the standard library, and pytest
-does not collect it.  It is too slow for a CI step: each mutant is one
-pytest run.
+does not collect it.  Each mutant is one pytest run, so CI sweeps only
+``schedule.py``, whose tests take a second; ``macsim.py`` against
+``test_macsim``, ``test_bench_hooks`` and ``test_search`` takes about 7 min.
 """
 
 import argparse
@@ -39,24 +40,37 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench")
 
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
-         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
+         ast.And: ("and", "or"), ast.Or: ("or", "and")}
 
-# (file, comparison, op, swapped op) -> why the mutant cannot be told apart
+# (file, expression, op, swapped op) -> why the mutant cannot be told apart
 EQUIVALENT = {
     ("src/twtsim/qos.py", "duration > deadline", ">", ">="):
         "an unserved burst whose deadline equals the horizon has lateness 0, which "
         "`lateness > 0` drops",
+    ("src/twtsim/schedule.py", "mf > SP_CAP_US", ">", ">="):
+        "65535 is not a power of two, so the power-of-two test refuses it either way",
+    ("src/twtsim/macsim.py", "spawn and len(data) < _POOL", "and", "or"):
+        "the pool reads a missing entropy word as 0, so padding with zeros changes no word",
+    ("src/twtsim/macsim.py", "len(data) < _POOL", "<", "<="):
+        "at exactly _POOL words the padding is empty",
+    ("src/twtsim/macsim.py", "bo < min_bo", "<", "<="):
+        "a counter equal to the least so far sets the same least",
+    ("src/twtsim/macsim.py", "d > dur", ">", ">="):
+        "a collision's duration equal to the longest so far sets the same longest",
+    ("src/twtsim/macsim.py", "end < heap[0]", "<", "<="):
+        "seqs are unique, so the transmission end never ties a heap event",
 }
 
 
 def mutants(source: str) -> list[tuple[int, int, str, str, str]]:
-    """(line, column, op, swapped op, comparison) of each comparison operator,
-    in source order; the comparison is the source text of the whole chain, on
-    one line."""
+    """(line, column, op, swapped op, expression) of each comparison and
+    boolean operator, in source order; the expression is the source text of
+    the whole chain, on one line."""
     lines = source.splitlines()
     tokens = {tok.start: tok.string
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-              if tok.type == tokenize.OP}
+              if tok.type == tokenize.OP or tok.string in ("and", "or")}
 
     def chars(line: int, col: int) -> tuple[int, int]:
         """An ast position, whose column counts UTF-8 bytes, as a tokenize one."""
@@ -64,18 +78,20 @@ def mutants(source: str) -> list[tuple[int, int, str, str, str]]:
 
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Compare):
+        if isinstance(node, ast.Compare):
+            pairs = zip(node.ops, [node.left, *node.comparators], node.comparators)
+        elif isinstance(node, ast.BoolOp):
+            pairs = ((node.op, left, right) for left, right in zip(node.values, node.values[1:]))
+        else:
             continue
-        left = node.left
-        for op, right in zip(node.ops, node.comparators):
+        for op, left, right in pairs:
             if type(op) in SWAPS:
                 old, new = SWAPS[type(op)]
                 after = chars(left.end_lineno, left.end_col_offset)
                 before = chars(right.lineno, right.col_offset)
                 (pos,) = [p for p, s in tokens.items() if after <= p < before and s == old]
-                comparison = " ".join(ast.get_source_segment(source, node).split())
-                found.append((*pos, old, new, comparison))
-            left = right
+                expression = " ".join(ast.get_source_segment(source, node).split())
+                found.append((*pos, old, new, expression))
     return sorted(found)
 
 
@@ -120,9 +136,9 @@ def main() -> int:
         for rel in args.files:
             path = root / rel
             source = path.read_text()
-            for line, col, old, new, comparison in mutants(source):
-                label = f"{rel}:{line} {old} -> {new} ({comparison})"
-                reason = EQUIVALENT.get((rel, comparison, old, new))
+            for line, col, old, new, expression in mutants(source):
+                label = f"{rel}:{line}:{col + 1} {old} -> {new} ({expression})"
+                reason = EQUIVALENT.get((rel, expression, old, new))
                 if reason is not None:
                     print(f"equivalent {label}: {reason}", file=sys.stderr)
                     continue

@@ -63,9 +63,8 @@ SITES = (
     ("offer_load", "headroom < admissible", "float"),
     ("offer_load", "0 < pending_bytes", "float"),
     ("offer_load", "int(", "int"),
-    ("_Engine._on_arrive", "t >= self.busy_until", "ns"),
-    ("_Engine._kick", "t >= self.busy_until", "ns"),
-    ("_Engine._contend", "start < self.horizon", "ns"),
+    ("_Engine._contend", "t < self.busy_until", "ns"),
+    ("_Engine._contend", "start >= self.horizon", "ns"),
     ("_Engine.run", "t >= horizon", "ns"),
     ("_Engine.run", "end < heap[0]", "tuple"),
     ("_Engine.run", "self._on_burst", "burst"),

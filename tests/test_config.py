@@ -214,6 +214,7 @@ txop_limit_us = 5484
     "bad, text",
     [pytest.param(bad, EVERY_KEY, id=bad) for bad in (
         "bitrate_mbps = 0", "mf = 3", "duty_percent = 0", "ibt_var_s2 = -1", "ibt_min_s = 0.01",
+        "mf = 65536",  # a power of two whose service period, 65535 // mf, floors to 0 us
         "bitrate_mbps = 0.0000001",  # no byte in a CBR burst
         "seeds = 0", "remote_rtt_s = 0", "queue_limit_segments = 0", "session_duration_s = 0",
         "phase1_duration_s = 0", "max_underruns = -1",

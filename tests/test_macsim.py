@@ -20,6 +20,7 @@ from twtsim import (
     MacParams,
     Scenario,
     Station,
+    TwtSchedule,
     VideoParams,
     compute_qos,
     generate_cbr_bursts,
@@ -475,9 +476,9 @@ def test_a_transmission_on_a_busy_channel_raises():
     engine._on_arrive(0, (engine.flows["f1"], 4 * 1500))  # the idle channel starts an A-MPDU
     end = engine.tx_end[0]
     engine.ap_cont.bo = 0
-    engine.race = ([engine.ap_cont], 0)
+    engine.race = race = ([engine.ap_cont], 0)  # a scheduled cycle, resumed before the end
     with pytest.raises(RuntimeError, match="another was on the channel"):
-        engine._on_tx_start(end - 1)
+        engine._contend(end - 1, race)
 
 
 def test_an_ap_with_nothing_to_send_raises_instead_of_selecting_none():
@@ -502,13 +503,15 @@ def _queued_engine(**kw) -> _Engine:
 def test_an_event_due_at_a_cycle_start_runs_before_the_transmission():
     engine = _queued_engine()
     start = engine.difs
-    due = (start, next(engine.seq), engine._kick, None)
+    due = (start, next(engine.seq), engine.h_contend, None)  # a collision's end, say
     engine.heap.append(due)
     engine._contend(0)
     assert engine.tx_end is None
     assert len(engine.trace.airtime) == 0  # the cycle waits on the heap, behind the event
     assert heapq.heappop(engine.heap) is due
-    assert heapq.heappop(engine.heap)[:3:2] == (start, engine._on_tx_start)
+    deferred = heapq.heappop(engine.heap)
+    assert deferred[:3:2] == (start, engine._contend)
+    assert deferred[3] is engine.race == ([engine.ap_cont], 0)  # the race is its payload
 
 
 def test_a_cycle_starting_at_the_horizon_logs_no_airtime():
@@ -517,6 +520,67 @@ def test_a_cycle_starting_at_the_horizon_logs_no_airtime():
     assert engine.tx_end is None
     assert len(engine.trace.airtime) == 0
     assert engine.heap[0][0] == engine.horizon  # the loop stops there without running it
+
+
+def test_colliders_at_the_last_stage_stay_there_and_redraw():
+    engine = _queued_engine()
+    (sta,) = engine.clients
+    sta.acks.append([engine.flows["f1"], 1, 1500])
+    sta.bo = 0
+    last = engine.mac.max_stage
+    colliders = (engine.ap_cont, sta)
+    for c in colliders:
+        c.stage = last
+    rngs = [random.Random() for _ in colliders]
+    for c, rng in zip(colliders, rngs):
+        rng.setstate(c.rng.getstate())
+    engine._contend(0)
+    assert engine.trace.collisions == 1
+    assert list(engine.trace.airtime)[0][2] == COLLISION_ID
+    assert engine.tx_end[2:] == (engine._contend, None)  # its end starts the next cycle
+    for c, rng in zip(colliders, rngs):
+        assert c.stage == last
+        assert c.bo == backoff_draw(engine.mac, last, rng) <= engine.mac.cw_max
+
+
+def _gated_engine() -> _Engine:
+    """An engine whose 'dut' sleeps every other millisecond, with nothing queued."""
+    sc = gated_scenario(30, 1)
+    return _Engine(replace(sc, twt=("dut", TwtSchedule(sp_us=1000, wi_us=1000))))
+
+
+def test_a_gated_ampdu_that_ends_exactly_at_its_window_end_is_sent():
+    engine = _gated_engine()
+    dut = engine.clients[0]
+    engine.busy_until = engine.horizon  # an arrival on a busy channel starts no cycle
+    engine._on_arrive(0, (engine.flows["stream"], 10 * 1500))
+    engine.busy_until = 0
+    engine.ap_cont.bo = 0
+    # at the start the window has the overhead and exactly three MPDUs left
+    start = engine.sp - (engine.overhead + 3 * dut.t_mpdu)
+    engine._contend(start - engine.difs)
+    assert engine.tx_end[0] == engine.sp
+    assert engine.tx_end[3] == (dut, 3)
+    assert list(engine.trace.airtime) == [(start / 1e9, engine.sp / 1e9, "ap")]
+
+
+def test_a_cycle_of_stale_claims_is_followed_by_one_at_its_start():
+    engine = _gated_engine()
+    dut, bg = engine.clients
+    dut.acks.append([engine.flows["stream"], 1, 1500])
+    bg.acks.append([engine.flows["noise"], 1, 1500])
+    dut.bo, bg.bo = 2, 5
+    # dut's ACK return no longer fits its window 1 ns after the winning count ends
+    stale_at = engine.sp - engine.difs - engine._ack_duration(dut) + 1
+    built = stale_at - engine.difs - 2 * engine.slot
+    assert engine._gated_acks_fit(built) and not engine._gated_acks_fit(stale_at)
+    engine._contend(built)
+    assert dut.bo is None  # its claim went stale: it redraws when its ACKs fit again
+    # bg's remaining three slots count from a cycle built at the stale start
+    start = stale_at + engine.difs + 3 * engine.slot
+    assert list(engine.trace.airtime.columns[0]) == [start]
+    assert list(engine.trace.airtime)[0][2] == "bg"
+    assert bg.bo is None
 
 
 def test_the_ap_and_every_client_contend_as_one_type():

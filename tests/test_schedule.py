@@ -38,6 +38,13 @@ def test_mf_must_be_power_of_two():
             schedule_from(30, bad)
 
 
+def test_mf_must_leave_a_service_period():
+    s = schedule_from(30, 32768)  # the largest: 65535 // 32768 = 1 us
+    assert (s.sp_us, s.wi_us) == (1, 4)
+    with pytest.raises(ValueError, match=r"^mf .*got 65536"):
+        schedule_from(30, 65536)  # 65535 // 65536 floors to 0 us
+
+
 def test_duty_out_of_range_rejected():
     for bad in (0, -5, 101):
         with pytest.raises(ValueError):
