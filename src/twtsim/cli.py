@@ -52,7 +52,8 @@ def _bg_aggregate_mbps(trace) -> float:
     return 8 * total / trace.duration_s / 1e6
 
 
-# the fields of a DutyPoint and of an MfPoint, in order
+# the fields of a DutyPoint and of an MfPoint, in order; the MF CSV names
+# MfPoint.mean_cv as mean_throughput_cv
 _DUTY_HEADER = ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"]
 _MF_HEADER = ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"]
 
@@ -273,21 +274,18 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_json("validation", str(exc)))
         return EXIT_VALIDATION
 
-    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "out"
-    out = Path(out_dir)
+    out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(_error_json("output", str(exc)))
-        return EXIT_VALIDATION
-
-    try:
         return _HANDLERS[args.command](cfg, out)
     except InfeasibleTargetError as exc:
         print(_error_json("infeasible-target", str(exc)))
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(_error_json("validation", str(exc)))
+        return EXIT_VALIDATION
+    except OSError as exc:  # the directory or an artifact cannot be written
+        print(_error_json("output", str(exc)))
         return EXIT_VALIDATION
 
 

@@ -72,8 +72,8 @@ from .schedule import TwtSchedule
 # perfbench's layer trace wraps this name here; the engine does not call it
 from .schedule import wake_windows  # noqa: F401
 from .traffic import Burst
-from .transport import (MAX_TIME_S, SEGMENT_BYTES, Flow, check_finite_positive, offer_load,
-                        on_ack, on_idle_restart, on_loss)
+from .transport import (CWND_INIT_SEGMENTS, MAX_TIME_S, SEGMENT_BYTES, Flow,
+                        check_finite_positive, offer_load, on_ack, on_idle_restart, on_loss)
 
 NS_PER_US = 1000
 TCP_ACK_BYTES = 64
@@ -224,7 +224,7 @@ def _bytes_typecode(sc: Scenario) -> str:
     else ``'q'``.  A record is one flow's bytes in one A-MPDU: at most
     ``max_ampdu_mpdus`` MPDUs and the flow's queue limit, a segment each."""
     most = min(sc.mac.max_ampdu_mpdus, max((f.queue_limit_segments for f in sc.flows), default=0))
-    return "i" if most * Flow.segment_bytes < 1 << 8 * array("i").itemsize - 1 else "q"
+    return "i" if most * SEGMENT_BYTES < 1 << 8 * array("i").itemsize - 1 else "q"
 
 
 class Rows:
@@ -321,10 +321,7 @@ def seed_state(entropy, spawn_key: tuple[int, ...] = (), n_words: int = 1) -> in
     a spawn key follows the entropy words padded with zeros to the pool size.
     """
     data = _words(entropy)
-    spawn = _words(spawn_key)
-    if spawn and len(data) < _POOL:
-        data += [0] * (_POOL - len(data))
-    data += spawn
+    data += [0] * (_POOL - len(data)) + _words(spawn_key)
     mult = _INIT_A
 
     def hashmix(v: int) -> int:
@@ -338,7 +335,7 @@ def seed_state(entropy, spawn_key: tuple[int, ...] = (), n_words: int = 1) -> in
         r = (_MIX_L * x - _MIX_R * y) & _MASK32
         return r ^ (r >> 16)
 
-    pool = [hashmix(data[i] if i < len(data) else 0) for i in range(_POOL)]
+    pool = [hashmix(data[i]) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
@@ -358,7 +355,7 @@ def seed_state(entropy, spawn_key: tuple[int, ...] = (), n_words: int = 1) -> in
 
 def mpdu_airtime_ns(phy_rate_mbps: float) -> int:
     """Airtime of one full MPDU in ns (ceil); an MPDU carries one TCP segment."""
-    return math.ceil(Flow.segment_bytes * 8 * NS_PER_US / phy_rate_mbps)
+    return math.ceil(SEGMENT_BYTES * 8 * NS_PER_US / phy_rate_mbps)
 
 
 def ack_airtime_ns(mac: MacParams, records: int, phy_rate_mbps: float) -> int:
@@ -375,7 +372,7 @@ def check_mpdu_fits(mac: MacParams, sid: str, phy_rate_mbps: float) -> None:
     """
     # mpdu_airtime_ns before its ceil, which a rate below ~1e-302 would overflow;
     # the room is whole ns, and ceil(x) <= n exactly when x <= n for a whole n
-    mpdu_ns = Flow.segment_bytes * 8 * NS_PER_US / phy_rate_mbps
+    mpdu_ns = SEGMENT_BYTES * 8 * NS_PER_US / phy_rate_mbps
     if mpdu_ns <= (mac.txop_limit_us - mac.per_frame_overhead_us) * NS_PER_US:
         return
     need = (f"one MPDU to station {sid!r} at {phy_rate_mbps} Mbps needs "
@@ -478,7 +475,7 @@ class _FlowState:
         self.idx = idx  # its flow index in the trace
         self.dst = dst
         self.limit = flow.queue_limit_segments
-        self.cwnd = flow.cwnd_init_segments
+        self.cwnd = CWND_INIT_SEGMENTS
         self.ssthresh = math.inf
         self.half_rtt_ns = round(flow.base_rtt_s * 1e9 / 2)
         self.idle_ns = round(flow.idle_restart_s * 1e9)
@@ -587,14 +584,14 @@ class _Engine:
 
     def _try_send(self, t: int, fs: _FlowState) -> None:
         pending = fs.released - fs.sent
-        offer = offer_load(fs.flow, fs.cwnd, pending, fs.in_flight)
+        offer = offer_load(fs.cwnd, pending, fs.in_flight, fs.limit)
         if offer <= 0:
             return
         if fs.last_send_ns is not None and t - fs.last_send_ns > fs.idle_ns:
-            fs.cwnd, fs.ssthresh = on_idle_restart(fs.flow, fs.cwnd, fs.ssthresh)
+            fs.cwnd, fs.ssthresh = on_idle_restart(fs.cwnd, fs.ssthresh)
             if self.record_cwnd:
                 self._record_cwnd(t, fs)
-            offer = offer_load(fs.flow, fs.cwnd, pending, fs.in_flight)
+            offer = offer_load(fs.cwnd, pending, fs.in_flight, fs.limit)
             if offer <= 0:
                 return
         fs.sent += offer
@@ -610,11 +607,8 @@ class _Engine:
         segs = full + 1 if tail else full
         room = fs.limit - fs.queued_segments  # never negative
         c = fs.dst
-        if segs <= room:  # all of it fits
-            took, took_tail = full, 1 if tail else 0
-        else:
-            took = room if room < full else full
-            took_tail = 1 if tail and room > full else 0
+        took = room if room < full else full
+        took_tail = 1 if tail and room > full else 0
         accepted = took + took_tail
         if accepted:
             if took:
@@ -664,8 +658,6 @@ class _Engine:
     def _gated_acks_fit(self, t: int) -> bool:
         """The gated client's ACK records fit what is left of its wake window."""
         left = self.sp - t % self.period - self.difs
-        if left <= 0:
-            return False
         g = self.gated
         return left >= (g.ack_ns.get(len(g.acks)) or self._ack_duration(g))
 

@@ -128,23 +128,17 @@ def compute_qos(trace: SimTrace, bursts: Sequence[Burst]) -> QosReport:
             bins[min(int(t / INTERVAL_S), nbins - 1)] += nbytes
             yield t, nbytes
 
-    serve_end = {index: end for index, _, end in _served(binned(), bursts)}
+    # an unserved burst ends at the horizon
+    ends = [end for _, _, end in _served(binned(), bursts)]
+    ends += [duration] * (len(bursts) - len(ends))
     series = [(i * INTERVAL_S, 8.0 * b / INTERVAL_S / 1e6) for i, b in enumerate(bins)]
 
     due_bytes = sum(b.size_bytes for b in bursts
                     if b.release_time_s + b.inter_burst_time_s <= duration)
 
     late: list[tuple[int, float]] = []
-    for i, b in enumerate(bursts):
-        deadline = b.release_time_s + b.inter_burst_time_s
-        end = serve_end.get(i)
-        if end is None:
-            if duration > deadline:
-                lateness = duration - deadline
-            else:
-                continue  # deadline beyond the horizon: unobservable
-        else:
-            lateness = end - deadline
+    for i, (b, end) in enumerate(zip(bursts, ends)):
+        lateness = end - (b.release_time_s + b.inter_burst_time_s)
         if lateness > 0:
             late.append((i, lateness))
 

@@ -24,7 +24,8 @@ FlowKind = Literal["saturated", "burst"]
 # inside int64, as no transmission lasts longer than a TXOP
 MAX_TIME_S = 2**62 / 1e9
 
-SEGMENT_BYTES = 1500  # one MPDU carries one segment; per-event code reads this, not Flow's
+SEGMENT_BYTES = 1500  # one MPDU carries one segment
+CWND_INIT_SEGMENTS = 10.0  # the initial and the idle-restart window
 
 
 def check_finite_positive(name: str, value: float | None, most: float = math.inf) -> None:
@@ -46,7 +47,6 @@ class Flow:
     base_rtt_s: float = 0.030
     segment_bytes: ClassVar[int] = SEGMENT_BYTES
     queue_limit_segments: int = 256
-    cwnd_init_segments: ClassVar[float] = 10.0  # the initial and the idle-restart window
     idle_restart_s: float = 1.0
 
     def __post_init__(self) -> None:
@@ -67,13 +67,11 @@ def on_ack(cwnd: float, ssthresh: float, acked_segments: int) -> float:
     if acked_segments < 1:
         raise ValueError(f"acked_segments must be >= 1, got {acked_segments}")
     # slow start until cwnd reaches ssthresh; as cwnd only grows, the rest
-    # of the segments are all congestion avoidance, where most calls start,
-    # so the outer test spares them the loop's
+    # of the segments are all congestion avoidance
     left = acked_segments
-    if cwnd < ssthresh:
-        while left and cwnd < ssthresh:
-            cwnd += 1.0
-            left -= 1
+    while left and cwnd < ssthresh:
+        cwnd += 1.0
+        left -= 1
     for _ in range(left):
         cwnd += 1.0 / cwnd
     return cwnd
@@ -85,17 +83,19 @@ def on_loss(cwnd: float) -> float:
     return max(cwnd / 2.0, 2.0)
 
 
-def on_idle_restart(flow: Flow, cwnd: float, ssthresh: float) -> tuple[float, float]:
+def on_idle_restart(cwnd: float, ssthresh: float) -> tuple[float, float]:
     """Collapse to the initial window after a sender-idle period; returns
     (cwnd, ssthresh)."""
-    return min(cwnd, flow.cwnd_init_segments), max(ssthresh, 0.75 * cwnd)
+    return min(cwnd, CWND_INIT_SEGMENTS), max(ssthresh, 0.75 * cwnd)
 
 
-def offer_load(flow: Flow, cwnd: float, pending_bytes: float, in_flight_bytes: int) -> int:
-    """Bytes the server may push now: window headroom, clipped at the queue limit.
+def offer_load(cwnd: float, pending_bytes: float, in_flight_bytes: int,
+               limit_segments: int) -> int:
+    """Bytes the server may push now: window headroom, clipped at the queue
+    limit of ``limit_segments``.
 
     ``pending_bytes`` is the unsent backlog (``math.inf`` for a saturated
-    source).  The result is a whole number of segments.
+    source).  The result is a whole number of segments, or a burst's tail.
     """
     if pending_bytes < 0 or in_flight_bytes < 0:
         raise ValueError("pending_bytes and in_flight_bytes must be >= 0")
@@ -106,11 +106,12 @@ def offer_load(flow: Flow, cwnd: float, pending_bytes: float, in_flight_bytes: i
     admissible = pending_bytes
     if headroom < admissible:
         admissible = headroom
-    limit = flow.queue_limit_segments * SEGMENT_BYTES
+    limit = limit_segments * SEGMENT_BYTES
     if limit < admissible:
         admissible = limit
     segments = int(admissible // SEGMENT_BYTES)
-    # a burst tail smaller than one segment still needs to travel
-    if segments == 0 and 0 < pending_bytes < SEGMENT_BYTES:
+    # a burst tail smaller than one segment still needs to travel (a pending 0
+    # returns 0 either way)
+    if segments == 0 and pending_bytes < SEGMENT_BYTES:
         return int(pending_bytes)
     return segments * SEGMENT_BYTES

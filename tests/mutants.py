@@ -13,14 +13,17 @@ edits the repo.  It finds every ``<``, ``<=``, ``>``, ``>=``, ``==``, ``!=``,
 in the copy's source text, so every other line keeps its number.  Each
 mutant runs ``pytest -x`` on the TESTs, killed at the timeout.  A mutant that
 passes them survives and is printed to stdout as ``file:line:column op -> op``,
-then the comparison or boolean expression it is in; progress goes to stderr.
-Mutants listed in ``EQUIVALENT`` are skipped and printed with their reason.
+then the qualified name of the function it is in and the comparison or boolean
+expression it is in; progress goes to stderr.  Mutants listed in
+``EQUIVALENT`` are skipped and printed with their reason.
 
 Exit status: 0 when no mutant survived, 1 when one did, 2 when the TESTs
-fail on the unmutated copy.  It uses only the standard library, and pytest
-does not collect it.  Each mutant is one pytest run, so CI sweeps only
-``schedule.py``, whose tests take a second; ``macsim.py`` against
-``test_macsim``, ``test_bench_hooks`` and ``test_search`` takes about 7 min.
+fail on the unmutated copy or an ``EQUIVALENT`` entry matches more than one
+mutant (it is printed with the positions it matches, and no mutant runs).  It
+uses only the standard library, and pytest does not collect it.  Each mutant
+is one pytest run, so CI sweeps only ``schedule.py`` and ``transport.py``,
+whose tests take about a second; ``macsim.py`` against ``test_macsim``,
+``test_bench_hooks`` and ``test_search`` takes about 6 min.
 """
 
 import argparse
@@ -43,30 +46,53 @@ SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
          ast.And: ("and", "or"), ast.Or: ("or", "and")}
 
-# (file, expression, op, swapped op) -> why the mutant cannot be told apart
+# (file, function, expression, op, swapped op) -> why the mutant cannot be told
+# apart; the function is the qualified name of the one the expression is in
 EQUIVALENT = {
-    ("src/twtsim/qos.py", "duration > deadline", ">", ">="):
-        "an unserved burst whose deadline equals the horizon has lateness 0, which "
-        "`lateness > 0` drops",
-    ("src/twtsim/schedule.py", "mf > SP_CAP_US", ">", ">="):
+    ("src/twtsim/schedule.py", "schedule_from", "mf > SP_CAP_US", ">", ">="):
         "65535 is not a power of two, so the power-of-two test refuses it either way",
-    ("src/twtsim/macsim.py", "spawn and len(data) < _POOL", "and", "or"):
-        "the pool reads a missing entropy word as 0, so padding with zeros changes no word",
-    ("src/twtsim/macsim.py", "len(data) < _POOL", "<", "<="):
-        "at exactly _POOL words the padding is empty",
-    ("src/twtsim/macsim.py", "bo < min_bo", "<", "<="):
+    ("src/twtsim/transport.py", "offer_load", "headroom < admissible", "<", "<="):
+        "a headroom equal to the least so far sets the same least",
+    ("src/twtsim/transport.py", "offer_load", "limit < admissible", "<", "<="):
+        "a queue limit equal to the least so far sets the same least",
+    ("src/twtsim/macsim.py", "_bytes_typecode",
+     'most * SEGMENT_BYTES < 1 << 8 * array("i").itemsize - 1', "<", "<="):
+        "2**31 is not a multiple of 1500, so no record of whole segments ties it",
+    ("src/twtsim/macsim.py", "_Engine._on_arrive", "room < full", "<", "<="):
+        "a room equal to the full segments takes as many either way",
+    ("src/twtsim/macsim.py", "_Engine._contend", "bo < min_bo", "<", "<="):
         "a counter equal to the least so far sets the same least",
-    ("src/twtsim/macsim.py", "d > dur", ">", ">="):
+    ("src/twtsim/macsim.py", "_Engine._contend", "d > dur", ">", ">="):
         "a collision's duration equal to the longest so far sets the same longest",
-    ("src/twtsim/macsim.py", "end < heap[0]", "<", "<="):
+    ("src/twtsim/macsim.py", "_Engine.run", "end < heap[0]", "<", "<="):
         "seqs are unique, so the transmission end never ties a heap event",
+    ("src/twtsim/macsim.py", "aggregate_ns", "queued_segments <= 0", "<=", "<"):
+        "an empty queue gives 0 either way: the min rule below caps the count at 0",
+    ("src/twtsim/macsim.py", "aggregate_ns", "queued_segments < n", "<", "<="):
+        "a queued count equal to the A-MPDU limit sets the same int",
 }
 
 
-def mutants(source: str) -> list[tuple[int, int, str, str, str]]:
-    """(line, column, op, swapped op, expression) of each comparison and
-    boolean operator, in source order; the expression is the source text of
-    the whole chain, on one line."""
+def scoped(tree: ast.AST):
+    """Each node of ``tree`` with the qualified name (``__qualname__``) of the
+    function or class it is in, "" at module level."""
+    stack = [(tree, "", False)]  # node, qualified name, whether that is a function's
+    while stack:
+        node, name, in_function = stack.pop()
+        yield node, name
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                prefix = f"{name}.<locals>." if in_function else f"{name}." if name else ""
+                stack.append((child, prefix + child.name, not isinstance(child, ast.ClassDef)))
+            else:
+                stack.append((child, name, in_function))
+
+
+def mutants(source: str) -> list[tuple[int, int, str, str, str, str]]:
+    """(line, column, op, swapped op, function, expression) of each comparison
+    and boolean operator, in source order; the function is the qualified name
+    of the one it is in, and the expression the source text of the whole
+    chain, on one line."""
     lines = source.splitlines()
     tokens = {tok.start: tok.string
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
@@ -77,7 +103,7 @@ def mutants(source: str) -> list[tuple[int, int, str, str, str]]:
         return line, len(lines[line - 1].encode()[:col].decode())
 
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node, function in scoped(ast.parse(source)):
         if isinstance(node, ast.Compare):
             pairs = zip(node.ops, [node.left, *node.comparators], node.comparators)
         elif isinstance(node, ast.BoolOp):
@@ -91,7 +117,7 @@ def mutants(source: str) -> list[tuple[int, int, str, str, str]]:
                 before = chars(right.lineno, right.col_offset)
                 (pos,) = [p for p, s in tokens.items() if after <= p < before and s == old]
                 expression = " ".join(ast.get_source_segment(source, node).split())
-                found.append((*pos, old, new, expression))
+                found.append((*pos, old, new, function, expression))
     return sorted(found)
 
 
@@ -124,6 +150,18 @@ def main() -> int:
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
     args = parser.parse_args()
     start = time.monotonic()
+    found = {rel: mutants((ROOT / rel).read_text()) for rel in args.files}
+    ambiguous = 0
+    for key in EQUIVALENT:
+        rel, *what = key
+        at = [f"{line}:{col + 1}" for line, col, old, new, function, expression
+              in found.get(rel, ()) if [function, expression, old, new] == what]
+        if len(at) > 1:
+            print(f"EQUIVALENT entry {key} matches more than one mutant, at {rel} "
+                  f"{' and '.join(at)}", file=sys.stderr)
+            ambiguous += 1
+    if ambiguous:
+        return 2
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="twtsim-mutants-") as tmp:
         root = Path(tmp)
@@ -136,9 +174,10 @@ def main() -> int:
         for rel in args.files:
             path = root / rel
             source = path.read_text()
-            for line, col, old, new, expression in mutants(source):
-                label = f"{rel}:{line}:{col + 1} {old} -> {new} ({expression})"
-                reason = EQUIVALENT.get((rel, expression, old, new))
+            for line, col, old, new, function, expression in found[rel]:
+                where = function or "module level"
+                label = f"{rel}:{line}:{col + 1} {old} -> {new} in {where} ({expression})"
+                reason = EQUIVALENT.get((rel, function, expression, old, new))
                 if reason is not None:
                     print(f"equivalent {label}: {reason}", file=sys.stderr)
                     continue

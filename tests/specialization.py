@@ -61,7 +61,7 @@ SITES = (
     ("_Engine._on_burst", "fs.released += size", "float"),
     ("offer_load", "pending_bytes < 0", "float"),
     ("offer_load", "headroom < admissible", "float"),
-    ("offer_load", "0 < pending_bytes", "float"),
+    ("offer_load", "pending_bytes < SEGMENT_BYTES", "float"),
     ("offer_load", "int(", "int"),
     ("_Engine._contend", "t < self.busy_until", "ns"),
     ("_Engine._contend", "start >= self.horizon", "ns"),

@@ -319,6 +319,15 @@ def test_out_path_that_is_a_file_is_a_validation_error(cfg_path, tmp_path, capsy
     assert str(taken) in err["detail"]
 
 
+def test_an_artifact_that_cannot_be_written_is_an_output_error(cfg_path, tmp_path, capsys):
+    taken = tmp_path / "o" / "qos_report.json"
+    taken.mkdir(parents=True)
+    assert run_cli("--config", cfg_path, "--command", "qos", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "output"
+    assert str(taken) in err["detail"]
+
+
 def test_config_error_exit_code_and_json(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("format = 1\n[traffic]\nnope = 1\n")

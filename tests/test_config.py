@@ -434,6 +434,18 @@ def test_exactly_one_dut_required():
         parse(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL.replace("[station.c1]", "[station.ap2]\nrole = ap\n\n[station.c1]"),
+     "more than one station with role = ap"),
+    (MINIMAL.replace("[station.ap]\nrole = ap\n", ""), "no station with role = ap"),
+    (MINIMAL.replace("[station.c1]\nphy_rate_mbps = 100\ndut = true\n", ""),
+     "no client stations"),
+], ids=["two APs", "no AP", "no client"])
+def test_exactly_one_ap_and_some_client_required(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse(text)
+
+
 def test_invalid_model_rejected():
     text = MINIMAL + "\n[sim]\nmodel = dash\n"
     with pytest.raises(ConfigError, match="model"):

@@ -219,8 +219,10 @@ def aggregate_args(draw):
 
 
 @given(aggregate_args())
-# a budget at, and just below, the overhead; zero and negative queues
+# a budget at the overhead, at and just below one MPDU past it, and below it;
+# zero and negative queues
 @example((120_000, OVERHEAD_NS, OVERHEAD_NS, 64, 10))
+@example((120_000, OVERHEAD_NS + 120_000, OVERHEAD_NS, 64, 10))
 @example((120_000, OVERHEAD_NS + 119_999, OVERHEAD_NS, 64, 10))
 @example((120_000, OVERHEAD_NS - 1, OVERHEAD_NS, 64, 10))
 @example((120_000, TXOP_NS, OVERHEAD_NS, 64, 0))
@@ -471,6 +473,19 @@ def test_ampdu_beyond_the_queue_raises_naming_the_station():
     assert list(engine.trace.deliveries) == [(0.0, "sta", "f1", 6700)]
 
 
+def test_a_tail_that_overflows_the_queue_by_exactly_itself_is_dropped():
+    flow = Flow(id="f1", dst="sta", kind="saturated", base_rtt_s=0.002, queue_limit_segments=4)
+    engine = _Engine(two_station_scenario(flows=(flow,)))
+    (sta,) = engine.clients
+    fs = engine.flows["f1"]
+    fs.sent = fs.in_flight = 4 * 1500 + 700
+    engine.busy_until = engine.horizon  # an arrival on a busy channel starts no cycle
+    engine._on_arrive(0, (fs, 4 * 1500 + 700))  # the full segments fill the queue
+    assert sta.qsegs == fs.queued_segments == 4
+    assert engine.trace.drops == {"f1": 1}
+    assert fs.sent == fs.in_flight == 4 * 1500
+
+
 def test_a_transmission_on_a_busy_channel_raises():
     engine = _Engine(two_station_scenario())
     engine._on_arrive(0, (engine.flows["f1"], 4 * 1500))  # the idle channel starts an A-MPDU
@@ -562,6 +577,20 @@ def test_a_gated_ampdu_that_ends_exactly_at_its_window_end_is_sent():
     assert engine.tx_end[0] == engine.sp
     assert engine.tx_end[3] == (dut, 3)
     assert list(engine.trace.airtime) == [(start / 1e9, engine.sp / 1e9, "ap")]
+
+
+def test_a_gated_ack_return_that_fills_what_is_left_of_its_window_is_sent():
+    engine = _gated_engine()
+    dut = engine.clients[0]
+    dut.acks.append([engine.flows["stream"], 1, 1500])
+    dut.bo = 0
+    dur = engine._ack_duration(dut)
+    # at the start, what _gated_acks_fit leaves of the window (its end less a
+    # DIFS) is the return's airtime to the ns
+    start = engine.sp - engine.difs - dur
+    engine._contend(start - engine.difs)
+    assert list(engine.trace.airtime) == [(start / 1e9, (start + dur) / 1e9, "dut")]
+    assert engine.tx_end[2:] == (engine._on_ack_end, dut)
 
 
 def test_a_cycle_of_stale_claims_is_followed_by_one_at_its_start():

@@ -94,6 +94,21 @@ def test_a_burst_stores_no_index():
                                                "inter_burst_time_s"]
 
 
+@pytest.mark.parametrize("release, size, ibt", [(0.0, 0, 6.0), (-1.0, 1, 6.0), (0.0, 1, 0.0)],
+                         ids=["empty", "released before 0", "no inter-burst time"])
+def test_a_burst_holds_bytes_and_is_released_in_time(release, size, ibt):
+    with pytest.raises(ValueError, match="^burst "):
+        Burst(release_time_s=release, size_bytes=size, inter_burst_time_s=ibt)
+
+
+@pytest.mark.parametrize("generate", [
+    generate_cbr_bursts, lambda p, d: generate_vbr_bursts(p, d, np.random.default_rng(1))],
+    ids=["cbr", "vbr"])
+def test_a_session_of_no_time_is_refused(generate):
+    with pytest.raises(ValueError, match="^duration_s must be > 0, got 0"):
+        generate(VideoParams(), 0.0)
+
+
 def test_vbr_bursts_follow_the_frame_model():
     p = VideoParams(bitrate_mbps=15.6)
     bursts = generate_vbr_bursts(p, 120.0, np.random.default_rng(17))

@@ -5,7 +5,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twtsim import Flow
-from twtsim.transport import MAX_TIME_S, offer_load, on_ack, on_idle_restart, on_loss
+from twtsim.transport import (CWND_INIT_SEGMENTS, MAX_TIME_S, offer_load, on_ack,
+                              on_idle_restart, on_loss)
 
 SEG = 1500
 
@@ -36,6 +37,7 @@ def test_queue_limit_is_refused_under_its_field_name():
     # the config reports a message at the line of the key it starts with
     with pytest.raises(ValueError, match="^queue_limit_segments must be >= 1, got 0$"):
         make_flow(queue_limit_segments=0)
+    make_flow(queue_limit_segments=1)  # the least queue, one segment, is taken
 
 
 def test_slow_start_grows_one_segment_per_ack():
@@ -78,46 +80,46 @@ def test_loss_halves_and_floors():
 
 
 def test_idle_restart_resets_window_but_remembers_rate():
-    f = make_flow()
-    cwnd, ssthresh = on_idle_restart(f, 80.0, 40.0)
-    assert cwnd == f.cwnd_init_segments
+    cwnd, ssthresh = on_idle_restart(80.0, 40.0)
+    assert cwnd == CWND_INIT_SEGMENTS
     assert ssthresh == 60.0  # max(old, 3/4 * cwnd)
-    cwnd, ssthresh = on_idle_restart(f, 4.0, 100.0)
+    cwnd, ssthresh = on_idle_restart(4.0, 100.0)
     assert cwnd == 4.0  # never grows the window
     assert ssthresh == 100.0
 
 
 def test_offer_load_respects_cwnd_and_in_flight():
-    f = make_flow()
-    assert offer_load(f, 10.0, pending_bytes=10**9, in_flight_bytes=0) == 10 * SEG
-    assert offer_load(f, 10.0, pending_bytes=10**9, in_flight_bytes=4 * SEG) == 6 * SEG
-    assert offer_load(f, 10.0, pending_bytes=10**9, in_flight_bytes=10 * SEG) == 0
+    assert offer_load(10.0, pending_bytes=10**9, in_flight_bytes=0, limit_segments=256) == 10 * SEG
+    assert offer_load(10.0, pending_bytes=10**9, in_flight_bytes=4 * SEG,
+                      limit_segments=256) == 6 * SEG
+    assert offer_load(10.0, pending_bytes=10**9, in_flight_bytes=10 * SEG,
+                      limit_segments=256) == 0
 
 
 def test_offer_load_respects_pending_and_queue_limit():
-    f = make_flow(queue_limit_segments=256)
-    assert offer_load(f, 1000.0, pending_bytes=3 * SEG, in_flight_bytes=0) == 3 * SEG
-    assert offer_load(f, 1000.0, pending_bytes=10**9, in_flight_bytes=0) == 256 * SEG
+    assert offer_load(1000.0, pending_bytes=3 * SEG, in_flight_bytes=0,
+                      limit_segments=256) == 3 * SEG
+    assert offer_load(1000.0, pending_bytes=10**9, in_flight_bytes=0,
+                      limit_segments=256) == 256 * SEG
 
 
 def test_offer_load_sends_partial_tail():
-    f = make_flow()
-    assert offer_load(f, 10.0, pending_bytes=700, in_flight_bytes=0) == 700
-    assert offer_load(f, 10.0, pending_bytes=0, in_flight_bytes=0) == 0
+    assert offer_load(10.0, pending_bytes=700, in_flight_bytes=0, limit_segments=256) == 700
+    assert offer_load(10.0, pending_bytes=0, in_flight_bytes=0, limit_segments=256) == 0
 
 
-def min_offer_load(flow, cwnd, pending_bytes, in_flight_bytes):
+def min_offer_load(cwnd, pending_bytes, in_flight_bytes, limit_segments):
     """The reference: ``offer_load`` written with the builtin ``min``."""
     if pending_bytes < 0 or in_flight_bytes < 0:
         raise ValueError("pending_bytes and in_flight_bytes must be >= 0")
-    headroom = int(cwnd) * flow.segment_bytes - in_flight_bytes
+    headroom = int(cwnd) * SEG - in_flight_bytes
     if headroom <= 0:
         return 0
-    admissible = min(pending_bytes, headroom, flow.queue_limit_segments * flow.segment_bytes)
-    segments = int(admissible // flow.segment_bytes)
-    if segments == 0 and 0 < pending_bytes < flow.segment_bytes:
+    admissible = min(pending_bytes, headroom, limit_segments * SEG)
+    segments = int(admissible // SEG)
+    if segments == 0 and 0 < pending_bytes < SEG:
         return int(pending_bytes)
-    return segments * flow.segment_bytes
+    return segments * SEG
 
 
 @st.composite
@@ -145,12 +147,20 @@ def offer_args(draw):
 @example((256, 10.0, 700.0, 9 * SEG + 800))  # ...that ties the headroom left
 @example((256, 10.0, 0.0, 0))
 @example((256, 10.0, 3 * SEG, 10 * SEG))  # no headroom
+@example((256, 10.0, 700.0, 10 * SEG))  # no headroom for a burst tail
+@example((256, 10.0, float(SEG), 9 * SEG + 800))  # one segment pending, headroom for less
 def test_offer_load_is_the_min_rule(args):
     limit, cwnd, pending, in_flight = args
-    f = make_flow(queue_limit_segments=limit)
-    got, want = offer_load(f, cwnd, pending, in_flight), min_offer_load(f, cwnd, pending, in_flight)
+    got = offer_load(cwnd, pending, in_flight, limit)
+    want = min_offer_load(cwnd, pending, in_flight, limit)
     assert got == want and type(got) is type(want)
 
 
+@pytest.mark.parametrize("pending, in_flight", [(-1.0, 0), (0.0, -1)])
+def test_offer_load_refuses_a_negative_backlog_or_flight(pending, in_flight):
+    with pytest.raises(ValueError, match=">= 0"):
+        offer_load(10.0, pending, in_flight, 256)
+
+
 def test_fractional_cwnd_truncates():
-    assert offer_load(make_flow(), 5.9, pending_bytes=10**9, in_flight_bytes=0) == 5 * SEG
+    assert offer_load(5.9, pending_bytes=10**9, in_flight_bytes=0, limit_segments=256) == 5 * SEG
