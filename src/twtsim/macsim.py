@@ -7,13 +7,12 @@ MPDU.  Stations contend to return transport ACKs.  Channel access is
 resolved in contention cycles: after the medium goes idle every backlogged
 contender waits DIFS and counts down its binary-exponential backoff, the
 smallest counter transmits, ties collide and escalate their stage.  A
-transmission is an A-MPDU bounded by the aggregation cap, the TXOP limit and
--- for the TWT station -- the remainder of the current wake window; nothing
-addressed to or sent by the TWT station may cross a wake-window boundary.
-A scenario holds at most one individual TWT agreement, ``Scenario.twt``: the
-id of the client it gates and its schedule.  The engine only moves bytes and
-gates that client: when each video burst was served is worked out afterwards
-from the deliveries (``qos.burst_service``).
+transmission is an A-MPDU bounded by the aggregation cap, the TXOP limit and,
+for the client that the scenario's one TWT agreement gates (``Scenario.twt``),
+what ``_Engine._window_left`` leaves of its wake window: that method states
+the window rule.  The engine only moves bytes and gates that client: when each
+video burst was served is worked out afterwards from the deliveries
+(``qos.burst_service``).
 
 Each client's state -- its queue, its ACK records, its contender -- is one
 object that events and queue runs carry, as they carry each flow's state; a
@@ -545,8 +544,7 @@ class _Engine:
         self.tx_end: tuple | None = None
 
         if sched is not None:
-            self.sp = sched.sp_us * NS_PER_US
-            self.period = sched.period_us * NS_PER_US
+            self.sp, self.period = sched.sp_us * NS_PER_US, sched.period_us * NS_PER_US
         # station indices: the contenders', then the collision pseudo-station
         names = (ap.id, *(c.sid for c in self.clients), COLLISION_ID)
         self.collision_idx = len(names) - 1
@@ -645,9 +643,20 @@ class _Engine:
         self._try_send(t, fs)
 
     # -- contention -----------------------------------------------------
-    # What is left of the gated client's wake window at t is
-    # ``self.sp - t % self.period``: at most 0 while it sleeps, which every
-    # test of it below treats as no room.
+    def _window_left(self, s: int) -> int:
+        """What is left of the gated client's wake window at ``s`` in ns, at most 0 (no
+        room) while it sleeps.  The rule as it stands: where a cycle is built and where it
+        starts, the gated ACK return (``_gated_acks_fit``) and the A-MPDU that makes the AP
+        pending (``_ap_pending``) leave a DIFS before the window end; the A-MPDU chosen at
+        the start (``_select_ap_tx``) need not; nothing gated crosses it (``_contend``).  It
+        reads the clock, not state set on waking: an event at a wake instant may run first."""
+        return self.sp - s % self.period
+
+    def _gated_ampdu(self, budget: int) -> int:
+        """MPDUs in the gated client's next A-MPDU, within ``budget`` ns and the TXOP."""
+        return aggregate_ns(self.gated.t_mpdu, budget if budget < self.txop else self.txop,
+                            self.overhead, self.max_ampdu, self.gated.qsegs)
+
     def _ack_duration(self, c: _Contender) -> int:
         n = len(c.acks)
         dur = c.ack_ns.get(n)
@@ -657,40 +666,31 @@ class _Engine:
 
     def _gated_acks_fit(self, t: int) -> bool:
         """The gated client's ACK records fit what is left of its wake window."""
-        left = self.sp - t % self.period - self.difs
         g = self.gated
-        return left >= (g.ack_ns.get(len(g.acks)) or self._ack_duration(g))
+        return (self._window_left(t) - self.difs
+                >= (g.ack_ns.get(len(g.acks)) or self._ack_duration(g)))
 
     def _ap_pending(self, t: int) -> bool:
         if self.backlog[1]:
             return True
         g = self.gated
         if g is not None and g.qsegs:
-            # one MPDU fits the TXOP (check_mpdu_fits), so only the window can
-            # leave no room for one: the budget needs no TXOP clamp here
-            budget = self.sp - t % self.period - self.difs
-            if budget > 0 and aggregate_ns(g.t_mpdu, budget, self.overhead, self.max_ampdu,
-                                           g.qsegs) >= 1:
+            budget = self._window_left(t) - self.difs
+            if budget > 0 and self._gated_ampdu(budget) >= 1:
                 return True
         return self.backlog[0] > 0
 
     def _select_ap_tx(self, t: int):
-        """Pick (client, n_mpdus, duration); DUT first inside windows.
-
-        Call it only when ``_ap_pending(t)`` holds."""
+        """Pick (client, n_mpdus, duration); DUT first inside windows.  Call it
+        only when ``_ap_pending(t)`` holds."""
         g = self.gated
         if g is not None and g.qsegs:
-            budget = self.sp - t % self.period
-            if budget > self.txop:
-                budget = self.txop
-            n = aggregate_ns(g.t_mpdu, budget, self.overhead, self.max_ampdu, g.qsegs)
+            n = self._gated_ampdu(self._window_left(t))
             if n >= 1:
                 return (g, n, self.overhead + n * g.t_mpdu)
         for c in self.rr[self.rr_ptr]:
-            if c is g or not c.qsegs:
-                continue  # the gated client is handled above (or asleep)
-            n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.max_ampdu, c.qsegs)
-            if n >= 1:
+            if c is not g and c.qsegs:  # one MPDU fits the TXOP (check_mpdu_fits): n >= 1
+                n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.max_ampdu, c.qsegs)
                 return (c, n, self.overhead + n * c.t_mpdu)
         raise RuntimeError(f"the AP won the channel at {t} ns with nothing it can send: "
                            f"_ap_pending and _select_ap_tx disagree")
@@ -771,7 +771,7 @@ class _Engine:
                 c = w
                 dur = c.ack_ns.get(len(c.acks)) or self._ack_duration(c)
                 handler, payload = self.h_ack_end, c
-            if c is g and dur > self.sp - t % self.period:
+            if c is g and dur > self._window_left(t):
                 raise RuntimeError("gated transmission would cross window end")
             w.bo = None
             w.stage = 0

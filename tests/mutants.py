@@ -15,15 +15,20 @@ mutant runs ``pytest -x`` on the TESTs, killed at the timeout.  A mutant that
 passes them survives and is printed to stdout as ``file:line:column op -> op``,
 then the qualified name of the function it is in and the comparison or boolean
 expression it is in; progress goes to stderr.  Mutants listed in
-``EQUIVALENT`` are skipped and printed with their reason.
+``EQUIVALENT`` are skipped and printed with their reason.  An operator inside
+an f-string is printed as not mutated: Python 3.11 tokenizes an f-string as
+one string, so it has no token of its own to swap.
 
 Exit status: 0 when no mutant survived, 1 when one did, 2 when the TESTs
 fail on the unmutated copy or an ``EQUIVALENT`` entry matches more than one
 mutant (it is printed with the positions it matches, and no mutant runs).  It
 uses only the standard library, and pytest does not collect it.  Each mutant
-is one pytest run, so CI sweeps only ``schedule.py`` and ``transport.py``,
-whose tests take about a second; ``macsim.py`` against ``test_macsim``,
-``test_bench_hooks`` and ``test_search`` takes about 6 min.
+is one pytest run, so CI sweeps only the modules whose tests run in seconds:
+``schedule.py`` and ``transport.py`` against their own test modules,
+``search.py`` against ``test_search``, ``test_cli`` and ``test_bench_hooks``
+(about 45 s), and ``scenarios.py`` against ``test_config`` and ``test_search``
+(about 11 s).  ``macsim.py`` against ``test_macsim``, ``test_bench_hooks`` and
+``test_search`` takes about 6 min, and runs by hand.
 """
 
 import argparse
@@ -46,6 +51,9 @@ SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
          ast.And: ("and", "or"), ast.Or: ("or", "and")}
 
+# (line, column, op, swapped op, function, expression)
+Mutant = tuple[int, int, str, str, str, str]
+
 # (file, function, expression, op, swapped op) -> why the mutant cannot be told
 # apart; the function is the qualified name of the one the expression is in
 EQUIVALENT = {
@@ -60,6 +68,8 @@ EQUIVALENT = {
         "2**31 is not a multiple of 1500, so no record of whole segments ties it",
     ("src/twtsim/macsim.py", "_Engine._on_arrive", "room < full", "<", "<="):
         "a room equal to the full segments takes as many either way",
+    ("src/twtsim/macsim.py", "_Engine._gated_ampdu", "budget < self.txop", "<", "<="):
+        "a budget equal to the TXOP clamps to the same budget",
     ("src/twtsim/macsim.py", "_Engine._contend", "bo < min_bo", "<", "<="):
         "a counter equal to the least so far sets the same least",
     ("src/twtsim/macsim.py", "_Engine._contend", "d > dur", ">", ">="):
@@ -88,11 +98,12 @@ def scoped(tree: ast.AST):
                 stack.append((child, name, in_function))
 
 
-def mutants(source: str) -> list[tuple[int, int, str, str, str, str]]:
+def mutants(source: str) -> tuple[list[Mutant], list[Mutant]]:
     """(line, column, op, swapped op, function, expression) of each comparison
     and boolean operator, in source order; the function is the qualified name
     of the one it is in, and the expression the source text of the whole
-    chain, on one line."""
+    chain, on one line.  Those inside an f-string come second, in the same
+    form but at the expression's position: they have no token to swap."""
     lines = source.splitlines()
     tokens = {tok.start: tok.string
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
@@ -102,8 +113,11 @@ def mutants(source: str) -> list[tuple[int, int, str, str, str, str]]:
         """An ast position, whose column counts UTF-8 bytes, as a tokenize one."""
         return line, len(lines[line - 1].encode()[:col].decode())
 
-    found = []
-    for node, function in scoped(ast.parse(source)):
+    tree = ast.parse(source)
+    in_fstring = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                  for inner in ast.walk(node)}
+    found, unmutated = [], []
+    for node, function in scoped(tree):
         if isinstance(node, ast.Compare):
             pairs = zip(node.ops, [node.left, *node.comparators], node.comparators)
         elif isinstance(node, ast.BoolOp):
@@ -113,12 +127,21 @@ def mutants(source: str) -> list[tuple[int, int, str, str, str, str]]:
         for op, left, right in pairs:
             if type(op) in SWAPS:
                 old, new = SWAPS[type(op)]
+                expression = " ".join(ast.get_source_segment(source, node).split())
+                if id(node) in in_fstring:
+                    unmutated.append((*chars(node.lineno, node.col_offset), old, new, function,
+                                      expression))
+                    continue
                 after = chars(left.end_lineno, left.end_col_offset)
                 before = chars(right.lineno, right.col_offset)
                 (pos,) = [p for p, s in tokens.items() if after <= p < before and s == old]
-                expression = " ".join(ast.get_source_segment(source, node).split())
                 found.append((*pos, old, new, function, expression))
-    return sorted(found)
+    return sorted(found), sorted(unmutated)
+
+
+def describe(rel: str, line: int, col: int, old: str, new: str, function: str,
+             expression: str) -> str:
+    return f"{rel}:{line}:{col + 1} {old} -> {new} in {function or 'module level'} ({expression})"
 
 
 def swapped(source: str, line: int, col: int, old: str, new: str) -> str:
@@ -150,7 +173,9 @@ def main() -> int:
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
     args = parser.parse_args()
     start = time.monotonic()
-    found = {rel: mutants((ROOT / rel).read_text()) for rel in args.files}
+    found, unmutated = {}, {}
+    for rel in args.files:
+        found[rel], unmutated[rel] = mutants((ROOT / rel).read_text())
     ambiguous = 0
     for key in EQUIVALENT:
         rel, *what = key
@@ -174,9 +199,11 @@ def main() -> int:
         for rel in args.files:
             path = root / rel
             source = path.read_text()
-            for line, col, old, new, function, expression in found[rel]:
-                where = function or "module level"
-                label = f"{rel}:{line}:{col + 1} {old} -> {new} in {where} ({expression})"
+            for mutant in unmutated[rel]:
+                print(f"not mutated {describe(rel, *mutant)}: inside an f-string", file=sys.stderr)
+            for mutant in found[rel]:
+                line, col, old, new, function, expression = mutant
+                label = describe(rel, *mutant)
                 reason = EQUIVALENT.get((rel, function, expression, old, new))
                 if reason is not None:
                     print(f"equivalent {label}: {reason}", file=sys.stderr)

@@ -593,6 +593,40 @@ def test_a_gated_ack_return_that_fills_what_is_left_of_its_window_is_sent():
     assert engine.tx_end[2:] == (engine._on_ack_end, dut)
 
 
+def test_a_window_with_a_difs_or_less_left_asks_for_no_gated_ampdu(monkeypatch):
+    # _ap_pending keeps the window's last DIFS, and with no ns left after it asks
+    # aggregate_ns nothing: the hook counts that PINNED_CALLS pins rest on it
+    engine = _gated_engine()
+    engine.busy_until = engine.horizon  # an arrival on a busy channel starts no cycle
+    engine._on_arrive(0, (engine.flows["stream"], 10 * 1500))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return aggregate_ns(*args)
+
+    monkeypatch.setattr(twtsim.macsim, "aggregate_ns", counted)
+    assert not engine._ap_pending(engine.sp - engine.difs)
+    assert calls == []
+    assert not engine._ap_pending(engine.sp - engine.difs - 1)  # 1 ns: too short for an MPDU
+    assert len(calls) == 1
+
+
+def test_an_event_exactly_at_the_horizon_does_not_run():
+    # the 2 ms wake period puts a wake event exactly at the 10 ms horizon
+    wakes = []
+
+    class Probe(_Engine):
+        def _on_wake(self, t, payload):
+            wakes.append(t)
+            super()._on_wake(t, payload)
+
+    sc = replace(gated_scenario(30, 1), twt=("dut", TwtSchedule(sp_us=1000, wi_us=1000)),
+                 duration_s=0.01)
+    Probe(sc).run()
+    assert wakes == list(range(0, 10_000_000, 2_000_000))
+
+
 def test_a_cycle_of_stale_claims_is_followed_by_one_at_its_start():
     engine = _gated_engine()
     dut, bg = engine.clients
@@ -849,9 +883,27 @@ def test_engine_trace_digest_is_pinned():
             assert any(nb % 1500 for _, _, fid, nb in tr.deliveries if fid == "stream")
         if name == "gated_mid":
             _assert_gated_mid_edges(tr)
-        blob = repr((list(tr.deliveries), list(tr.airtime), burst_service(tr, sc.bursts),
-                     list(tr.cwnd_series), tr.delivered_bytes, tr.drops, tr.collisions))
-        assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DIGESTS[name], name
+        assert _trace_digest(sc, tr) == PINNED_DIGESTS[name], name
+
+
+def _trace_digest(sc: Scenario, tr) -> str:
+    blob = repr((list(tr.deliveries), list(tr.airtime), burst_service(tr, sc.bursts),
+                 list(tr.cwnd_series), tr.delivered_bytes, tr.drops, tr.collisions))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_an_arrival_at_a_wake_instant_reads_the_window_that_opens_there():
+    # the DUT's half-RTT equals its 500 us TWT period, so its arrivals land on
+    # wake instants ahead of the wake event there: the window they read comes
+    # from the clock, not from state that only the wake handler sets
+    sc = Scenario(
+        stations=(Station(id="ap", role="ap"), Station(id="o0", role="client", phy_rate_mbps=86.0),
+                  Station(id="d", role="client", phy_rate_mbps=600.0)),
+        flows=(Flow(id="go0", dst="o0", kind="saturated", base_rtt_s=0.002),
+               Flow(id="f", dst="d", kind="saturated", base_rtt_s=0.001)),
+        twt=("d", TwtSchedule(sp_us=250, wi_us=250)), seed=33721, duration_s=0.05)
+    assert (_trace_digest(sc, run_sim(sc))
+            == "baab5a79d2e64e8dae9ee5eb17bbd24f2273ae1f51647b270a91d0512b39cbe2")
 
 
 def test_trace_rows_decode_their_integer_columns():
