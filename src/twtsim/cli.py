@@ -254,16 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--command", required=True, choices=_HANDLERS)
     args = parser.parse_args(argv)
 
+    source = "bundled config" if args.config is None else args.config
     try:
-        if args.config is None:
-            text = default_config_text()
-        else:
-            path = Path(args.config)
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                print(_error_json("config-not-found", f"{path}: {exc.strerror or exc}"))
-                return EXIT_VALIDATION
+        text = default_config_text() if args.config is None else Path(source).read_text()
+    except OSError as exc:
+        print(_error_json("config-not-found", f"{source}: {exc.strerror or exc}"))
+        return EXIT_VALIDATION
+    try:
         cfg = parse(text)
         if args.seed is not None:
             cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))

@@ -39,7 +39,10 @@ STATION_SECTION = re.compile(r"station\.[A-Za-z0-9_.-]+")
 
 def default_config_text() -> str:
     """The bundled four-client setup: the one statement of the paper's BSS."""
-    return resources.files("twtsim.configs").joinpath("paper_setup.cfg").read_text()
+    # read through this package, which is imported already: importing the
+    # namespace package ``twtsim.configs`` costs a quarter of a cold set-up,
+    # and its reader fails on 3.11 and 3.12 when twtsim is imported from a zip
+    return resources.files(__package__).joinpath("configs", "paper_setup.cfg").read_text()
 
 
 class ConfigError(ValueError):

@@ -28,7 +28,7 @@ is one pytest run, so CI sweeps only the modules whose tests run in seconds:
 ``search.py`` against ``test_search``, ``test_cli`` and ``test_bench_hooks``
 (about 45 s), and ``scenarios.py`` against ``test_config`` and ``test_search``
 (about 11 s).  ``macsim.py`` against ``test_macsim``, ``test_bench_hooks`` and
-``test_search`` takes about 6 min, and runs by hand.
+``test_search`` takes about 4 min, and runs by hand.
 """
 
 import argparse

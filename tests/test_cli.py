@@ -6,11 +6,13 @@ import shutil
 import statistics
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
 import twtsim
+from twtsim import cli
 from twtsim.cli import main
 from twtsim.config import default_config_text, parse
 from twtsim.search import seeded_runs
@@ -219,6 +221,39 @@ def test_every_admitted_interpreter_writes_the_pinned_bytes(cfg_path, tmp_path):
                            "r0/qos": golden["cli"]["r0/qos"]}, exe
 
 
+# with only a zip of the package on the path: the bundled config's template,
+# then perfbench's first qos command run as a module, both outside the checkout
+FROM_ZIP = """\
+import runpy, sys, twtsim
+assert twtsim.__file__.startswith(sys.argv[1]), twtsim.__file__
+print(repr(twtsim.paper_setup()))
+sys.argv = ["twtsim", "--command", "qos", "--out", sys.argv[2]]
+runpy.run_module("twtsim.cli", run_name="__main__")
+"""
+
+
+def test_twtsim_runs_from_a_zip(tmp_path):
+    pkg = Path(twtsim.__file__).parent
+    archive = tmp_path / "twtsim.zip"
+    with zipfile.ZipFile(archive, "w") as zf:  # directory entries included
+        for path in sorted(pkg.rglob("*")):
+            if "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(pkg.parent))
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    env = {**os.environ, "PYTHONPATH": str(archive), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("TWTSIM_OUT", None)
+    runs = [(exe, tmp_path / str(i), subprocess.Popen(
+        [exe, "-S", "-c", FROM_ZIP, str(archive), str(tmp_path / str(i))], cwd=tmp_path,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        for i, exe in enumerate([sys.executable, *other_interpreters()])]
+    for exe, out, proc in runs:
+        stdout, stderr = proc.communicate(timeout=600)
+        assert proc.returncode == 0, (exe, stderr)
+        assert stdout.splitlines()[0] == repr(twtsim.paper_setup()), exe
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == golden["cli"]["r0/qos"], exe
+
+
 def test_qos_report(cfg_path, tmp_path):
     out = tmp_path / "q"
     assert run_cli("--config", cfg_path, "--command", "qos", "--out", out) == 0
@@ -388,6 +423,18 @@ def test_unreadable_config_exit_code(tmp_path, monkeypatch, capsys):
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"] == "config-not-found"
     assert err["detail"] == f"{cfg}: Permission denied"
+
+
+def test_unreadable_bundled_config_exit_code(tmp_path, monkeypatch, capsys):
+    def missing():
+        raise FileNotFoundError(2, "No such file or directory")
+
+    monkeypatch.setattr(cli, "default_config_text", missing)
+    assert run_cli("--command", "qos", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err == {"error": "config-not-found",
+                   "detail": "bundled config: No such file or directory"}
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture()

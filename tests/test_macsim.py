@@ -34,6 +34,7 @@ from twtsim.macsim import (
     _Contender,
     _Engine,
     _FlowState,
+    _index_typecode,
     aggregate_ns,
     back_solve_phy_rate,
     backoff_draw,
@@ -154,6 +155,21 @@ def test_cw_values_must_be_powers_of_two_minus_one():
         MacParams(cw_max=1000)
     with pytest.raises(ValueError):
         MacParams(cw_min=31, cw_max=15)
+    # the bounds themselves: the smallest window, and one stage only
+    assert MacParams(cw_min=1).backoff_stages[0] == (1, 2)
+    assert MacParams(cw_min=15, cw_max=15).backoff_stages == ((15, 5),)
+
+
+@pytest.mark.parametrize("name", ["slot_us", "difs_us", "max_ampdu_mpdus", "txop_limit_us",
+                                  "per_frame_overhead_us"])
+def test_mac_fields_of_zero_are_refused(name):
+    with pytest.raises(ValueError, match=f"^{name} must be > 0$"):
+        MacParams(**{name: 0})
+
+
+def test_a_txop_limit_equal_to_the_overhead_is_refused():
+    with pytest.raises(ValueError, match="^txop_limit_us must exceed per_frame_overhead_us$"):
+        MacParams(txop_limit_us=100, per_frame_overhead_us=100)
 
 
 def test_txop_limit_is_at_most_802_11s_longest():
@@ -701,6 +717,7 @@ def test_flow_times_at_the_clock_end_run():
 def test_scenario_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -5"):
         two_station_scenario(seed=-5)
+    assert two_station_scenario(seed=0).seed == 0
 
 
 def test_scenario_rejects_duplicate_ids():
@@ -763,6 +780,15 @@ def test_mpdu_must_fit_txop():
     # 100 Mbit/s fits the default limit, so a short one is what to change
     with pytest.raises(ValueError, match="^txop_limit_us 200 .*'sta'"):
         two_station_scenario(mac=MacParams(txop_limit_us=200))
+    # at 10 Mbit/s an MPDU takes 1200 us: exactly the room of a 1300 us TXOP
+    exact = (Station(id="ap", role="ap"), Station(id="sta", role="client", phy_rate_mbps=10.0))
+    two_station_scenario(stations=exact, mac=MacParams(txop_limit_us=1300))
+    # at 3 Mbit/s it takes 4000 us, exactly the default limit's room after a
+    # 1484 us overhead: the rate fits that, so the short limit is what to change
+    slow = (Station(id="ap", role="ap"), Station(id="sta", role="client", phy_rate_mbps=3.0))
+    with pytest.raises(ValueError, match="^txop_limit_us 3000 is too short: .* needs 5484 us$"):
+        two_station_scenario(stations=slow,
+                             mac=MacParams(txop_limit_us=3000, per_frame_overhead_us=1484))
 
 
 # ---------------------------------------------------------- pinned output ---
@@ -938,6 +964,10 @@ def _assert_deliveries_decode(sc: Scenario, tr) -> None:
         assert station == dst[fid]
         sums[fid] += nbytes
     assert sums == tr.delivered_bytes
+
+
+def test_an_index_column_holds_every_index_below_its_count():
+    assert [_index_typecode(n) for n in (256, 257, 65536, 65537)] == ["B", "H", "H", "I"]
 
 
 def test_more_than_255_flows_take_a_wider_flow_column():
