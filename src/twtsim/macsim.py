@@ -15,8 +15,10 @@ video burst was served is worked out afterwards from the deliveries
 (``qos.burst_service``).
 
 Each client's state -- its queue, its ACK records, its contender -- is one
-object that events and queue runs carry, as they carry each flow's state; a
-count of the ungated clients with a backlog tells whether the AP contends.
+object that events and queue runs carry, as they carry each flow's state.  The
+AP contends while one count, of the ungated clients with queued segments, is
+nonzero, or while the gated client has a backlog and, a DIFS before its window
+ends, room for the overhead and one MPDU (``_Engine._ap_pending``).
 Each event carries the handler it fires and one payload, as ``(t, seq,
 handler, payload)``, and the loop calls ``handler(t, payload)``; the handler
 unpacks it: ``(client, n)`` for an A-MPDU end, the client for an ACK end, the
@@ -444,7 +446,7 @@ class _Contender:
     n records for each n timed; the AP's stay empty."""
 
     __slots__ = ("idx", "is_ap", "bo", "stage", "rng", "sid", "rate", "t_mpdu", "queue", "qsegs",
-                 "acks", "ack_ns", "lane", "rr_next")
+                 "acks", "ack_ns", "rr_next")
 
     def __init__(self, st: Station, idx: int, rng: random.Random):
         self.idx = idx  # its station index in the trace: 0 for the AP, i for client i
@@ -459,8 +461,7 @@ class _Contender:
         self.qsegs = 0
         self.acks: list = []
         self.ack_ns: dict[int, int] = {}
-        self.lane: int | None = None  # see _Engine.backlog; None for the gated client
-        self.rr_next = 0  # the _Engine.rr order that starts after it
+        self.rr_next: int | None = None  # the _Engine.rr order after it; None off the round robin
 
 
 class _FlowState:
@@ -516,15 +517,12 @@ class _Engine:
         # sleeps; its wake windows (integer ns) start at 0
         sid, sched = sc.twt if sc.twt is not None and sc.twt[1].wi_us > 0 else (None, None)
         self.gated = by_id.get(sid)
-        # ungated clients with queued segments, by lane: 1 before the gated
-        # client in station order, 0 after it.  _ap_pending asks aggregate_ns
-        # about the gated client only when no client before it has a backlog.
-        self.backlog = [0, 0]
-        gated_at = self.clients.index(self.gated) if self.gated is not None else len(self.clients)
-        for i, c in enumerate(self.clients):
-            c.lane = None if c is self.gated else int(i < gated_at)
-            c.rr_next = (i + 1) % len(self.clients)
-        self.rr = [self.clients[i:] + self.clients[:i] for i in range(len(self.clients))]
+        self.backlog = 0  # ungated clients with queued segments
+        # the round robin's rotations of the ungated clients; one empty one if none
+        ungated = [c for c in self.clients if c is not self.gated]
+        for i, c in enumerate(ungated):
+            c.rr_next = (i + 1) % len(ungated)
+        self.rr = [ungated[i:] + ungated[:i] for i in range(len(ungated) or 1)]
         self.rr_ptr = 0
         self.flows: dict[str, _FlowState] = {f.id: _FlowState(f, i, by_id[f.dst])
                                              for i, f in enumerate(sc.flows)}
@@ -613,8 +611,8 @@ class _Engine:
                 c.queue.append([fs, took, SEGMENT_BYTES])
             if took_tail:
                 c.queue.append([fs, 1, tail])
-            if not c.qsegs and c.lane is not None:
-                self.backlog[c.lane] += 1
+            if not c.qsegs and c.rr_next is not None:
+                self.backlog += 1
             c.qsegs += accepted
             fs.queued_segments += accepted
         dropped = segs - accepted
@@ -646,16 +644,13 @@ class _Engine:
     def _window_left(self, s: int) -> int:
         """What is left of the gated client's wake window at ``s`` in ns, at most 0 (no
         room) while it sleeps.  The rule as it stands: where a cycle is built and where it
-        starts, the gated ACK return (``_gated_acks_fit``) and the A-MPDU that makes the AP
-        pending (``_ap_pending``) leave a DIFS before the window end; the A-MPDU chosen at
-        the start (``_select_ap_tx``) need not; nothing gated crosses it (``_contend``).  It
-        reads the clock, not state set on waking: an event at a wake instant may run first."""
+        starts, the gated ACK return (``_gated_acks_fit``) must fit what is left less a
+        DIFS, and so must the overhead and one MPDU for the gated client's backlog to make
+        the AP pending (``_ap_pending``; the count of ungated backlogs makes it pending on
+        its own); the A-MPDU chosen at the start (``_select_ap_tx``) need not leave the
+        DIFS; nothing gated crosses it (``_contend``).  It reads the clock, not state set
+        on waking: an event at a wake instant may run first."""
         return self.sp - s % self.period
-
-    def _gated_ampdu(self, budget: int) -> int:
-        """MPDUs in the gated client's next A-MPDU, within ``budget`` ns and the TXOP."""
-        return aggregate_ns(self.gated.t_mpdu, budget if budget < self.txop else self.txop,
-                            self.overhead, self.max_ampdu, self.gated.qsegs)
 
     def _ack_duration(self, c: _Contender) -> int:
         n = len(c.acks)
@@ -671,25 +666,26 @@ class _Engine:
                 >= (g.ack_ns.get(len(g.acks)) or self._ack_duration(g)))
 
     def _ap_pending(self, t: int) -> bool:
-        if self.backlog[1]:
+        if self.backlog:
             return True
         g = self.gated
-        if g is not None and g.qsegs:
-            budget = self._window_left(t) - self.difs
-            if budget > 0 and self._gated_ampdu(budget) >= 1:
-                return True
-        return self.backlog[0] > 0
+        if (g is not None and g.qsegs
+                and self._window_left(t) - self.difs >= self.overhead + g.t_mpdu):
+            return True
+        return False
 
     def _select_ap_tx(self, t: int):
         """Pick (client, n_mpdus, duration); DUT first inside windows.  Call it
         only when ``_ap_pending(t)`` holds."""
         g = self.gated
         if g is not None and g.qsegs:
-            n = self._gated_ampdu(self._window_left(t))
+            budget = self._window_left(t)
+            n = aggregate_ns(g.t_mpdu, budget if budget < self.txop else self.txop,
+                             self.overhead, self.max_ampdu, g.qsegs)
             if n >= 1:
                 return (g, n, self.overhead + n * g.t_mpdu)
         for c in self.rr[self.rr_ptr]:
-            if c is not g and c.qsegs:  # one MPDU fits the TXOP (check_mpdu_fits): n >= 1
+            if c.qsegs:  # one MPDU fits the TXOP (check_mpdu_fits): n >= 1
                 n = aggregate_ns(c.t_mpdu, self.txop, self.overhead, self.max_ampdu, c.qsegs)
                 return (c, n, self.overhead + n * c.t_mpdu)
         raise RuntimeError(f"the AP won the channel at {t} ns with nothing it can send: "
@@ -793,8 +789,8 @@ class _Engine:
             raise RuntimeError(f"A-MPDU of {n} MPDUs to station {c.sid!r} "
                                f"exceeds its {c.qsegs} queued segments")
         c.qsegs = left
-        if not left and c.lane is not None:
-            self.backlog[c.lane] -= 1
+        if not left and c.rr_next is not None:
+            self.backlog -= 1
         q = c.queue
         records = []  # [flow state, segments, bytes], first-dequeued first
         while n:
@@ -823,7 +819,7 @@ class _Engine:
             log_flow(fs.idx)
             log_bytes(nbytes)
             c.acks.append(record)
-        if c is not self.gated:  # only the round robin serves the other clients
+        if c.rr_next is not None:  # the round robin serves every client but the gated one
             self.rr_ptr = c.rr_next
         self._contend(t)
 

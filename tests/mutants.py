@@ -20,15 +20,16 @@ an f-string is printed as not mutated: Python 3.11 tokenizes an f-string as
 one string, so it has no token of its own to swap.
 
 Exit status: 0 when no mutant survived, 1 when one did, 2 when the TESTs
-fail on the unmutated copy or an ``EQUIVALENT`` entry matches more than one
-mutant (it is printed with the positions it matches, and no mutant runs).  It
-uses only the standard library, and pytest does not collect it.  Each mutant
-is one pytest run, so CI sweeps only the modules whose tests run in seconds:
-``schedule.py`` and ``transport.py`` against their own test modules,
-``search.py`` against ``test_search``, ``test_cli`` and ``test_bench_hooks``
-(about 45 s), and ``scenarios.py`` against ``test_config`` and ``test_search``
-(about 11 s).  ``macsim.py`` against ``test_macsim``, ``test_bench_hooks`` and
-``test_search`` takes about 4 min, and runs by hand.
+fail on the unmutated copy or an ``EQUIVALENT`` entry of a FILE matches no
+mutant or more than one (it is printed with the positions it matches, and no
+mutant runs).  It uses only the standard library, and pytest does not collect
+it.  Each mutant is one pytest run.  CI sweeps ``schedule.py`` and
+``transport.py`` against their own test modules, ``search.py`` against
+``test_search``, ``test_cli`` and ``test_bench_hooks`` (about 45 s), and
+``scenarios.py`` against ``test_config`` and ``test_search`` (about 11 s).
+``macsim.py`` against ``test_macsim``, ``test_bench_hooks`` and
+``test_search`` takes about 4 min, so CI sweeps it in a job of its own
+(``engine-mutants``).
 """
 
 import argparse
@@ -68,7 +69,7 @@ EQUIVALENT = {
         "2**31 is not a multiple of 1500, so no record of whole segments ties it",
     ("src/twtsim/macsim.py", "_Engine._on_arrive", "room < full", "<", "<="):
         "a room equal to the full segments takes as many either way",
-    ("src/twtsim/macsim.py", "_Engine._gated_ampdu", "budget < self.txop", "<", "<="):
+    ("src/twtsim/macsim.py", "_Engine._select_ap_tx", "budget < self.txop", "<", "<="):
         "a budget equal to the TXOP clamps to the same budget",
     ("src/twtsim/macsim.py", "_Engine._contend", "bo < min_bo", "<", "<="):
         "a counter equal to the least so far sets the same least",
@@ -139,6 +140,14 @@ def mutants(source: str) -> tuple[list[Mutant], list[Mutant]]:
     return sorted(found), sorted(unmutated)
 
 
+def equivalent_at(key: tuple, found: list[Mutant]) -> list[str]:
+    """``line:column`` of each mutant that the ``EQUIVALENT`` key names, among
+    ``found``, the mutants of the key's file."""
+    function, expression, old, new = key[1:]
+    return [f"{line}:{col + 1}" for line, col, *rest in found
+            if rest == [old, new, function, expression]]
+
+
 def describe(rel: str, line: int, col: int, old: str, new: str, function: str,
              expression: str) -> str:
     return f"{rel}:{line}:{col + 1} {old} -> {new} in {function or 'module level'} ({expression})"
@@ -176,16 +185,13 @@ def main() -> int:
     found, unmutated = {}, {}
     for rel in args.files:
         found[rel], unmutated[rel] = mutants((ROOT / rel).read_text())
-    ambiguous = 0
+    unmatched = 0
     for key in EQUIVALENT:
-        rel, *what = key
-        at = [f"{line}:{col + 1}" for line, col, old, new, function, expression
-              in found.get(rel, ()) if [function, expression, old, new] == what]
-        if len(at) > 1:
-            print(f"EQUIVALENT entry {key} matches more than one mutant, at {rel} "
-                  f"{' and '.join(at)}", file=sys.stderr)
-            ambiguous += 1
-    if ambiguous:
+        if key[0] in found and len(at := equivalent_at(key, found[key[0]])) != 1:
+            print(f"EQUIVALENT entry {key} matches {len(at)} mutants, not one: at "
+                  f"{key[0]} {' and '.join(at) or 'no position'}", file=sys.stderr)
+            unmatched += 1
+    if unmatched:
         return 2
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="twtsim-mutants-") as tmp:

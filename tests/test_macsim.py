@@ -6,6 +6,7 @@ import random
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -336,6 +337,33 @@ def test_a_changed_calibration_input_misses_the_table(monkeypatch, standalone, m
         back_solve_phy_rate(standalone, mac, flow)
 
 
+def _fake_run(throughput):
+    """A ``run_sim`` stand-in whose trace gives ``throughput(client rate)`` for every flow."""
+    def run(sc):
+        rate = sc.stations[1].phy_rate_mbps
+        return SimpleNamespace(flow_throughput_mbps=lambda flow_id: throughput(rate))
+    return run
+
+
+def test_back_solve_refuses_a_figure_whose_bracket_overflows_without_a_run(monkeypatch):
+    monkeypatch.setattr(twtsim.macsim, "run_sim", _no_run)
+    assert 1e308 * 4 == math.inf
+    with pytest.raises(ValueError, match="^standalone_mbps 1e\\+308 is not reachable"):
+        back_solve_phy_rate(1e308, MAC, CAL)
+
+
+def test_back_solve_accepts_a_figure_reached_exactly_at_the_top_of_its_bracket(monkeypatch):
+    # the throughput is a quarter of the rate, so the figure is reached at 4x it
+    monkeypatch.setattr(twtsim.macsim, "run_sim", _fake_run(lambda rate: rate / 4))
+    assert back_solve_phy_rate(50.0, MAC, CAL) == pytest.approx(200.0, rel=1e-6)
+
+
+def test_back_solve_returns_the_least_rate_that_reaches_the_figure(monkeypatch):
+    # every rate at or above the figure delivers exactly the figure
+    monkeypatch.setattr(twtsim.macsim, "run_sim", _fake_run(lambda rate: min(rate, 50.0)))
+    assert back_solve_phy_rate(50.0, MAC, CAL) == pytest.approx(50.0, rel=1e-6)
+
+
 def test_every_mac_field_is_changed_by_a_miss_case():
     assert set(MAC_CHANGES) == {f.name for f in fields(MacParams)}
 
@@ -520,6 +548,43 @@ def test_an_ap_with_nothing_to_send_raises_instead_of_selecting_none():
         engine._select_ap_tx(0)
 
 
+def _idle_flow(cwnd: float, in_flight_segments: int) -> tuple[_Engine, _FlowState]:
+    """An engine whose saturated 'f1' last sent at 0 and has ``cwnd`` and
+    ``in_flight_segments`` segments in flight."""
+    engine = _Engine(two_station_scenario())
+    fs = engine.flows["f1"]
+    fs.cwnd = cwnd
+    fs.sent = fs.in_flight = in_flight_segments * 1500
+    fs.last_send_ns = 0
+    return engine, fs
+
+
+def test_a_gap_of_exactly_the_idle_time_does_not_restart_the_window():
+    engine, fs = _idle_flow(20.0, 0)
+    engine._try_send(fs.idle_ns, fs)
+    assert (fs.cwnd, fs.ssthresh) == (20.0, math.inf)
+    assert [event[3][1] for event in engine.heap] == [20 * 1500]
+    assert fs.last_send_ns == fs.idle_ns
+
+
+def test_a_gap_one_ns_past_the_idle_time_restarts_the_window():
+    engine, fs = _idle_flow(20.0, 0)
+    engine._try_send(fs.idle_ns + 1, fs)
+    assert (fs.cwnd, fs.ssthresh) == (10.0, math.inf)
+    assert [event[3][1] for event in engine.heap] == [10 * 1500]
+    assert fs.last_send_ns == fs.idle_ns + 1
+
+
+def test_an_idle_restart_that_leaves_no_headroom_sends_nothing():
+    # 10 of the 20 segments are in flight: the restarted window of 10 has no room
+    engine, fs = _idle_flow(20.0, 10)
+    engine._try_send(fs.idle_ns + 1, fs)
+    assert fs.cwnd == 10.0
+    assert engine.heap == []  # no arrival, not even an empty one
+    assert fs.last_send_ns == 0
+    assert fs.sent == fs.in_flight == 10 * 1500
+
+
 def _queued_engine(**kw) -> _Engine:
     """An engine whose AP holds four segments for 'sta' and whose backoff
     counter is 0, so the next cycle starts DIFS after it is resolved."""
@@ -609,23 +674,33 @@ def test_a_gated_ack_return_that_fills_what_is_left_of_its_window_is_sent():
     assert engine.tx_end[2:] == (engine._on_ack_end, dut)
 
 
-def test_a_window_with_a_difs_or_less_left_asks_for_no_gated_ampdu(monkeypatch):
-    # _ap_pending keeps the window's last DIFS, and with no ns left after it asks
-    # aggregate_ns nothing: the hook counts that PINNED_CALLS pins rest on it
+def test_the_gated_client_alone_makes_the_ap_pending_while_its_window_holds_one_mpdu():
+    # _ap_pending keeps the window's last DIFS: what is left after it must hold
+    # the overhead and one MPDU, and no ungated client has a backlog here
     engine = _gated_engine()
+    dut = engine.clients[0]
     engine.busy_until = engine.horizon  # an arrival on a busy channel starts no cycle
     engine._on_arrive(0, (engine.flows["stream"], 10 * 1500))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return aggregate_ns(*args)
-
-    monkeypatch.setattr(twtsim.macsim, "aggregate_ns", counted)
+    assert engine.backlog == 0
     assert not engine._ap_pending(engine.sp - engine.difs)
-    assert calls == []
     assert not engine._ap_pending(engine.sp - engine.difs - 1)  # 1 ns: too short for an MPDU
-    assert len(calls) == 1
+    edge = engine.sp - (engine.difs + engine.overhead + dut.t_mpdu)
+    assert engine._ap_pending(edge)
+    assert not engine._ap_pending(edge + 1)
+
+
+def test_an_ap_whose_only_client_sleeps_raises_instead_of_selecting_none():
+    # with no ungated client the round robin is empty: the AP's choice still
+    # fails with its own error, not an IndexError
+    sc = gated_scenario(30, 1)
+    engine = _Engine(replace(sc, stations=sc.stations[:2], flows=sc.flows[:1],
+                             twt=("dut", TwtSchedule(sp_us=1000, wi_us=1000))))
+    engine.busy_until = engine.horizon  # an arrival on a busy channel starts no cycle
+    engine._on_arrive(0, (engine.flows["stream"], 10 * 1500))
+    asleep = engine.sp  # its window has just closed
+    assert not engine._ap_pending(asleep)
+    with pytest.raises(RuntimeError, match=f"at {asleep} ns with nothing it can send"):
+        engine._select_ap_tx(asleep)
 
 
 def test_an_event_exactly_at_the_horizon_does_not_run():

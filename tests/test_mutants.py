@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import ROOT, mutants, swapped
+from mutants import EQUIVALENT, ROOT, equivalent_at, mutants, swapped
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "twtsim").glob("*.py")),
@@ -24,3 +24,10 @@ def test_an_operator_inside_an_f_string_is_listed_as_not_mutated():
     found, unmutated = mutants(source)
     assert found == [(2, 41, "<", "<=", "f", "n < 2")]
     assert unmutated == [(2, 14, "or", "and", "f", "exc.strerror or exc")]
+
+
+@pytest.mark.parametrize("key", sorted(EQUIVALENT), ids=lambda key: f"{key[0]}:{key[2]}")
+def test_every_equivalent_entry_names_exactly_one_mutant(key):
+    # a stale entry, whose expression moved or is gone, would excuse nothing
+    found, _ = mutants((ROOT / key[0]).read_text())
+    assert len(equivalent_at(key, found)) == 1
