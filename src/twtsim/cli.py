@@ -21,7 +21,7 @@ from dataclasses import astuple, replace
 from itertools import starmap
 from pathlib import Path
 
-from .config import ConfigError, ParsedConfig, default_config_text, parse
+from .config import ConfigError, ParsedConfig, decode, default_config_text, parse
 from .macsim import run_sim
 from .qos import burst_service, compute_qos, qos_pass
 from .search import (InfeasibleTargetError, duty_point, mf_point, phase1_min_duty,
@@ -255,15 +255,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     source = "bundled config" if args.config is None else args.config
-    try:
-        text = default_config_text() if args.config is None else Path(source).read_text()
+    try:  # parsing reads no file
+        cfg = parse(default_config_text() if args.config is None
+                    else decode(Path(source).read_bytes()))
+        if args.seed is not None:
+            cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))
     except OSError as exc:
         print(_error_json("config-not-found", f"{source}: {exc.strerror or exc}"))
         return EXIT_VALIDATION
-    try:
-        cfg = parse(text)
-        if args.seed is not None:
-            cfg = replace(cfg, template=replace(cfg.template, master_seed=args.seed))
     except ConfigError as exc:
         print(_error_json("config", str(exc), exc.line))
         return EXIT_VALIDATION

@@ -23,9 +23,9 @@ scenario.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, fields, replace
-from importlib import resources
 
 from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
 from .scenarios import ScenarioTemplate, check_model
@@ -39,10 +39,10 @@ STATION_SECTION = re.compile(r"station\.[A-Za-z0-9_.-]+")
 
 def default_config_text() -> str:
     """The bundled four-client setup: the one statement of the paper's BSS."""
-    # read through this package, which is imported already: importing the
-    # namespace package ``twtsim.configs`` costs a quarter of a cold set-up,
-    # and its reader fails on 3.11 and 3.12 when twtsim is imported from a zip
-    return resources.files(__package__).joinpath("configs", "paper_setup.cfg").read_text()
+    # read by this module's own loader, as pkgutil.get_data reads package
+    # data: from a directory or a zip alike, and without importing a reader
+    path = os.path.join(os.path.dirname(__file__), "configs", "paper_setup.cfg")
+    return __spec__.loader.get_data(path).decode()
 
 
 class ConfigError(ValueError):
@@ -52,6 +52,17 @@ class ConfigError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+def decode(data: bytes) -> str:
+    """A config file's text: its bytes read as UTF-8, whatever the locale."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # the bad byte's line as _tokenize numbers lines: the last line of the
+        # text before it, with one character in its place
+        line = len((data[:exc.start].decode() + "?").splitlines())
+        raise ConfigError(f"not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})", line) from exc
 
 
 def _to_bool(value: str) -> bool:
@@ -99,7 +110,7 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     current: str | None = None
     saw_format = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -124,9 +135,10 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
             sections[name] = {}
             current = name
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ConfigError("expected 'key = value'", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = key.strip(), value.strip()
         if not key:
             raise ConfigError("empty key", lineno)
         if current is None:

@@ -65,7 +65,7 @@ import random
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 
@@ -389,12 +389,15 @@ _CALIBRATION_DURATION_S = 4.0
 
 # back_solve_phy_rate's bisection results for the bundled config's four
 # clients, keyed as it looks them up: the figure, the MAC and the calibration
-# flow with its names blanked.  A Tier-1 test bisects them again.
+# flow's _CALIBRATION_FLOW, every field but the names ``id`` and ``dst``, which
+# only label the run.  A Tier-1 test bisects them again.
+_CALIBRATION_FLOW = operator.attrgetter("kind", "base_rtt_s", "queue_limit_segments",
+                                        "idle_restart_s")
 _CALIBRATED = {
-    (63.5, MacParams(), Flow("", "", "saturated", base_rtt_s=0.002)): 71.7596078068018,
-    (75.4, MacParams(), Flow("", "", "saturated", base_rtt_s=0.002)): 85.37158116698265,
-    (163.0, MacParams(), Flow("", "", "saturated", base_rtt_s=0.002)): 194.12763938307762,
-    (95.0, MacParams(), Flow("", "", "saturated", base_rtt_s=0.002)): 107.01004639267921,
+    (63.5, MacParams(), ("saturated", 0.002, 256, 1.0)): 71.7596078068018,
+    (75.4, MacParams(), ("saturated", 0.002, 256, 1.0)): 85.37158116698265,
+    (163.0, MacParams(), ("saturated", 0.002, 256, 1.0)): 194.12763938307762,
+    (95.0, MacParams(), ("saturated", 0.002, 256, 1.0)): 107.01004639267921,
 }
 
 
@@ -408,7 +411,7 @@ def back_solve_phy_rate(standalone_mbps: float, mac: MacParams, flow: Flow) -> f
     config's figures are looked up in ``_CALIBRATED`` instead.
     """
     check_finite_positive("standalone_mbps", standalone_mbps)
-    known = _CALIBRATED.get((standalone_mbps, mac, replace(flow, id="", dst="")))
+    known = _CALIBRATED.get((standalone_mbps, mac, _CALIBRATION_FLOW(flow)))
     if known is not None:
         return known
     sid = flow.dst

@@ -57,7 +57,7 @@ this notice:
 from __future__ import annotations
 
 import math
-from importlib import resources
+import os
 
 from .macsim import seed_state
 
@@ -71,7 +71,8 @@ _NOR_INV_R = 0.27366123732975827203338247596
 
 def _load_tables() -> list[tuple]:
     """``[ke, we, fe, ki, wi, fi]``, each indexed by layer 0..255."""
-    text = resources.files(__package__).joinpath("ziggurat_tables.txt").read_text()
+    path = os.path.join(os.path.dirname(__file__), "ziggurat_tables.txt")
+    text = __spec__.loader.get_data(path).decode()  # as config.default_config_text reads
     rows = [line.split()[1:] for line in text.splitlines() if not line.startswith("#")]
     return [tuple(map(parse, column))
             for parse, column in zip((int, float.fromhex, float.fromhex) * 2, zip(*rows))]

@@ -117,13 +117,13 @@ class ScenarioTemplate:
 
 
 def paper_setup(*, seeds: int | None = None, master_seed: int | None = None) -> ScenarioTemplate:
-    """The bundled config's template: the paper's four-client BSS.
+    """The bundled config's template, the paper's four-client BSS, as parsed.
 
-    ``seeds`` and ``master_seed``, when given, replace the config's; to change
-    anything else the config states, ``parse`` an edited copy of it.
+    ``seeds`` and ``master_seed``, when given, replace the config's in a copy;
+    to change anything else the config states, ``parse`` an edited copy of it.
     """
     from .config import default_config_text, parse  # config imports this module
 
     template = parse(default_config_text()).template
-    given = {"seeds": seeds, "master_seed": master_seed}
-    return replace(template, **{k: v for k, v in given.items() if v is not None})
+    given = {k: v for k, v in (("seeds", seeds), ("master_seed", master_seed)) if v is not None}
+    return replace(template, **given) if given else template

@@ -25,11 +25,13 @@ mutant or more than one (it is printed with the positions it matches, and no
 mutant runs).  It uses only the standard library, and pytest does not collect
 it.  Each mutant is one pytest run.  CI sweeps ``schedule.py`` and
 ``transport.py`` against their own test modules, ``search.py`` against
-``test_search``, ``test_cli`` and ``test_bench_hooks`` (about 45 s), and
-``scenarios.py`` against ``test_config`` and ``test_search`` (about 11 s).
+``test_search``, ``test_cli`` and ``test_bench_hooks`` (about 45 s),
+``scenarios.py`` against ``test_config`` and ``test_search`` (about 11 s),
+and ``config.py`` against ``test_config`` and ``test_cli`` (about 40 s).
 ``macsim.py`` against ``test_macsim``, ``test_bench_hooks`` and
 ``test_search`` takes about 4 min, so CI sweeps it in a job of its own
-(``engine-mutants``).
+(``engine-mutants``), and ``traffic.py`` against ``test_traffic`` in
+another (``traffic-mutants``, about 80 s with ``--timeout 20``).
 """
 
 import argparse

@@ -418,7 +418,7 @@ def test_unreadable_config_exit_code(tmp_path, monkeypatch, capsys):
     def refuse(self, *args, **kwargs):
         raise PermissionError(13, "Permission denied", str(self))
 
-    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr(Path, "read_bytes", refuse)
     assert run_cli("--config", cfg, "--command", "qos", "--out", tmp_path / "o") == 1
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"] == "config-not-found"
@@ -435,6 +435,53 @@ def test_unreadable_bundled_config_exit_code(tmp_path, monkeypatch, capsys):
     assert err == {"error": "config-not-found",
                    "detail": "bundled config: No such file or directory"}
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"format = 1\n# caf\xe9\n", 2),
+    (b"\xff", 1),
+    (b"format = 1\r\n\r\n[traffic]\r\nbitrate_mbps = 10 \xc3\n", 4),  # a cut sequence
+    (b"format = 1\r[twt]\rmf = \xe2\x82", 3),  # old Mac line ends; cut at the end
+    (SHORT.replace("mf = 4", "mf = 4  # \u00e9").encode("latin-1"),
+     SHORT.count("\n", 0, SHORT.index("mf = 4")) + 1),
+], ids=["latin-1 comment", "first byte", "cut sequence", "cut at the end", "latin-1 in a config"])
+def test_a_config_that_is_not_utf8_is_a_config_error_at_its_first_bad_byte(data, line, tmp_path,
+                                                                             capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(data)
+    assert run_cli("--config", bad, "--command", "qos", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "config"
+    assert err["line"] == line
+    assert err["detail"].startswith(f"line {line}: not UTF-8: byte 0x")
+    assert not (tmp_path / "o").exists()
+
+
+# a config that is UTF-8 but not ASCII, read under an ASCII locale: its text is
+# parsed (and found empty) instead of failing to decode; exit 3 where the
+# locale's encoding is UTF-8 whatever the locale
+ASCII_LOCALE = """\
+import codecs, locale, sys
+from twtsim.cli import main
+if codecs.lookup(locale.getpreferredencoding()).name == "utf-8":
+    sys.exit(3)
+sys.exit(main(["--config", sys.argv[1], "--command", "qos", "--out", sys.argv[2]]))
+"""
+
+
+def test_config_text_is_utf8_whatever_the_locale(tmp_path):
+    cfg = tmp_path / "utf8.cfg"
+    cfg.write_bytes("format = 1\n# caf\u00e9\n".encode())
+    env = {**os.environ, "PYTHONPATH": str(Path(twtsim.__file__).parents[1]), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-S", "-c", ASCII_LOCALE, str(cfg),
+                           str(tmp_path / "o")], env=env, capture_output=True, text=True)
+    if proc.returncode == 3:
+        pytest.skip("the locale's encoding is UTF-8 here under LC_ALL=C")
+    assert proc.returncode == 1, proc.stderr
+    err = json.loads(proc.stdout)
+    assert err["error"] == "config"
+    assert err["detail"].startswith("empty config")
 
 
 @pytest.fixture()

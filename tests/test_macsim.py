@@ -298,7 +298,7 @@ def test_calibration_table_is_recomputed(monkeypatch):
     # each entry of the table is what bisection gives, bit for bit
     table = dict(twtsim.macsim._CALIBRATED)
     monkeypatch.setattr(twtsim.macsim, "_CALIBRATED", {})
-    got = {key: back_solve_phy_rate(key[0], key[1], replace(key[2], id="cal", dst="c"))
+    got = {key: back_solve_phy_rate(key[0], key[1], Flow("cal", "c", *key[2]))
            for key in table}
     entries = "".join(f"    {key!r}: {rate!r},\n" for key, rate in got.items())
     assert [r.hex() for r in got.values()] == [r.hex() for r in table.values()], (
@@ -325,16 +325,45 @@ MAC_CHANGES = {"slot_us": 10, "difs_us": 43, "cw_min": 31, "cw_max": 511, "max_a
                "txop_limit_us": 3000, "per_frame_overhead_us": 50}
 
 
+FLOW_CHANGES = {"base_rtt_s": 0.003, "queue_limit_segments": 128, "idle_restart_s": 2.0}
+
+
 @pytest.mark.parametrize("standalone, mac, flow", [
     (63.6, MacParams(), CAL),
     *[(63.5, MacParams(**{k: v}), CAL) for k, v in MAC_CHANGES.items()],
-    *[(63.5, MacParams(), replace(CAL, **{k: v}))
-      for k, v in (("base_rtt_s", 0.003), ("queue_limit_segments", 128), ("idle_restart_s", 2.0))],
-], ids=["standalone_mbps", *MAC_CHANGES, "base_rtt_s", "queue_limit_segments", "idle_restart_s"])
+    *[(63.5, MacParams(), replace(CAL, **{k: v})) for k, v in FLOW_CHANGES.items()],
+], ids=["standalone_mbps", *MAC_CHANGES, *FLOW_CHANGES])
 def test_a_changed_calibration_input_misses_the_table(monkeypatch, standalone, mac, flow):
-    monkeypatch.setattr(twtsim.macsim, "run_sim", _no_run)
-    with pytest.raises(_Ran):
-        back_solve_phy_rate(standalone, mac, flow)
+    # a miss bisects: the bracket's top, then 24 halvings
+    runs = []
+    run = _fake_run(lambda rate: rate / 2)
+    monkeypatch.setattr(twtsim.macsim, "run_sim", lambda sc: runs.append(sc) or run(sc))
+    back_solve_phy_rate(standalone, mac, flow)
+    assert len(runs) == 25
+
+
+def test_a_burst_calibration_flow_misses_the_table():
+    # a hit would return the saturated flow's rate; the miss builds a run,
+    # which a burst flow without bursts cannot have
+    with pytest.raises(ValueError, match="requires a burst list"):
+        back_solve_phy_rate(63.5, MacParams(), replace(CAL, kind="burst"))
+
+
+def test_every_flow_field_but_the_names_is_changed_by_a_miss_case():
+    assert {*FLOW_CHANGES, "kind"} == {f.name for f in fields(Flow)} - {"id", "dst"}
+
+
+def test_the_calibration_key_holds_every_flow_field_but_the_names_in_order():
+    # the order lets the table's flows be rebuilt as Flow(id, dst, *key[2])
+    read = []
+
+    class Probe:
+        def __getattr__(self, name):
+            read.append(name)
+
+    twtsim.macsim._CALIBRATION_FLOW(Probe())
+    names = [f.name for f in fields(Flow)]
+    assert names[:2] == ["id", "dst"] and read == names[2:]
 
 
 def _fake_run(throughput):

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from twtsim import Burst, VideoParams, generate_cbr_bursts, generate_vbr_bursts
+from twtsim import Burst, VideoParams, generate_cbr_bursts, generate_vbr_bursts, traffic
 from twtsim.pcg64 import PCG64
 from twtsim.traffic import _EXP_MAX, sample_frame_size, sample_inter_burst_time
 
@@ -254,3 +254,67 @@ def test_a_stream_whose_bursts_overflow_is_refused_by_the_field_that_overflows()
     # largest double overflows the burst
     with pytest.raises(ValueError, match="^frame_rate 1e[+]308 .* overflows a VBR burst"):
         VideoParams(frame_rate=1e308)
+
+
+# ------------------------------------------------- refusals at their bounds ---
+
+def test_a_cbr_burst_of_exactly_half_a_byte_rounds_to_none_and_is_refused():
+    with pytest.raises(ValueError, match="^bitrate_mbps 1.0 makes a 4e-06 s CBR burst of 0.5 "):
+        VideoParams(bitrate_mbps=1.0, cbr_interval_s=4e-6)
+    above = VideoParams(bitrate_mbps=1.0, cbr_interval_s=math.nextafter(4e-6, 1))
+    assert above.cbr_burst_bytes == 1
+
+
+def _hit(video: VideoParams) -> float:
+    """The chance that a normal inter-burst draw lands in the window."""
+    scale = math.sqrt(2 * video.ibt_var_s2)
+    return (math.erf((video.ibt_max_s - video.ibt_mean_s) / scale)
+            - math.erf((video.ibt_min_s - video.ibt_mean_s) / scale)) / 2
+
+
+def test_a_window_hit_exactly_at_the_floor_is_drawn(monkeypatch):
+    hit = _hit(VideoParams())
+    monkeypatch.setattr(traffic, "_IBT_HIT_FLOOR", hit)
+    VideoParams()
+    monkeypatch.setattr(traffic, "_IBT_HIT_FLOOR", math.nextafter(hit, 1))
+    with pytest.raises(ValueError, match="^ibt_var_s2 1.8 puts"):
+        VideoParams()
+
+
+def _log_largest_scale(video: VideoParams) -> float:
+    """log of the Weibull scale times the most frames a burst has."""
+    return math.log(video.lambda_bytes * (video.ibt_max_s * video.frame_rate + 1))
+
+
+def test_a_burst_scale_with_no_room_below_the_float_limit_is_refused(monkeypatch):
+    # the room left below the limit is exactly 0
+    monkeypatch.setattr(traffic, "_LOG_FLOAT_MAX", _log_largest_scale(VideoParams()))
+    with pytest.raises(ValueError, match="^frame_rate 30.0 over ibt_max_s 10.0 s .* overflows"):
+        VideoParams()
+
+
+def test_a_largest_weibull_draw_exactly_at_the_room_is_refused(monkeypatch):
+    video = VideoParams()
+    reach = video.weibull_k * (traffic._LOG_FLOAT_MAX - _log_largest_scale(video))
+    largest = math.exp(reach)
+    assert math.log(largest) == reach
+    monkeypatch.setattr(traffic, "_EXP_MAX", largest)
+    with pytest.raises(ValueError, match="^weibull_k 0.8099 lets a VBR burst of 300 frames"):
+        VideoParams()
+    monkeypatch.setattr(traffic, "_EXP_MAX", largest / 2)
+    VideoParams()
+
+
+def test_an_ibt_min_of_exactly_one_frame_is_taken():
+    assert VideoParams(ibt_min_s=1.0, frame_rate=1.0).ibt_min_s == 1.0
+    with pytest.raises(ValueError, match="^ibt_min_s must span at least one frame at 1.0 fps"):
+        VideoParams(ibt_min_s=0.5, frame_rate=1.0)
+
+
+def test_no_vbr_burst_is_released_at_the_session_end():
+    # every burst is 6 s apart, so the third would be released at 12 s exactly
+    point = VideoParams(ibt_min_s=6.0, ibt_max_s=6.0, ibt_var_s2=0.0)
+    bursts = generate_vbr_bursts(point, 12.0, PCG64(1))
+    assert [b.release_time_s for b in bursts] == [0.0, 6.0]
+    bursts = generate_vbr_bursts(point, math.nextafter(12.0, 13), PCG64(1))
+    assert [b.release_time_s for b in bursts] == [0.0, 6.0, 12.0]
