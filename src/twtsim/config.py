@@ -55,14 +55,14 @@ class ConfigError(ValueError):
 
 
 def decode(data: bytes) -> str:
-    """A config file's text: its bytes read as UTF-8, whatever the locale."""
+    """A config file's text: its bytes read as UTF-8, whatever the locale,
+    after a byte-order mark if one leads them."""
     try:
-        return data.decode()
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the bad byte's line as _tokenize numbers lines: the last line of the
-        # text before it, with one character in its place
-        line = len((data[:exc.start].decode() + "?").splitlines())
-        raise ConfigError(f"not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})", line) from exc
+        read = exc.object  # the bytes after a byte-order mark: what exc.start counts in
+        line = read[:exc.start].count(b"\n") + 1  # as _tokenize numbers lines
+        raise ConfigError(f"not UTF-8: byte {read[exc.start]:#04x} ({exc.reason})", line) from exc
 
 
 def _to_bool(value: str) -> bool:
@@ -109,7 +109,7 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     sections: dict[str, dict[str, _Entry]] = {}
     current: str | None = None
     saw_format = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # strip() drops a CR
         line = raw.partition("#")[0].strip()
         if not line:
             continue

@@ -2,36 +2,34 @@
 
 Run directly::
 
-    python tests/mutants.py FILE [FILE ...] --tests TEST [TEST ...] [--timeout S]
+    python tests/mutants.py FILE [FILE ...]
 
-FILE is a module under ``src/`` and TEST a pytest argument, both relative to
-the repo root.  The script copies ``src/``, ``tests/`` and ``perfbench/`` (the
-bench-hook tests read its layer trace) into a temporary directory and never
-edits the repo.  It finds every ``<``, ``<=``, ``>``, ``>=``, ``==``, ``!=``,
-``and`` and ``or`` of each FILE with ``ast`` and swaps it for its twin
-(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``and`` and ``or``)
-in the copy's source text, so every other line keeps its number.  Each
-mutant runs ``pytest -x`` on the TESTs, killed at the timeout.  A mutant that
-passes them survives and is printed to stdout as ``file:line:column op -> op``,
-then the qualified name of the function it is in and the comparison or boolean
-expression it is in; progress goes to stderr.  Mutants listed in
-``EQUIVALENT`` are skipped and printed with their reason.  An operator inside
-an f-string is printed as not mutated: Python 3.11 tokenizes an f-string as
-one string, so it has no token of its own to swap.
+FILE is a module under ``src/``, relative to the repo root, and a key of
+``SWEEPS``, which names the pytest files that sweep it.  The script copies
+``src/``, ``tests/`` and ``perfbench/`` (the bench-hook tests read its layer
+trace) into a temporary directory and never edits the repo.  It finds every
+``<``, ``<=``, ``>``, ``>=``, ``==``, ``!=``, ``and`` and ``or`` of each FILE
+with ``ast`` and swaps it for its twin (``<`` and ``<=``, ``>`` and ``>=``,
+``==`` and ``!=``, ``and`` and ``or``) in the copy's source text, so every
+other line keeps its number.  The FILE's tests run once on the unmutated
+copy, timed and with no timeout; then each mutant runs ``pytest -x`` on them,
+killed at 5 times that time plus 10 s, which kills a mutant that loops.  A
+mutant that passes them survives and is printed to stdout as
+``file:line:column op -> op``, then the qualified name of the function it is
+in and the comparison or boolean expression it is in; progress goes to
+stderr.  Mutants listed in ``EQUIVALENT`` are skipped and printed with their
+reason.  An operator inside an f-string is printed as not mutated: Python
+3.11 tokenizes an f-string as one string, so it has no token of its own to
+swap.
 
-Exit status: 0 when no mutant survived, 1 when one did, 2 when the TESTs
-fail on the unmutated copy or an ``EQUIVALENT`` entry of a FILE matches no
-mutant or more than one (it is printed with the positions it matches, and no
-mutant runs).  It uses only the standard library, and pytest does not collect
-it.  Each mutant is one pytest run.  CI sweeps ``schedule.py`` and
-``transport.py`` against their own test modules, ``search.py`` against
-``test_search``, ``test_cli`` and ``test_bench_hooks`` (about 45 s),
-``scenarios.py`` against ``test_config`` and ``test_search`` (about 11 s),
-and ``config.py`` against ``test_config`` and ``test_cli`` (about 40 s).
-``macsim.py`` against ``test_macsim``, ``test_bench_hooks`` and
-``test_search`` takes about 4 min, so CI sweeps it in a job of its own
-(``engine-mutants``), and ``traffic.py`` against ``test_traffic`` in
-another (``traffic-mutants``, about 80 s with ``--timeout 20``).
+Exit status: 0 when no mutant survived, 1 when one did, 2 when a FILE has no
+``SWEEPS`` row, its tests fail on the unmutated copy or an ``EQUIVALENT``
+entry of a FILE matches no mutant or more than one (it is printed with the
+positions it matches, and no mutant runs).  It uses only the standard
+library, and pytest does not collect it.  Each mutant is one pytest run.  CI
+sweeps every ``SWEEPS`` row on 3.11, one job per module, and
+``tests/test_mutants.py`` requires a row for every module that has a mutant
+and CI's matrix to name exactly the rows.
 """
 
 import argparse
@@ -53,6 +51,22 @@ COPIED = ("src", "tests", "perfbench")
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
          ast.And: ("and", "or"), ast.Or: ("or", "and")}
+
+# module -> the pytest files whose tests must kill each of its mutants
+SWEEPS = {
+    "src/twtsim/schedule.py": ("tests/test_schedule.py",),
+    "src/twtsim/transport.py": ("tests/test_transport.py",),
+    "src/twtsim/traffic.py": ("tests/test_traffic.py",),
+    "src/twtsim/qos.py": ("tests/test_qos.py",),
+    "src/twtsim/search.py": ("tests/test_search.py", "tests/test_cli.py",
+                             "tests/test_bench_hooks.py"),
+    "src/twtsim/scenarios.py": ("tests/test_config.py", "tests/test_search.py"),
+    "src/twtsim/config.py": ("tests/test_config.py", "tests/test_cli.py"),
+    "src/twtsim/cli.py": ("tests/test_cli.py",),
+    "src/twtsim/pcg64.py": ("tests/test_pcg64.py", "tests/test_traffic.py"),
+    "src/twtsim/macsim.py": ("tests/test_macsim.py", "tests/test_bench_hooks.py",
+                             "tests/test_search.py"),
+}
 
 # (line, column, op, swapped op, function, expression)
 Mutant = tuple[int, int, str, str, str, str]
@@ -163,7 +177,7 @@ def swapped(source: str, line: int, col: int, old: str, new: str) -> str:
     return "".join(lines)
 
 
-def passes(root: Path, tests: list[str], timeout: float) -> bool:
+def passes(root: Path, tests: tuple[str, ...], timeout: float | None) -> bool:
     """Whether ``pytest -x`` passes on ``tests`` in ``root`` within ``timeout`` s."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -179,9 +193,8 @@ def passes(root: Path, tests: list[str], timeout: float) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="+", help="modules to mutate, e.g. src/twtsim/qos.py")
-    parser.add_argument("--tests", nargs="+", required=True, help="pytest arguments")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
+    parser.add_argument("files", nargs="+", choices=SWEEPS, metavar="FILE",
+                        help="modules to mutate, e.g. src/twtsim/qos.py")
     args = parser.parse_args()
     start = time.monotonic()
     found, unmutated = {}, {}
@@ -201,10 +214,14 @@ def main() -> int:
         for name in COPIED:
             shutil.copytree(ROOT / name, root / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        if not passes(root, args.tests, args.timeout):
-            print("the tests fail on the unmutated copy", file=sys.stderr)
-            return 2
         for rel in args.files:
+            tests = SWEEPS[rel]
+            t0 = time.monotonic()
+            if not passes(root, tests, None):
+                print(f"the tests of {rel} fail on the unmutated copy", file=sys.stderr)
+                return 2
+            timeout = 5 * (time.monotonic() - t0) + 10
+            print(f"{rel}: {' '.join(tests)}, {timeout:.1f} s per mutant", file=sys.stderr)
             path = root / rel
             source = path.read_text()
             for mutant in unmutated[rel]:
@@ -218,7 +235,7 @@ def main() -> int:
                     continue
                 path.write_text(swapped(source, line, col, old, new))
                 t0 = time.monotonic()
-                survived = passes(root, args.tests, args.timeout)
+                survived = passes(root, tests, timeout)
                 print(f"{'SURVIVED' if survived else 'killed'} {label} "
                       f"({time.monotonic() - t0:.1f} s)", file=sys.stderr)
                 if survived:

@@ -441,10 +441,13 @@ def test_unreadable_bundled_config_exit_code(tmp_path, monkeypatch, capsys):
     (b"format = 1\n# caf\xe9\n", 2),
     (b"\xff", 1),
     (b"format = 1\r\n\r\n[traffic]\r\nbitrate_mbps = 10 \xc3\n", 4),  # a cut sequence
-    (b"format = 1\r[twt]\rmf = \xe2\x82", 3),  # old Mac line ends; cut at the end
+    (b"format = 1\r[twt]\rmf = \xe2\x82", 1),  # a CR alone ends no line; cut at the end
+    (b"format = 1\n# a\x0cb\n# \xff\n", 3),  # a form feed ends no line either
+    (b"\xef\xbb\xbfformat = 1\n# caf\xe9\n", 2),  # after a byte-order mark
     (SHORT.replace("mf = 4", "mf = 4  # \u00e9").encode("latin-1"),
      SHORT.count("\n", 0, SHORT.index("mf = 4")) + 1),
-], ids=["latin-1 comment", "first byte", "cut sequence", "cut at the end", "latin-1 in a config"])
+], ids=["latin-1 comment", "first byte", "cut sequence", "cut at the end", "form feed",
+        "byte-order mark", "latin-1 in a config"])
 def test_a_config_that_is_not_utf8_is_a_config_error_at_its_first_bad_byte(data, line, tmp_path,
                                                                              capsys):
     bad = tmp_path / "bad.cfg"
@@ -454,6 +457,7 @@ def test_a_config_that_is_not_utf8_is_a_config_error_at_its_first_bad_byte(data,
     assert err["error"] == "config"
     assert err["line"] == line
     assert err["detail"].startswith(f"line {line}: not UTF-8: byte 0x")
+    assert int(err["detail"].split("byte ")[1][:4], 16) >= 0x80  # the bad byte, not ASCII
     assert not (tmp_path / "o").exists()
 
 

@@ -11,7 +11,7 @@ import twtsim.traffic
 from test_bench_hooks import _traced
 from twtsim import (ConfigError, MacParams, ScenarioTemplate, VideoParams, paper_setup, parse,
                     run_sim)
-from twtsim.config import _SECTION_KEYS, default_config_text
+from twtsim.config import _SECTION_KEYS, decode, default_config_text
 
 MINIMAL = """\
 format = 1
@@ -405,11 +405,23 @@ def test_bad_value_reports_line():
     ("format = 1\n[sim]\nseed = x\n[mac]\nbogus = 1\n", 3, "bad value for 'seed'"),
     ("format = 1\n[station.ap]\nrole = ap\n[station.c1]\nphy_rate_mbps = x\ndut = true\n",
      5, "bad value for 'phy_rate_mbps'"),
-], ids=["before-an-unknown-key", "in-a-config-without-traffic"])
+    # lines end at LF only: a form feed in a comment does not end it
+    ("format = 1\n# a\x0cb\nnope = 1\n", 3, "key 'nope' before any section"),
+], ids=["before-an-unknown-key", "in-a-config-without-traffic", "after-a-form-feed"])
 def test_the_first_faulty_line_is_reported(text, line, message):
     with pytest.raises(ConfigError, match=message) as exc:
         parse(text)
     assert exc.value.line == line
+
+
+def test_a_byte_order_mark_may_lead_the_file_and_nowhere_else():
+    data = default_config_text().encode()
+    assert parse(decode(b"\xef\xbb\xbf" + data)).template == paper_setup()
+    for bad, line in [(b"\xef\xbb\xbf" * 2 + data, 1),
+                      (MINIMAL.replace("\n[", "\n\ufeff[", 1).encode(), 3)]:
+        with pytest.raises(ConfigError, match="before any section|expected 'key = value'") as exc:
+            parse(decode(bad))
+        assert exc.value.line == line
 
 
 def test_station_needs_some_rate():

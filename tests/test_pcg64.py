@@ -1,5 +1,7 @@
 """The pure-Python generator against numpy's Generator(PCG64), bit for bit."""
 
+import math
+from collections.abc import Iterator
 from dataclasses import astuple
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from twtsim import VideoParams, generate_vbr_bursts
 from twtsim.macsim import seed_state
+from twtsim import pcg64
 from twtsim.pcg64 import PCG64
 
 DRAWS = 40_000
@@ -78,3 +81,104 @@ def test_vbr_bursts_are_numpys(seed):
     got = generate_vbr_bursts(VideoParams(), 120.0, PCG64(rng_seed))
     want = generate_vbr_bursts(VideoParams(), 120.0, np.random.default_rng(rng_seed))
     assert [astuple(b) for b in got] == [astuple(b) for b in want]
+
+
+# Ties: a draw exactly at one of the ziggurat's strict comparisons, where numpy
+# does not take the fast path, accepts no wedge and accepts no tail point.
+# Seeded draws almost never tie, so each test sets the words up itself.
+
+def _before(word: int, inc: int) -> int:
+    """The state whose next step outputs ``word``: after that step the state's
+    high half is 0, so XSL-RR outputs its low half unrotated."""
+    return (word - inc) * pow(pcg64._MULT, -1, 1 << 128) % (1 << 128)
+
+
+def _both_at(word: int) -> tuple[PCG64, np.random.Generator]:
+    """This generator and numpy's, each about to output ``word`` next."""
+    rng = PCG64(0)
+    rng._state = _before(word, rng._inc)
+    gen = np.random.default_rng()
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": rng._state, "inc": rng._inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng, gen
+
+
+def _scripted(*words: int) -> tuple[PCG64, Iterator[int]]:
+    """A generator whose next words are ``words``, and what is left of them."""
+    rng = PCG64(0)
+    stream = iter(words)
+    rng._next64 = stream.__next__
+    return rng, stream
+
+
+def _word_of(f, target: float, guess: float) -> int | None:
+    """The word whose double ``u`` (its top 53 bits times 2**-53), near
+    ``guess``, makes ``f(u) == target`` exactly; None if none near it does."""
+    near = round(guess * 2**53)
+    return next((k << 11 for k in range(max(near - 4, 0), min(near + 5, 2**53))
+                 if f(k * 2.0**-53) == target), None)
+
+
+@pytest.mark.parametrize("idx", [0, 1, 128, 255])
+def test_an_exponential_word_at_its_layers_bound_is_not_fast(idx):
+    # ri == ke[idx]: numpy goes on to the wedge or the tail, which takes one
+    # more word, so each later draw would differ had this one been fast
+    rng, gen = _both_at(pcg64._KE[idx] << 11 | idx << 3)
+    assert [rng._standard_exponential() for _ in range(3)] == gen.standard_exponential(3).tolist()
+
+
+@pytest.mark.parametrize("idx", [0, 1, 128, 255])
+@pytest.mark.parametrize("sign", [0, 1])
+def test_a_normal_word_at_its_layers_bound_is_not_fast(idx, sign):
+    rng, gen = _both_at(pcg64._KI[idx] << 9 | sign << 8 | idx)
+    assert [rng._standard_normal() for _ in range(3)] == gen.standard_normal(3).tolist()
+
+
+def _wedge_tie(k: tuple, w: tuple, f: tuple, density, idx: int) -> tuple[int, int]:
+    """A word ``r`` above layer ``idx``'s bound ``k[idx]``, so in its wedge,
+    and the wedge word that puts the point ``x = r * w[idx]`` exactly on the
+    density, ``(f[idx - 1] - f[idx]) * u + f[idx] == density(x)``."""
+    d = f[idx - 1] - f[idx]
+    for r in range(k[idx] + 1, k[idx] + 10_000):
+        target = density(r * w[idx])
+        word = _word_of(lambda u: d * u + f[idx], target, (target - f[idx]) / d)
+        if word is not None:
+            return r, word
+    raise AssertionError(f"no wedge tie in layer {idx}")
+
+
+@pytest.mark.parametrize("idx", [1, 100, 255])
+def test_an_exponential_wedge_point_on_the_density_is_rejected(idx):
+    ri, word = _wedge_tie(pcg64._KE, pcg64._WE, pcg64._FE, lambda x: math.exp(-x), idx)
+    # the tie is rejected, and the next word's fast path is taken
+    rng, stream = _scripted(ri << 11 | idx << 3, word, 1 << 11 | 2 << 3)
+    assert rng._standard_exponential() == pcg64._WE[2]
+    assert next(stream, None) is None
+
+
+@pytest.mark.parametrize("idx", [1, 100, 255])
+def test_a_normal_wedge_point_on_the_density_is_rejected(idx):
+    rabs, word = _wedge_tie(pcg64._KI, pcg64._WI, pcg64._FI,
+                            lambda x: math.exp(-0.5 * x * x), idx)
+    rng, stream = _scripted(rabs << 9 | idx, word, 1 << 9 | 2)
+    assert rng._standard_normal() == pcg64._WI[2]
+    assert next(stream, None) is None
+
+
+def test_a_normal_tail_point_on_the_bound_is_rejected():
+    # xx about 1.2: yy is about 0.72, where most targets are a double's image
+    start = round((1 - math.exp(-1.2 / pcg64._NOR_INV_R)) * 2**53)
+    for k in range(start, start + 10_000):
+        xx = -pcg64._NOR_INV_R * math.log1p(-k * 2.0**-53)
+        target = xx * xx / 2
+        word = _word_of(lambda u: -math.log1p(-u), target, -math.expm1(-target))
+        if word is not None:
+            break
+    else:
+        raise AssertionError("no tail tie")
+    # layer 0 with the largest rabs, whose bit 8 makes the tail point negative;
+    # the tie (yy + yy == xx * xx) is rejected, and the next pair, xx 0, accepted
+    rng, stream = _scripted((1 << 52) - 1 << 9, k << 11, word, 0, 1 << 63)
+    assert rng._standard_normal() == -pcg64._NOR_R
+    assert next(stream, None) is None
