@@ -16,16 +16,19 @@ import json
 import os
 import statistics
 import sys
-from collections.abc import Iterable
-from dataclasses import astuple, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, fields, replace
 from itertools import starmap
 from pathlib import Path
 
 from .config import ConfigError, ParsedConfig, decode, default_config_text, parse
 from .macsim import run_sim
-from .qos import burst_service, compute_qos, qos_pass
-from .search import (InfeasibleTargetError, duty_point, mf_point, phase1_min_duty,
-                     phase2_select_mf, points, run_full_search, seeded_runs)
+from .qos import burst_service
+# perfbench's layer trace wraps these names here; qos scores and judges through run_one
+from .qos import compute_qos, qos_pass  # noqa: F401
+from .search import (DutyPoint, InfeasibleTargetError, MfPoint, duty_point, mf_point,
+                     phase1_min_duty, phase2_select_mf, points, run_full_search, run_one,
+                     seeded_runs)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,10 +55,23 @@ def _bg_aggregate_mbps(trace) -> float:
     return 8 * total / trace.duration_s / 1e6
 
 
-# the fields of a DutyPoint and of an MfPoint, in order; the MF CSV names
-# MfPoint.mean_cv as mean_throughput_cv
-_DUTY_HEADER = ["duty_percent", "mean_throughput_mbps", "std_throughput_mbps"]
-_MF_HEADER = ["mf", "mean_underrun_time_s", "mean_underrun_events", "mean_throughput_cv"]
+# the columns named otherwise than the field or payload key they hold
+_COLUMN_NAMES = {"mean_cv": "mean_throughput_cv", "throughput_variation": "throughput_cv"}
+# the keys of a search payload's session that sessions.csv holds, in order
+_SESSION_KEYS = ("model", "duty_percent", "mf", "seed", "avg_throughput_mbps",
+                 "underrun_events", "underrun_time_s", "throughput_variation", "passed")
+
+
+def _keys(cls) -> list[str]:
+    """The field names of a dataclass, in order."""
+    return [f.name for f in fields(cls)]
+
+
+def _write_records(path: Path, keys: Sequence[str], records: Iterable[dict]) -> None:
+    """One row per record, its values at ``keys``, each column named as its key
+    unless ``_COLUMN_NAMES`` renames it."""
+    _write_csv(path, [_COLUMN_NAMES.get(k, k) for k in keys],
+               ([r[k] for k in keys] for r in records))
 
 
 def _write_table(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -94,58 +110,21 @@ def cmd_simulate(cfg: ParsedConfig, out: Path) -> int:
 
 
 def cmd_qos(cfg: ParsedConfig, out: Path) -> int:
-    scenario = cfg.scenario()
-    trace = run_sim(scenario)
-    report = compute_qos(trace, scenario.bursts)
-    payload = report.to_dict()
-    payload["seed"] = cfg.seed
-    payload["model"] = cfg.model
-    payload["qos_pass"] = qos_pass(
-        report, cfg.template.bitrate_mbps, cfg.template.max_underruns
-    )
-    _write_json(out / "qos_report.json", payload)
-    _write_csv(
-        out / "instantaneous.csv",
-        ["interval_start_s", "throughput_mbps"],
-        report.instantaneous_mbps,
-    )
+    run = run_one(cfg.template, (), cfg.session_duty, cfg.mf, cfg.model, cfg.seed)
+    _write_json(out / "qos_report.json", {**run.report.to_dict(), "seed": run.seed,
+                                          "model": run.model, "qos_pass": run.passed})
+    _write_csv(out / "instantaneous.csv", ["interval_start_s", "throughput_mbps"],
+               run.report.instantaneous_mbps)
     return EXIT_OK
 
 
 def cmd_search(cfg: ParsedConfig, out: Path) -> int:
-    result = run_full_search(cfg.template)
-    _write_json(out / "search_result.json", result.to_dict())
-    _write_csv(out / "phase1_curve.csv", _DUTY_HEADER, map(astuple, result.phase1_curve))
-    _write_csv(out / "phase2_curve.csv", _MF_HEADER, map(astuple, result.phase2_curve))
-    _write_csv(
-        out / "sessions.csv",
-        [
-            "model",
-            "duty_percent",
-            "mf",
-            "seed",
-            "avg_throughput_mbps",
-            "underrun_events",
-            "underrun_time_s",
-            "throughput_cv",
-            "passed",
-        ],
-        (
-            (
-                s.model,
-                s.duty_percent,
-                s.mf,
-                s.seed,
-                s.report.avg_throughput_mbps,
-                s.report.underrun_events,
-                s.report.underrun_time_s,
-                s.report.throughput_variation,
-                s.passed,
-            )
-            for s in result.sessions
-        ),
-    )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    payload = run_full_search(cfg.template).to_dict()
+    _write_json(out / "search_result.json", payload)
+    _write_records(out / "phase1_curve.csv", _keys(DutyPoint), payload["phase1_curve"])
+    _write_records(out / "phase2_curve.csv", _keys(MfPoint), payload["phase2_curve"])
+    _write_records(out / "sessions.csv", _SESSION_KEYS, payload["sessions"])
+    return EXIT_OK if payload["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_sweep_duty(cfg: ParsedConfig, out: Path) -> int:
@@ -153,15 +132,15 @@ def cmd_sweep_duty(cfg: ParsedConfig, out: Path) -> int:
         _, runs = phase1_min_duty(cfg.template)
     except InfeasibleTargetError as exc:
         # the curve shows the shortfall
-        _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, exc.curve))
+        _write_records(out / "duty_sweep.csv", _keys(DutyPoint), map(asdict, exc.curve))
         raise
-    _write_csv(out / "duty_sweep.csv", _DUTY_HEADER, map(astuple, points(runs, duty_point)))
+    _write_records(out / "duty_sweep.csv", _keys(DutyPoint), map(asdict, points(runs, duty_point)))
     return EXIT_OK
 
 
 def cmd_sweep_mf(cfg: ParsedConfig, out: Path) -> int:
     _, runs = phase2_select_mf(cfg.template, cfg.duty_percent)
-    _write_csv(out / "mf_sweep.csv", _MF_HEADER, map(astuple, points(runs, mf_point)))
+    _write_records(out / "mf_sweep.csv", _keys(MfPoint), map(asdict, points(runs, mf_point)))
     return EXIT_OK
 
 

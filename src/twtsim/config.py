@@ -27,9 +27,10 @@ import os
 import re
 from dataclasses import dataclass, fields, replace
 
-from .macsim import MacParams, Scenario, Station, back_solve_phy_rate, check_mpdu_fits
+from .macsim import (NS_PER_US, MacParams, Scenario, Station, back_solve_phy_rate,
+                     check_mpdu_fits, least_sp_ns)
 from .scenarios import ScenarioTemplate, check_model
-from .schedule import schedule_from
+from .schedule import SP_CAP_US, schedule_from
 from .traffic import VideoParams
 
 REQUIRED_SECTIONS = ("station.<id> (one 'ap' role and at least one client)", "traffic")
@@ -99,7 +100,7 @@ _SECTION_KEYS = {
 @dataclass
 class _Entry:
     value: object  # the text as converted by its key's converter
-    line: int
+    line: int | None  # None for a default that parse puts in
     key: str  # the key as the config names it
 
 
@@ -200,7 +201,16 @@ class ParsedConfig:
 
     def __post_init__(self) -> None:
         check_model(self.model)
-        schedule_from(self.duty_percent, self.mf)  # sweep-mf and table3 use both, TWT on or off
+        # sweep-mf and table3 use both, TWT on or off, so both are checked either way
+        sp_us = schedule_from(self.duty_percent, self.mf).sp_us
+        dut = next(s for s in self.template.stations if s.id == self.template.dut)
+        need = least_sp_ns(self.template.mac, dut.phy_rate_mbps)
+        if sp_us * NS_PER_US < need:
+            usable = [mf for mf in (1 << i for i in range(SP_CAP_US.bit_length()))
+                      if schedule_from(self.duty_percent, mf).sp_us * NS_PER_US >= need]
+            raise ValueError(f"mf {self.mf} leaves a {sp_us} us service period, less than the "
+                             f"{need / NS_PER_US:g} us of a DIFS, the overhead and one MPDU to DUT "
+                             f"{dut.id!r}; the largest usable mf is {max(usable, default='none')}")
 
     @property
     def seed(self) -> int:
@@ -296,6 +306,9 @@ def parse(text: str) -> ParsedConfig:
         for_template["background_streams"] = background["streams_per_client"]
     twt = sections.get("twt", {})
     run.update((("twt_enabled" if k == "enabled" else k), e) for k, e in twt.items())
+    # the DUT, not an unrelated line, is at fault when the default mf is refused; each
+    # ParsedConfig message starts with its argument, so no fallback meets this None line
+    run.setdefault("mf", _Entry(ParsedConfig.mf, None, "mf"))
 
     # the template comes first: its local stream calibrates the clients
     template = _checked(for_template, ScenarioTemplate, stations=(), dut="", video=video,

@@ -18,7 +18,7 @@ Each client's state -- its queue, its ACK records, its contender -- is one
 object that events and queue runs carry, as they carry each flow's state.  The
 AP contends while one count, of the ungated clients with queued segments, is
 nonzero, or while the gated client has a backlog and, a DIFS before its window
-ends, room for the overhead and one MPDU (``_Engine._ap_pending``).
+ends, room for the overhead and one MPDU (``least_sp_ns``).
 Each event carries the handler it fires and one payload, as ``(t, seq,
 handler, payload)``, and the loop calls ``handler(t, payload)``; the handler
 unpacks it: ``(client, n)`` for an A-MPDU end, the client for an ACK end, the
@@ -365,6 +365,12 @@ def ack_airtime_ns(mac: MacParams, records: int, phy_rate_mbps: float) -> int:
     return mac.per_frame_overhead_us * NS_PER_US + math.ceil(bits * NS_PER_US / phy_rate_mbps)
 
 
+def least_sp_ns(mac: MacParams, phy_rate_mbps: float) -> int:
+    """The least of its wake window, in ns, in which the AP serves a gated client at
+    ``phy_rate_mbps`` (``_Engine._ap_pending``): a DIFS, the overhead and one MPDU."""
+    return (mac.difs_us + mac.per_frame_overhead_us) * NS_PER_US + mpdu_airtime_ns(phy_rate_mbps)
+
+
 def check_mpdu_fits(mac: MacParams, sid: str, phy_rate_mbps: float) -> None:
     """Raise ValueError unless one MPDU to client ``sid`` fits the TXOP limit.
 
@@ -495,8 +501,8 @@ class _Engine:
                  "max_ampdu", "ap_cont", "clients", "gated", "backlog", "rr", "rr_ptr", "flows",
                  "heap", "seq", "h_arrive", "h_contend", "h_ampdu_end",
                  "h_ack_end", "h_server_ack", "h_wake", "busy_until", "race", "record_cwnd",
-                 "tx_end", "sp", "period", "collision_idx", "log_airtime", "log_delivery",
-                 "log_cwnd", "trace", "__weakref__")
+                 "tx_end", "sp", "period", "least_sp", "collision_idx", "log_airtime",
+                 "log_delivery", "log_cwnd", "trace", "__weakref__")
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -546,6 +552,7 @@ class _Engine:
 
         if sched is not None:
             self.sp, self.period = sched.sp_us * NS_PER_US, sched.period_us * NS_PER_US
+            self.least_sp = least_sp_ns(sc.mac, self.gated.rate)
         # station indices: the contenders', then the collision pseudo-station
         names = (ap.id, *(c.sid for c in self.clients), COLLISION_ID)
         self.collision_idx = len(names) - 1
@@ -648,9 +655,9 @@ class _Engine:
         """What is left of the gated client's wake window at ``s`` in ns, at most 0 (no
         room) while it sleeps.  The rule as it stands: where a cycle is built and where it
         starts, the gated ACK return (``_gated_acks_fit``) must fit what is left less a
-        DIFS, and so must the overhead and one MPDU for the gated client's backlog to make
-        the AP pending (``_ap_pending``; the count of ungated backlogs makes it pending on
-        its own); the A-MPDU chosen at the start (``_select_ap_tx``) need not leave the
+        DIFS, and what is left must reach ``least_sp_ns`` for the gated client's backlog to
+        make the AP pending (``_ap_pending``; the count of ungated backlogs makes it pending
+        on its own); the A-MPDU chosen at the start (``_select_ap_tx``) need not leave the
         DIFS; nothing gated crosses it (``_contend``).  It reads the clock, not state set
         on waking: an event at a wake instant may run first."""
         return self.sp - s % self.period
@@ -672,8 +679,7 @@ class _Engine:
         if self.backlog:
             return True
         g = self.gated
-        if (g is not None and g.qsegs
-                and self._window_left(t) - self.difs >= self.overhead + g.t_mpdu):
+        if g is not None and g.qsegs and self._window_left(t) >= self.least_sp:
             return True
         return False
 

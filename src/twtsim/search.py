@@ -37,9 +37,9 @@ class InfeasibleTargetError(Exception):
 
 @dataclass(frozen=True)
 class Run:
-    """One seeded simulation: the point ``key`` names, at one seed of
-    ``template.rep_seeds(*key)``.  A phase-1 run (model None) is the unloaded
-    stream at MF 1 and has no report or verdict."""
+    """One seeded simulation of the point ``key`` names, at a seed of ``template.rep_seeds(*key)``
+    (key ``()``: the ``qos`` command's session, at the config's seed).  A phase-1 run
+    (model None) is the unloaded stream at MF 1 and has no report or verdict."""
 
     key: tuple[int, ...]
     model: str | None
@@ -88,23 +88,24 @@ def points(runs: Iterable[Run], build: Callable[[Sequence[Run]], object]) -> tup
     return tuple(build(tuple(batch)) for _, batch in groupby(runs, attrgetter("key")))
 
 
+def run_one(template: ScenarioTemplate, key: tuple[int, ...], duty: int | None, mf: int,
+            model: str | None, seed: int) -> Run:
+    """The run of the point ``key`` names at ``seed``: model None runs phase 1's
+    unloaded scenario (MF 1), a model a loaded streaming session (duty None
+    disables TWT), scored by ``compute_qos`` and judged by ``qos_pass``."""
+    if model is None:
+        mbps = run_sim(template.phase1_scenario(duty, seed)).flow_throughput_mbps(DUT_STREAM)
+        return Run(key, model, duty, mf, seed, mbps, None, None)
+    scenario = template.session_scenario(duty, mf, model, seed)
+    report = compute_qos(run_sim(scenario), scenario.bursts)
+    passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
+    return Run(key, model, duty, mf, seed, report.avg_throughput_mbps, report, passed)
+
+
 def seeded_runs(template: ScenarioTemplate, key: tuple[int, ...], duty: int | None, mf: int,
                 model: str | None) -> tuple[Run, ...]:
-    """One run per seed of ``template.rep_seeds(*key)``, in seed order: model None
-    runs phase 1's unloaded scenario (MF 1), a model a loaded streaming session
-    (duty None disables TWT), scored by ``compute_qos`` and judged by ``qos_pass``."""
-    runs = []
-    for seed in template.rep_seeds(*key):
-        if model is None:
-            report = passed = None
-            mbps = run_sim(template.phase1_scenario(duty, seed)).flow_throughput_mbps(DUT_STREAM)
-        else:
-            scenario = template.session_scenario(duty, mf, model, seed)
-            report = compute_qos(run_sim(scenario), scenario.bursts)
-            passed = qos_pass(report, template.bitrate_mbps, template.max_underruns)
-            mbps = report.avg_throughput_mbps
-        runs.append(Run(key, model, duty, mf, seed, mbps, report, passed))
-    return tuple(runs)
+    """``run_one`` at each seed of ``template.rep_seeds(*key)``, in seed order."""
+    return tuple(run_one(template, key, duty, mf, model, seed) for seed in template.rep_seeds(*key))
 
 
 @dataclass(frozen=True)

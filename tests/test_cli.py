@@ -380,6 +380,8 @@ def test_config_error_exit_code_and_json(tmp_path, capsys):
      # one MPDU must fit the TXOP: a rate too low for any limit, a limit too short for c4
      ("[station.c5]\nphy_rate_mbps = 2\n", "phy_rate_mbps"),
      ("[mac]\ntxop_limit_us = 200\n", "txop_limit_us"),
+     # no window of mf = 4 (16383 us) holds a 20000 us DIFS: refused at the mf line
+     ("[mac]\ndifs_us = 20000\n", "mf"),
      # float() takes these; the config does not
      ("[station.c5]\nphy_rate_mbps = inf\n", "phy_rate_mbps"),
      ("[transport]\nlocal_rtt_s = nan\n", "local_rtt_s")],
@@ -403,6 +405,17 @@ def test_a_weibull_k_whose_gamma_overflows_is_a_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"] == "config"
     assert err["line"] == text.count("\n", 0, text.index("weibull_k = 1e-306")) + 1
+
+
+def test_a_command_that_refuses_its_input_is_a_validation_error(cfg_path, tmp_path, capsys,
+                                                               monkeypatch):
+    def refuse(scenario):
+        raise ValueError("no run for this scenario")
+
+    monkeypatch.setattr(cli, "run_sim", refuse)
+    assert run_cli("--config", cfg_path, "--command", "simulate", "--out", tmp_path / "o") == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err == {"error": "validation", "detail": "no run for this scenario"}
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -60,6 +60,51 @@ def test_twt_section_drives_schedule():
     assert (dut, sched.sp_us, sched.wi_us) == ("c1", 8191, 19114)
 
 
+# At MF 256 the service period is 255 us.  A DIFS (34 us), the overhead (100 us)
+# and one MPDU of 121 us fill it exactly at 99.1736 Mbit/s: ceil(12e6 / 99.1736) is
+# 121000 ns.  At 99.1735 Mbit/s the MPDU takes 121001 ns.
+@pytest.mark.parametrize("rate, twt, refusal", [
+    ("99.1736", "mf = 256", None),
+    ("99.1735", "mf = 256", "mf 256 leaves a 255 us service period, less than the 255.001 us "
+                            "of a DIFS, the overhead and one MPDU to DUT 'c1'; the largest "
+                            "usable mf is 128"),
+    # table3 runs the schedule with TWT off too
+    ("99.1736", "enabled = false\nmf = 512", "the largest usable mf is 256"),
+    # a DIFS longer than the longest service period
+    ("100", "mf = 1\n\n[mac]\ndifs_us = 65536", "the largest usable mf is none"),
+], ids=["exactly filled", "1 ns over", "twt off", "no mf"])
+def test_a_service_period_that_cannot_carry_one_exchange_is_refused_at_the_mf_line(
+        rate, twt, refusal):
+    text = MINIMAL.replace("phy_rate_mbps = 100", f"phy_rate_mbps = {rate}") + f"\n[twt]\n{twt}\n"
+    if refusal is None:
+        assert parse(text).scenario().twt[1].sp_us * 1000 == twtsim.macsim.least_sp_ns(
+            MacParams(), float(rate)) == 255_000
+        return
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n", 0, text.index("mf = ")) + 1
+    assert str(exc.value).startswith(f"line {exc.value.line}: mf ")
+    assert str(exc.value).endswith(refusal)
+
+
+def test_a_refused_default_mf_is_reported_with_no_line():
+    # no mf line: MF 1 is refused for the DUT's DIFS, not at the [sim] line
+    text = MINIMAL + "\n[sim]\nmodel = cbr\n\n[mac]\ndifs_us = 65536\n"
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert exc.value.line is None
+    assert str(exc.value).startswith("mf 1 leaves a 65535 us service period, less than the ")
+    assert str(exc.value).endswith("the largest usable mf is none")
+
+
+def test_the_bundled_dut_can_use_mf_256_and_no_more():
+    text = default_config_text()
+    assert parse(text.replace("mf = 4", "mf = 256")).mf == 256
+    with pytest.raises(ConfigError, match="mf 512 leaves a 127 us service period, less than the "
+                                          "246.14 us .* the largest usable mf is 256$"):
+        parse(text.replace("mf = 4", "mf = 512"))
+
+
 def test_twt_disabled_leaves_all_stations_awake():
     text = MINIMAL + "\n[twt]\nenabled = false\nduty_percent = 30\n"
     scenario = parse(text).scenario()
@@ -384,6 +429,20 @@ def test_empty_config_lists_required_sections():
     assert "station" in msg and "traffic" in msg
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("format = 1\n[twt]\nmf = 1\n",
+     "station.<id> (one 'ap' role and at least one client), traffic"),
+    (MINIMAL.replace("[traffic]\nbitrate_mbps = 10\n", ""), "traffic"),
+    ("format = 1\n[traffic]\nbitrate_mbps = 10\n",
+     "station.<id> (one 'ap' role and at least one client)"),
+], ids=["both", "traffic", "stations"])
+def test_missing_sections_are_named(text, missing):
+    with pytest.raises(ConfigError) as exc:
+        parse(text)
+    assert str(exc.value) == "missing required sections: " + missing
+    assert exc.value.line is None
+
+
 def test_format_guard():
     with pytest.raises(ConfigError, match="format"):
         parse(MINIMAL.replace("format = 1\n", "") )
@@ -407,7 +466,15 @@ def test_bad_value_reports_line():
      5, "bad value for 'phy_rate_mbps'"),
     # lines end at LF only: a form feed in a comment does not end it
     ("format = 1\n# a\x0cb\nnope = 1\n", 3, "key 'nope' before any section"),
-], ids=["before-an-unknown-key", "in-a-config-without-traffic", "after-a-form-feed"])
+    ("format = 1\n[twt\nmf = 1\n", 2, "unterminated section header"),
+    ("format = 1\n[twt]\n[ ]\n", 3, "empty section name"),
+    ("format = 1\n[twt.x]\nmf = 1\n", 2, r"section \[twt\] does not take a suffix"),
+    ("format = 1\n[station.ap]\nrole = ap\n[station.ap]\n", 4,
+     r"duplicate section \[station.ap\]"),
+    ("format = 1\n[twt]\n = 4\n", 3, "empty key"),
+], ids=["before-an-unknown-key", "in-a-config-without-traffic", "after-a-form-feed",
+        "unterminated-header", "empty-section-name", "suffix-on-twt", "duplicate-section",
+        "empty-key"])
 def test_the_first_faulty_line_is_reported(text, line, message):
     with pytest.raises(ConfigError, match=message) as exc:
         parse(text)

@@ -873,6 +873,37 @@ def test_scenario_rejects_flow_to_unknown_station():
         two_station_scenario(flows=(Flow(id="f", dst="ghost", kind="saturated"),))
 
 
+_BURST = Burst(release_time_s=0.0, size_bytes=100_000, inter_burst_time_s=3.0)
+
+
+@pytest.mark.parametrize("flows, bursts, message", [
+    ((Flow(id="f", dst="sta", kind="saturated"), Flow(id="f", dst="sta", kind="burst")),
+     (_BURST,), "^flow ids must be unique$"),
+    ((Flow(id="a", dst="sta", kind="burst"), Flow(id="b", dst="sta", kind="burst")),
+     (_BURST,), "^at most one burst-driven flow is supported$"),
+    ((Flow(id="f", dst="sta", kind="saturated"),), (_BURST,),
+     "^bursts supplied without a burst-driven flow$"),
+], ids=["duplicate flow ids", "two burst flows", "bursts without a burst flow"])
+def test_scenario_refuses_flows_and_bursts_the_engine_cannot_pair(flows, bursts, message):
+    with pytest.raises(ValueError, match=message):
+        two_station_scenario(flows=flows, bursts=bursts)
+
+
+def test_a_gated_transmission_past_the_window_end_is_refused(monkeypatch):
+    # _select_ap_tx sizes the gated A-MPDU to what is left of the window, so only
+    # an aggregation that overfills it, by one MPDU here, reaches the check.  At MF
+    # 16 the window (4095 us) is shorter than the TXOP, so the budget is the window
+    sc = gated_scenario(duty=30, mf=16)
+    sc = replace(sc, flows=sc.flows[:1])  # only the gated client has traffic
+
+    def one_past(t_mpdu, budget, overhead, *_):
+        return (budget - overhead) // t_mpdu + 1
+
+    monkeypatch.setattr(twtsim.macsim, "aggregate_ns", one_past)
+    with pytest.raises(RuntimeError, match="^gated transmission would cross window end$"):
+        run_sim(sc)
+
+
 def test_mpdu_must_fit_txop():
     with pytest.raises(ValueError, match="^phy_rate_mbps .*'sta'"):
         two_station_scenario(

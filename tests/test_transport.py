@@ -33,6 +33,11 @@ def test_flow_times_fit_the_engine_clock(name):
         make_flow(**{name: 1e300})
 
 
+def test_an_unknown_flow_kind_is_refused():
+    with pytest.raises(ValueError, match="^unknown flow kind 'bulk'$"):
+        make_flow(kind="bulk")
+
+
 def test_queue_limit_is_refused_under_its_field_name():
     # the config reports a message at the line of the key it starts with
     with pytest.raises(ValueError, match="^queue_limit_segments must be >= 1, got 0$"):
@@ -42,6 +47,12 @@ def test_queue_limit_is_refused_under_its_field_name():
 
 def test_slow_start_grows_one_segment_per_ack():
     assert on_ack(10.0, math.inf, 4) == 14.0
+
+
+@pytest.mark.parametrize("acked", [0, -1])
+def test_an_ack_of_no_segment_is_refused(acked):
+    with pytest.raises(ValueError, match=f"^acked_segments must be >= 1, got {acked}$"):
+        on_ack(10.0, math.inf, acked)
 
 
 def test_congestion_avoidance_grows_reciprocally():
